@@ -51,30 +51,39 @@ class UpdateOutcome:
         return f"{self.kind}:{self.structure}:{way}"
 
 
-class LruState:
-    """True-LRU recency for one set: counters hold a permutation of
-    0..ways-1 with higher meaning more recently used."""
+def way_sources(ways: int) -> tuple:
+    """Prediction sources "way0", "way1", ..., built once per model."""
+    return tuple(f"way{w}" for w in range(ways))
 
-    __slots__ = ("counters",)
+
+def hit_outcomes(structure: str, slots: int) -> tuple:
+    """One shared "hit" outcome per slot of a structure.  Outcomes are
+    frozen, so commits that change nothing return these instead of
+    allocating a new one each time."""
+    return tuple(UpdateOutcome("hit", structure, slot) for slot in range(slots))
+
+
+class LruState:
+    """True-LRU recency for one set: each way holds the stamp of its last
+    touch, so the oldest way is the one with the smallest stamp.  This is
+    the same order that a permutation of recency counters gives."""
+
+    __slots__ = ("stamps", "clock")
 
     def __init__(self, ways: int):
-        self.counters = list(range(ways))
+        self.stamps = list(range(ways))
+        self.clock = ways
 
     def touch(self, way: int) -> None:
-        counters = self.counters
-        old = counters[way]
-        for i, c in enumerate(counters):
-            if c > old:
-                counters[i] = c - 1
-        counters[way] = len(counters) - 1
+        self.stamps[way] = self.clock
+        self.clock += 1
 
     def oldest(self, candidates) -> int:
-        counters = self.counters
-        return min(candidates, key=counters.__getitem__)
+        return min(candidates, key=self.stamps.__getitem__)
 
     def check(self) -> None:
-        if sorted(self.counters) != list(range(len(self.counters))):
-            raise InvariantError(f"recency counters not a permutation: {self.counters}")
+        if len(set(self.stamps)) != len(self.stamps):
+            raise InvariantError(f"recency stamps not distinct: {self.stamps}")
 
 
 class RecencyLru:
@@ -107,9 +116,34 @@ def select_victim(valid, lru: LruState, eligible) -> int:
 
 
 class BtbModel:
-    """Interface shared by the four organizations."""
+    """Interface shared by the four organizations.
+
+    Each organization's main array provides `_index_tag(pc)` and
+    `_probe(set, tag)`.  `lookup` probes through `_lookup_probe`, which keeps
+    the result, and `commit_update` through `_main_probe`, which reuses it
+    for the same branch, so a record's main-array probe happens once.
+    """
 
     name = "?"
+    _last_probe = None  # (pc, set, tag, way) of the last lookup
+
+    def _lookup_probe(self, pc: int):
+        """(set, way or None) of pc in the main array."""
+        s, tag = self._index_tag(pc)
+        way = self._probe(s, tag)
+        self._last_probe = (pc, s, tag, way)
+        return s, way
+
+    def _main_probe(self, pc: int):
+        """(set, tag, way or None) of pc in the main array.  Reuses the last
+        lookup's probe when it was for this pc: only commits change the
+        array, and each commit consumes the stored probe."""
+        last = self._last_probe
+        self._last_probe = None
+        if last is not None and last[0] == pc:
+            return last[1], last[2], last[3]
+        s, tag = self._index_tag(pc)
+        return s, tag, self._probe(s, tag)
 
     def lookup(self, pc: int) -> Optional[Prediction]:
         raise NotImplementedError

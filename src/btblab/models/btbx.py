@@ -21,7 +21,7 @@ from ..core import (ALIGNED4, BranchKind, BranchRecord, IsaProfile,
                     required_offset_width, xor_fold)
 from ..storage import BtbxGeometry
 from .base import (BtbModel, InvariantError, LruState, Prediction,
-                   UpdateOutcome, select_victim)
+                   UpdateOutcome, hit_outcomes, select_victim, way_sources)
 
 
 def select_victim_restricted_lru(valid, lru: LruState, eligible_ways) -> int:
@@ -45,6 +45,9 @@ class BtbX(BtbModel):
         self.widths = geometry.way_widths
         self.xc_entries = geometry.xc_entries
         self._index_bits = (self.sets - 1).bit_length()
+        self._sources = way_sources(self.ways)
+        self._hits = hit_outcomes("main", self.ways)
+        self._xc_hits = hit_outcomes("xc", self.xc_entries)
         self.reset()
 
     def reset(self):
@@ -62,6 +65,7 @@ class BtbX(BtbModel):
         self._xc_kind = [BranchKind.CONDITIONAL] * n
         self._xc_target = [0] * n
         self._xc_valid_count = 0
+        self._last_probe = None
 
     # -- address plumbing ---------------------------------------------------
 
@@ -92,17 +96,16 @@ class BtbX(BtbModel):
     # -- model interface ----------------------------------------------------
 
     def lookup(self, pc: int) -> Optional[Prediction]:
-        s, tag = self._index_tag(pc)
-        way = self._probe(s, tag)
+        s, way = self._lookup_probe(pc)
         if way is not None:
             # All ways and the companion are probed in parallel; a main-array
             # hit wins over a simultaneous companion hit.
             self._lru[s].touch(way)
             kind = self._kind[s][way]
             if kind is BranchKind.RETURN:
-                return Prediction(None, kind, f"way{way}")
+                return Prediction(None, kind, self._sources[way])
             return Prediction(self._decode(pc, way, self._offset[s][way]),
-                              kind, f"way{way}")
+                              kind, self._sources[way])
         slot, xtag = self._xc_slot_tag(pc)
         if self._xc_valid[slot] and self._xc_tag[slot] == xtag:
             kind = self._xc_kind[slot]
@@ -110,22 +113,26 @@ class BtbX(BtbModel):
             return Prediction(target, kind, "xc")
         return None
 
+    def _required_width(self, record: BranchRecord) -> int:
+        if record.kind is BranchKind.RETURN:
+            return 0
+        return required_offset_width(record.pc, record.target, self.isa)
+
     def commit_update(self, record: BranchRecord) -> UpdateOutcome:
         pc, target, kind = record.pc, record.target, record.kind
-        req = 0 if kind is BranchKind.RETURN else required_offset_width(pc, target, self.isa)
-        s, tag = self._index_tag(pc)
-        way = self._probe(s, tag)
+        s, tag, way = self._main_probe(pc)
         if way is not None:
             self._lru[s].touch(way)
             if kind is BranchKind.RETURN:
                 if self._kind[s][way] is BranchKind.RETURN:
-                    return UpdateOutcome("hit", "main", way)
+                    return self._hits[way]
                 self._kind[s][way] = kind
                 self._req_width[s][way] = 0
                 return UpdateOutcome("rewrite", "main", way)
             if (self._kind[s][way] == kind
                     and self._decode(pc, way, self._offset[s][way]) == target):
-                return UpdateOutcome("hit", "main", way)
+                return self._hits[way]
+            req = required_offset_width(pc, target, self.isa)
             if req <= self.widths[way]:
                 # Target changed but still fits this way: refresh in place.
                 self._offset[s][way] = self._offset_field(target, way)
@@ -135,23 +142,24 @@ class BtbX(BtbModel):
             # Outgrew its way: drop the entry and re-allocate.
             self._valid[s][way] = False
             self._way_valid[way] -= 1
-            return self._allocate(record, req, migrated=True)
+            return self._allocate(record, s, tag, req, migrated=True)
         slot, xtag = self._xc_slot_tag(pc)
         if self._xc_valid[slot] and self._xc_tag[slot] == xtag:
             if self._xc_kind[slot] == kind and self._xc_target[slot] == target:
-                return UpdateOutcome("hit", "xc", slot)
+                return self._xc_hits[slot]
+            req = self._required_width(record)
             if req <= self.widths[-1]:
                 # Shrunk enough for the main array; the companion copy dies
                 # so a branch never lives in both structures for long.
                 self._xc_valid[slot] = False
                 self._xc_valid_count -= 1
-                return self._allocate(record, req, migrated=True)
+                return self._allocate(record, s, tag, req, migrated=True)
             self._xc_target[slot] = target
             self._xc_kind[slot] = kind
             return UpdateOutcome("rewrite", "xc", slot)
-        return self._allocate(record, req)
+        return self._allocate(record, s, tag, self._required_width(record))
 
-    def _allocate(self, record: BranchRecord, req: int,
+    def _allocate(self, record: BranchRecord, s: int, tag: int, req: int,
                   migrated: bool = False) -> UpdateOutcome:
         outcome = "migrate" if migrated else "alloc"
         pc, target, kind = record.pc, record.target, record.kind
@@ -166,7 +174,6 @@ class BtbX(BtbModel):
             self._xc_kind[slot] = kind
             self._xc_target[slot] = target
             return UpdateOutcome(outcome, "xc", slot, victim_valid)
-        s, tag = self._index_tag(pc)
         way = select_victim_restricted_lru(self._valid[s], self._lru[s], eligible)
         victim_valid = self._valid[s][way]
         if not victim_valid:
@@ -180,8 +187,8 @@ class BtbX(BtbModel):
         return UpdateOutcome(outcome, "main", way, victim_valid)
 
     def occupancy_items(self):
-        items = [(f"way{w}", self._way_valid[w], self.sets)
-                 for w in range(self.ways)]
+        items = [(name, valid, self.sets)
+                 for name, valid in zip(self._sources, self._way_valid)]
         items.append(("xc", self._xc_valid_count, self.xc_entries))
         return items
 

@@ -6,7 +6,7 @@ from typing import Optional
 
 from ..core import (ALIGNED4, BranchKind, BranchRecord, IsaProfile, xor_fold)
 from .base import (BtbModel, InvariantError, LruState, Prediction,
-                   UpdateOutcome, select_victim)
+                   UpdateOutcome, hit_outcomes, select_victim, way_sources)
 
 
 class ConvBtb(BtbModel):
@@ -31,6 +31,8 @@ class ConvBtb(BtbModel):
                           if entries % a == 0)
         self.sets = entries // self.assoc
         self.entries = entries
+        self._sources = way_sources(self.assoc)
+        self._hits = hit_outcomes("main", self.assoc)
         self.reset()
 
     def reset(self):
@@ -41,6 +43,7 @@ class ConvBtb(BtbModel):
         self._target = [[0] * ways for _ in range(sets)]
         self._lru = [LruState(ways) for _ in range(sets)]
         self._valid_count = 0
+        self._last_probe = None
 
     def _index_tag(self, pc: int):
         line = pc >> self.isa.align_shift
@@ -54,25 +57,23 @@ class ConvBtb(BtbModel):
         return None
 
     def lookup(self, pc: int) -> Optional[Prediction]:
-        s, tag = self._index_tag(pc)
-        way = self._probe(s, tag)
+        s, way = self._lookup_probe(pc)
         if way is None:
             return None
         self._lru[s].touch(way)
         kind = self._kind[s][way]
         target = None if kind is BranchKind.RETURN else self._target[s][way]
-        return Prediction(target, kind, f"way{way}")
+        return Prediction(target, kind, self._sources[way])
 
     def commit_update(self, record: BranchRecord) -> UpdateOutcome:
-        s, tag = self._index_tag(record.pc)
-        way = self._probe(s, tag)
+        s, tag, way = self._main_probe(record.pc)
         if way is not None:
             self._lru[s].touch(way)
             matches = (self._kind[s][way] == record.kind
                        and (record.kind is BranchKind.RETURN
                             or self._target[s][way] == record.target))
             if matches:
-                return UpdateOutcome("hit", "main", way)
+                return self._hits[way]
             self._target[s][way] = record.target
             self._kind[s][way] = record.kind
             return UpdateOutcome("rewrite", "main", way)

@@ -19,7 +19,7 @@ from typing import Optional
 
 from ..core import ALIGNED4, BranchKind, BranchRecord, IsaProfile, xor_fold
 from .base import (BtbModel, InvariantError, LruState, Prediction, RecencyLru,
-                   UpdateOutcome, select_victim)
+                   UpdateOutcome, hit_outcomes, select_victim, way_sources)
 
 PAGE_SHIFT = 12
 NO_PAGE = -1  # page_ptr sentinel for entries that need no page (returns)
@@ -47,6 +47,8 @@ class RBtb(BtbModel):
         self.sets = main_entries // self.assoc
         self.main_entries = main_entries
         self.page_entries = page_entries
+        self._sources = way_sources(self.assoc)
+        self._hits = hit_outcomes("main", self.assoc)
         self.reset()
 
     def reset(self):
@@ -67,6 +69,7 @@ class RBtb(BtbModel):
         self._pt_map = {}  # page number -> slot, the associative-search result
         self._pt_valid_count = 0
         self.page_searches = 0  # associative searches at allocation, for tests
+        self._last_probe = None
 
     def _index_tag(self, pc: int):
         line = pc >> self.isa.align_shift
@@ -109,20 +112,19 @@ class RBtb(BtbModel):
         return self._pt_page[ptr]
 
     def lookup(self, pc: int) -> Optional[Prediction]:
-        s, tag = self._index_tag(pc)
-        way = self._probe(s, tag)
+        s, way = self._lookup_probe(pc)
         if way is None:
             return None
         kind = self._kind[s][way]
         if kind is BranchKind.RETURN:
             self._lru[s].touch(way)
-            return Prediction(None, kind, f"way{way}")
+            return Prediction(None, kind, self._sources[way])
         page = self._resolve(s, way)
         if page is None:
             return None  # dangling page pointer: miss, never a wrong target
         self._lru[s].touch(way)
         return Prediction((page << self.page_shift) | self._in_off[s][way],
-                          kind, f"way{way}")
+                          kind, self._sources[way])
 
     def _write(self, s: int, way: int, tag: int, record: BranchRecord):
         self._tag[s][way] = tag
@@ -138,18 +140,17 @@ class RBtb(BtbModel):
             self._page_gen[s][way] = gen
 
     def commit_update(self, record: BranchRecord) -> UpdateOutcome:
-        s, tag = self._index_tag(record.pc)
-        way = self._probe(s, tag)
+        s, tag, way = self._main_probe(record.pc)
         if way is not None:
             self._lru[s].touch(way)
             kind = self._kind[s][way]
             if record.kind is BranchKind.RETURN:
                 if kind is BranchKind.RETURN:
-                    return UpdateOutcome("hit", "main", way)
+                    return self._hits[way]
             elif (kind == record.kind
                   and self._in_off[s][way] == (record.target & ((1 << self.page_shift) - 1))
                   and self._resolve(s, way) == record.target >> self.page_shift):
-                return UpdateOutcome("hit", "main", way)
+                return self._hits[way]
             self._write(s, way, tag, record)
             return UpdateOutcome("rewrite", "main", way)
         way = select_victim(self._valid[s], self._lru[s], range(self.assoc))
@@ -210,6 +211,8 @@ class PdedeBtb(BtbModel):
         self.page_sets = max(1, page_entries // self.page_assoc)
         self.page_entries = self.page_sets * self.page_assoc
         self.region_entries = region_entries
+        self._sources = way_sources(assoc)
+        self._hits = hit_outcomes("main", assoc)
         self.reset()
 
     def reset(self):
@@ -238,6 +241,7 @@ class PdedeBtb(BtbModel):
         self._rt_lru = LruState(n)
         self._rt_valid_count = 0
         self.page_probes = 0  # side-table references, for tests
+        self._last_probe = None
 
     # -- side tables ----------------------------------------------------
 
@@ -313,25 +317,24 @@ class PdedeBtb(BtbModel):
         return None
 
     def lookup(self, pc: int) -> Optional[Prediction]:
-        s, tag = self._index_tag(pc)
-        way = self._probe(s, tag)
+        s, way = self._lookup_probe(pc)
         if way is None:
             return None
         kind = self._kind[s][way]
         if kind is BranchKind.RETURN:
             self._lru[s].touch(way)
-            return Prediction(None, kind, f"way{way}")
+            return Prediction(None, kind, self._sources[way])
         if self._same[s][way]:
             # Page bits come straight from the PC; no side-table access.
             target = ((pc >> self.page_shift) << self.page_shift) | self._in_off[s][way]
             self._lru[s].touch(way)
-            return Prediction(target, kind, f"way{way}")
+            return Prediction(target, kind, self._sources[way])
         page = self._resolve(s, way)
         if page is None:
             return None  # stale page or region link: miss, never a wrong target
         self._lru[s].touch(way)
         return Prediction((page << self.page_shift) | self._in_off[s][way],
-                          kind, f"way{way}")
+                          kind, self._sources[way])
 
     def _write(self, s: int, way: int, tag: int, record: BranchRecord,
                same: bool):
@@ -357,21 +360,20 @@ class PdedeBtb(BtbModel):
         pc, target = record.pc, record.target
         same = (record.kind is BranchKind.RETURN
                 or (pc >> self.page_shift) == (target >> self.page_shift))
-        s, tag = self._index_tag(pc)
-        way = self._probe(s, tag)
+        s, tag, way = self._main_probe(pc)
         if way is not None:
             if not same and way < self.reserved_ways:
                 # Target moved off-page but a reserved way cannot hold the
                 # pointer: drop the entry and re-allocate in a general way.
                 self._valid[s][way] = False
                 self._valid_count -= 1
-                return self._allocate(record, same, migrated=True)
+                return self._allocate(record, s, tag, same, migrated=True)
             self._lru[s].touch(way)
             if self._entry_matches(s, way, record, same):
-                return UpdateOutcome("hit", "main", way)
+                return self._hits[way]
             self._write(s, way, tag, record, same)
             return UpdateOutcome("rewrite", "main", way)
-        return self._allocate(record, same)
+        return self._allocate(record, s, tag, same)
 
     def _entry_matches(self, s: int, way: int, record: BranchRecord,
                        same: bool) -> bool:
@@ -387,9 +389,8 @@ class PdedeBtb(BtbModel):
             return True
         return self._resolve(s, way) == record.target >> self.page_shift
 
-    def _allocate(self, record: BranchRecord, same: bool,
+    def _allocate(self, record: BranchRecord, s: int, tag: int, same: bool,
                   migrated: bool = False) -> UpdateOutcome:
-        s, tag = self._index_tag(record.pc)
         if same:
             # Invalid-first over all ways naturally prefers the reserved
             # (lowest-index) half before spilling into general ways.

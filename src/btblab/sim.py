@@ -14,8 +14,6 @@ for itself plus `gap` preceding non-branch instructions.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -101,63 +99,93 @@ def run(model: BtbModel, trace: Union[TraceFile, Sequence[BranchRecord]],
     records = _records_of(trace, config)
     total = len(records)
     warmup = config.warmup_records if config.warmup_records is not None else total // 10
+    warmup = min(warmup, total)
     end = total if config.measure_records is None else min(
         total, warmup + config.measure_records)
 
-    metrics = Metrics()
+    metrics = Metrics(measured_records=end - warmup)
+    hits = metrics.hits_by_source
     ras = ReturnAddressStack(config.ras_capacity)
-    occ_sums: Dict[str, float] = {}
-    occ_caps: Dict[str, int] = {}
     instr_bytes = 1 << config.isa.align_shift if config.isa.align_shift else 4
+    lookup, commit = model.lookup, model.commit_update
+    RETURN = BranchKind.RETURN
 
     for i, rec in enumerate(records):
         measured = warmup <= i < end
-        pred = model.lookup(rec.pc)
+        if measured and i == warmup:
+            occupancy = _OccupancyArea(model, i)
+        pred = lookup(rec.pc)
         if measured:
-            metrics.measured_records += 1
             metrics.instructions += rec.gap + 1
-        if rec.taken:
-            if measured:
-                metrics.taken_branches += 1
-                if pred is None:
-                    metrics.taken_btb_misses += 1
-                elif rec.kind is BranchKind.RETURN:
-                    if pred.kind is BranchKind.RETURN:
-                        metrics.hits_by_source[pred.source] = \
-                            metrics.hits_by_source.get(pred.source, 0) + 1
-                    else:
-                        metrics.taken_btb_misses += 1
-                        metrics.wrong_target_misses += 1
-                elif pred.target == rec.target:
-                    metrics.hits_by_source[pred.source] = \
-                        metrics.hits_by_source.get(pred.source, 0) + 1
-                else:
-                    metrics.taken_btb_misses += 1
-                    metrics.wrong_target_misses += 1
-            model.commit_update(rec)
-            if config.debug:
-                model.check_invariants()
-            if rec.kind.is_call:
-                ras.push(rec.pc + instr_bytes)
-            elif rec.kind is BranchKind.RETURN:
-                popped = ras.pop()
-                if measured:
-                    if popped is None:
-                        metrics.ras_underflows += 1
-                    elif popped != rec.target:
-                        metrics.ras_mispredicts += 1
+        if not rec.taken:
+            continue
+        kind = rec.kind
         if measured:
-            for name, valid, cap in model.occupancy_items():
-                occ_sums[name] = occ_sums.get(name, 0.0) + valid
-                occ_caps[name] = cap
+            metrics.taken_branches += 1
+            if pred is None:
+                metrics.taken_btb_misses += 1
+            elif (pred.kind is RETURN if kind is RETURN
+                  else pred.target == rec.target):
+                hits[pred.source] = hits.get(pred.source, 0) + 1
+            else:
+                metrics.taken_btb_misses += 1
+                metrics.wrong_target_misses += 1
+        outcome = commit(rec)
+        if measured and outcome.kind != "hit":
+            occupancy.change(i)
+        if config.debug:
+            model.check_invariants()
+        if kind.is_call:
+            ras.push(rec.pc + instr_bytes)
+        elif kind is RETURN:
+            popped = ras.pop()
+            if measured:
+                if popped is None:
+                    metrics.ras_underflows += 1
+                elif popped != rec.target:
+                    metrics.ras_mispredicts += 1
+    if end > warmup:
+        metrics.occupancy_by_way = occupancy.by_way(end)
 
-    if metrics.measured_records:
-        metrics.occupancy_by_way = {
-            name: occ_sums[name] / (occ_caps[name] * metrics.measured_records)
-            for name in occ_sums
-        }
     assert metrics.taken_hits + metrics.taken_btb_misses == metrics.taken_branches
     return metrics
+
+
+class _OccupancyArea:
+    """Valid entries per structure summed over the measured records.
+
+    Each record contributes the valid counts as they stand after it.  Those
+    change only on a commit whose outcome is not "hit", so the model is read
+    at the window's start and after each such commit, and the area grows by
+    count x records between readings that differ; the integer sums equal a
+    per-record sample exactly.
+    """
+
+    def __init__(self, model: BtbModel, start: int):
+        self._read = model.occupancy_items
+        self.items = self._read()
+        self.area = [0] * len(self.items)
+        self.start = start
+        self.since = start  # first record whose state `items` describes
+
+    def change(self, i: int) -> None:
+        """Record i's commit may have changed the valid counts."""
+        items = self._read()
+        if items != self.items:
+            self._close(i)
+            self.items = items
+
+    def _close(self, i: int) -> None:
+        span = i - self.since
+        self.area = [a + valid * span
+                     for a, (_, valid, _) in zip(self.area, self.items)]
+        self.since = i
+
+    def by_way(self, stop: int) -> Dict[str, float]:
+        self._close(stop)
+        records = stop - self.start
+        return {name: area / (cap * records)
+                for (name, _, cap), area in zip(self.items, self.area)}
 
 
 @dataclass
@@ -218,38 +246,20 @@ def offset_histogram(trace: Union[TraceFile, Sequence[BranchRecord]],
     return OffsetHistogram(counts, total)
 
 
-def _worker_count(n_jobs: int) -> int:
-    cap = os.environ.get("BTBLAB_THREADS")
-    if cap:
-        try:
-            limit = max(1, int(cap))
-        except ValueError:
-            limit = 1
-        return min(n_jobs, limit)
-    return min(n_jobs, os.cpu_count() or 1)
-
-
 def compare(model_names: Sequence[str],
             trace: Union[TraceFile, Sequence[BranchRecord]],
             budget_kb: float,
             config: Optional[SimConfig] = None) -> List[Tuple[str, Metrics]]:
     """Run several organizations at the same budget over one trace.
 
-    Workers share nothing (each builds its own model) and results come back
-    in declaration order regardless of completion order.
+    The models run one after another in declaration order, each on its own
+    freshly built model.
     """
     config = config or SimConfig()
     records = _records_of(trace, config)
-
-    def job(name: str) -> Metrics:
-        model = build_model(name, budget_kb=budget_kb, isa=config.isa)
-        return run(model, records, config)
-
-    if len(model_names) <= 1:
-        return [(name, job(name)) for name in model_names]
-    with ThreadPoolExecutor(max_workers=_worker_count(len(model_names))) as pool:
-        futures = [(name, pool.submit(job, name)) for name in model_names]
-        return [(name, fut.result()) for name, fut in futures]
+    return [(name, run(build_model(name, budget_kb=budget_kb, isa=config.isa),
+                       records, config))
+            for name in model_names]
 
 
 COMPARE_CSV_HEADER = ("model,budget_kb,instructions,taken_branches,"

@@ -121,36 +121,38 @@ def read_header(fh) -> TraceHeader:
 
 
 def iter_records(path) -> Tuple[TraceHeader, Iterator[BranchRecord]]:
-    """Streaming reader; the iterator validates each record as it goes."""
-    fh = open(path, "rb")
-    try:
+    """Streaming reader; the iterator validates each record as it goes.
+
+    The file belongs to the iterator, which has already started: closing
+    or dropping it closes the file, even before the first record.
+    """
+    records = _read_binary(path)
+    return next(records), records
+
+
+def _read_binary(path):
+    """Yield the trace header, then each validated record."""
+    with open(path, "rb") as fh:
         header = read_header(fh)
-    except Exception:
-        fh.close()
-        raise
-
-    def gen():
+        yield header
         isa = header.isa
-        with fh:
-            for index in range(header.record_count):
-                raw = fh.read(RECORD_BYTES)
-                if len(raw) < RECORD_BYTES:
-                    raise TraceFormatError("truncated record", index)
-                pc, target, kind, taken, gap, pad = _RECORD.unpack(raw)
-                if pad != 0:
-                    raise TraceFormatError(f"nonzero pad {pad}", index)
-                if kind > 5:
-                    raise TraceFormatError(f"unknown kind code {kind}", index)
-                if taken > 1:
-                    raise TraceFormatError(f"bad taken flag {taken}", index)
-                rec = BranchRecord(pc, target, BranchKind(kind), bool(taken), gap)
-                _validate_record(rec, isa, index)
-                yield rec
-            if fh.read(1):
-                raise TraceFormatError("trailing bytes after last record",
-                                       header.record_count)
-
-    return header, gen()
+        for index in range(header.record_count):
+            raw = fh.read(RECORD_BYTES)
+            if len(raw) < RECORD_BYTES:
+                raise TraceFormatError("truncated record", index)
+            pc, target, kind, taken, gap, pad = _RECORD.unpack(raw)
+            if pad != 0:
+                raise TraceFormatError(f"nonzero pad {pad}", index)
+            if kind > 5:
+                raise TraceFormatError(f"unknown kind code {kind}", index)
+            if taken > 1:
+                raise TraceFormatError(f"bad taken flag {taken}", index)
+            rec = BranchRecord(pc, target, BranchKind(kind), bool(taken), gap)
+            _validate_record(rec, isa, index)
+            yield rec
+        if fh.read(1):
+            raise TraceFormatError("trailing bytes after last record",
+                                   header.record_count)
 
 
 def read_trace(path) -> TraceFile:
@@ -191,11 +193,16 @@ def read_trace_jsonl(path) -> TraceFile:
                 continue
             try:
                 obj = json.loads(line)
+                taken, gap = obj["taken"], obj["gap"]
                 rec = BranchRecord(int(obj["pc"], 16), int(obj["target"], 16),
-                                   KINDS_BY_NAME[obj["kind"]],
-                                   bool(obj["taken"]), int(obj["gap"]))
+                                   KINDS_BY_NAME[obj["kind"]], taken, gap)
             except (json.JSONDecodeError, KeyError, ValueError) as exc:
                 raise TraceFormatError(str(exc), index) from None
+            if not isinstance(taken, bool):
+                raise TraceFormatError(f"taken must be true or false, got {taken!r}",
+                                       index)
+            if isinstance(gap, bool) or not isinstance(gap, int):
+                raise TraceFormatError(f"gap must be an integer, got {gap!r}", index)
             _validate_record(rec, isa, index)
             records.append(rec)
         declared = head.get("record_count")

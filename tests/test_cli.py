@@ -188,8 +188,10 @@ class TestUsage:
         assert res.returncode == 1
 
     def test_bad_flag_exit_1(self, workdir):
-        res = cli(["simulate", "--frobnicate"], workdir)
+        res = cli(["simulate", "--model", "conv", "--budget-kb", "14.5",
+                   "t.btbt", "--frobnicate"], workdir)
         assert res.returncode == 1
+        assert "unrecognized arguments: --frobnicate" in res.stderr
 
     def test_version(self, workdir):
         res = cli(["--version"], workdir)

@@ -156,6 +156,89 @@ class TestRestrictedLru:
         with pytest.raises(InvariantError):
             select_victim_restricted_lru([True] * 8, LruState(8), [])
 
+    @pytest.mark.parametrize("ways", [1, 2, 4, 8, 16])
+    def test_oldest_matches_recency_list(self, ways):
+        rng = random.Random(ways)
+        lru = LruState(ways)
+        order = list(range(ways))  # oldest first, as counter LRU starts
+        for _ in range(400):
+            way = rng.randrange(ways)
+            lru.touch(way)
+            order.remove(way)
+            order.append(way)
+            eligible = sorted(rng.sample(range(ways), rng.randint(1, ways)))
+            assert lru.oldest(eligible) == min(eligible, key=order.index)
+        lru.check()
+
+    def test_check_rejects_repeated_stamp(self):
+        lru = LruState(4)
+        lru.stamps[1] = lru.stamps[2]
+        with pytest.raises(InvariantError):
+            lru.check()
+
+
+def churn_models():
+    return [BtbX(BtbxGeometry(sets=8)), ConvBtb(entries=32),
+            RBtb(main_entries=32, page_entries=4),
+            PdedeBtb(main_entries=32, page_entries=16, region_entries=2)]
+
+
+class TestProbeReuse:
+    """A commit reuses the probe of the lookup just before it only when it is
+    for the same pc and no commit came in between."""
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_other_pc_in_same_set_probes_afresh(self, index):
+        m = churn_models()[index]
+        sets = m.sets
+        a, b = rec(0x1000, 0x1010), rec(0x1000 + 4 * sets, 0x1020)
+        m.commit_update(b)
+        m.lookup(a.pc)  # a is absent; its probe found no way
+        assert m.commit_update(b).kind == "hit"
+        m.commit_update(a)
+        assert m.lookup(a.pc) is not None  # a's probe found a's way
+        assert m.commit_update(b).kind == "hit"
+        m.check_invariants()
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_same_pc_after_another_commit_probes_afresh(self, index):
+        m = churn_models()[index]
+        a = rec(0x1000, 0x1010)
+        m.lookup(a.pc)  # miss
+        assert m.commit_update(a).kind == "alloc"
+        assert m.commit_update(a).kind == "hit"  # not a second allocation
+        m.check_invariants()
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_random_interleaving_matches_fresh_probes(self, index):
+        rng = random.Random(index)
+        spec = GeneratorSpec(static_branches=120, records=3000,
+                             pattern="uniform", seed=index,
+                             width_buckets=((0, 6, 0.5), (7, 20, 0.3),
+                                            (21, 30, 0.2)))
+        records = list(gen_records(spec))
+        reused, fresh = churn_models()[index], churn_models()[index]
+
+        def step(model, op, r, forget):
+            if op == "lookup":
+                pred = model.lookup(r.pc)
+                return None if pred is None else (pred.target, pred.kind,
+                                                  pred.source)
+            if forget:
+                model._last_probe = None
+            return model.commit_update(r)
+
+        for _ in range(4000):
+            # Mostly the lookup-then-commit pairing, sometimes a lone lookup
+            # or a commit whose lookup was for another branch.
+            r = rng.choice(records)
+            ops = [("lookup", r)] if rng.random() < 0.8 else []
+            ops.append(("commit", r) if rng.random() < 0.8
+                       else ("lookup", rng.choice(records)))
+            for op, x in ops:
+                assert step(reused, op, x, False) == step(fresh, op, x, True)
+        reused.check_invariants()
+
 
 class TestConv:
     def test_single_branch_steady_hits(self):

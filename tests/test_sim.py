@@ -124,6 +124,50 @@ class TestRun:
         assert metrics.occupancy_by_way["xc"] == 0.0
 
 
+def sampled_occupancy(model, records, warmup, end):
+    """Reference: read occupancy_items() after every measured record."""
+    sums, caps = {}, {}
+    for i, r in enumerate(records):
+        model.lookup(r.pc)
+        if r.taken:
+            model.commit_update(r)
+        if warmup <= i < end:
+            for name, valid, cap in model.occupancy_items():
+                sums[name] = sums.get(name, 0) + valid
+                caps[name] = cap
+    return {name: sums[name] / (caps[name] * (end - warmup)) for name in sums}
+
+
+class TestOccupancy:
+    RECORDS = 3000
+
+    @pytest.fixture(scope="class")
+    def churn_trace(self):
+        spec = GeneratorSpec(static_branches=600, records=self.RECORDS,
+                             pattern="uniform", seed=8,
+                             width_buckets=((0, 6, 0.5), (7, 20, 0.3),
+                                            (21, 30, 0.2)))
+        return list(gen_records(spec))
+
+    @pytest.mark.parametrize("name", ["conv", "rbtb", "pdede", "btbx"])
+    @pytest.mark.parametrize("warmup, measure, window", [
+        (None, None, (RECORDS // 10, RECORDS)),
+        (250, 1700, (250, 1950)),
+        (0, None, (0, RECORDS)),
+        (RECORDS, None, (RECORDS, RECORDS)),
+        (RECORDS + 5, 10, (RECORDS, RECORDS)),
+    ])
+    def test_matches_per_record_sampling(self, churn_trace, name, warmup,
+                                         measure, window):
+        config = SimConfig(warmup_records=warmup, measure_records=measure)
+        metrics = run(build_model(name, budget_kb=0.9), churn_trace, config)
+        expected = sampled_occupancy(build_model(name, budget_kb=0.9),
+                                     churn_trace, *window)
+        assert metrics.measured_records == window[1] - window[0]
+        assert metrics.occupancy_by_way == expected
+        assert list(metrics.occupancy_by_way) == list(expected)
+
+
 class TestOffsetHistogram:
     def test_all_returns_collapse_to_zero_width(self):
         trace = [rec(0x1000 + 8 * i, 0x9000, BranchKind.RETURN) for i in range(50)]

@@ -1,4 +1,8 @@
+import gc
+import json
 import struct
+import sys
+import warnings
 
 import pytest
 
@@ -79,6 +83,22 @@ class TestBinaryFormat:
         assert header.record_count == 321
         assert sum(1 for _ in records) == 321
 
+    def test_unread_iterator_leaves_no_open_file(self, small_trace, tmp_path,
+                                                 monkeypatch):
+        path = tmp_path / "t.btbt"
+        write_trace(path, small_trace)
+        # A file closed by the collector warns from its finalizer, where an
+        # error-level warning surfaces through sys.unraisablehook.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            header, records = iter_records(path)
+            del records
+            gc.collect()
+        assert header.record_count == len(small_trace.records)
+        assert unraisable == []
+
 
 class TestJsonlFormat:
     def test_round_trip(self, small_trace, tmp_path):
@@ -101,6 +121,19 @@ class TestJsonlFormat:
         path.write_text("\n".join(lines[:-1]) + "\n")  # drop one record
         with pytest.raises(TraceFormatError, match="declares"):
             read_trace_jsonl(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("taken", "false"), ("taken", 1), ("gap", 1.9), ("gap", True)])
+    def test_field_of_wrong_json_type_rejected(self, tmp_path, field, value):
+        good = {"pc": "0x1000", "target": "0x2000", "kind": "cond",
+                "taken": False, "gap": 3}
+        lines = [{"format": "btbt", "version": 1, "isa_mode": "aligned4",
+                  "record_count": 2}, good, {**good, field: value}]
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        with pytest.raises(TraceFormatError, match=field) as err:
+            read_trace_jsonl(path)
+        assert err.value.record_index == 1
 
     def test_missing_header_object(self, tmp_path):
         path = tmp_path / "t.jsonl"
