@@ -72,6 +72,16 @@ def write_manifest(output_path, command: str, config: dict,
     return path
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_dist(text: str):
     """`0-6:0.54,7-10:0.22,...`; a bare number is a single-width bucket."""
     buckets = []
@@ -246,8 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=MODEL_NAMES)
     p.add_argument("--budget-kb", type=float)
     p.add_argument("--sets", type=int)
-    p.add_argument("--warmup", type=int, help="warmup records (default: 10%%)")
-    p.add_argument("--measure", type=int, help="records to measure after warmup")
+    p.add_argument("--warmup", type=_non_negative_int,
+                   help="warmup records (default: 10%%)")
+    p.add_argument("--measure", type=_non_negative_int,
+                   help="records to measure after warmup")
     p.add_argument("trace")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_simulate)
@@ -256,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True,
                    help=f"comma-separated subset of: {','.join(MODEL_NAMES)}")
     p.add_argument("--budget-kb", type=float, required=True)
-    p.add_argument("--warmup", type=int)
-    p.add_argument("--measure", type=int)
+    p.add_argument("--warmup", type=_non_negative_int)
+    p.add_argument("--measure", type=_non_negative_int)
     p.add_argument("trace")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_compare)

@@ -185,12 +185,16 @@ def xor_fold(value: int, bits: int) -> int:
     return acc
 
 
+# A call's return address is its pc plus this many bytes in both ISA modes.
+CALL_BYTES = 4
+
+
 class ReturnAddressStack:
     """Fixed-capacity LIFO of return addresses.
 
     Pushing past capacity silently overwrites the oldest entry; popping when
-    empty returns None and bumps `underflows` instead of raising, so a
-    simulation can keep going and report the event.
+    empty returns None instead of raising, so a simulation can keep going
+    and report the event.
     """
 
     def __init__(self, capacity: int = 64):
@@ -198,20 +202,12 @@ class ReturnAddressStack:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._stack = deque(maxlen=capacity)
-        self.underflows = 0
 
     def push(self, return_address: int) -> None:
         self._stack.append(return_address)
 
     def pop(self) -> Optional[int]:
-        if not self._stack:
-            self.underflows += 1
-            return None
-        return self._stack.pop()
-
-    def reset(self) -> None:
-        self._stack.clear()
-        self.underflows = 0
+        return self._stack.pop() if self._stack else None
 
     def __len__(self) -> int:
         return len(self._stack)

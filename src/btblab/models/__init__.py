@@ -6,9 +6,9 @@ from typing import Optional
 
 from ..core import ALIGNED4, IsaProfile
 from .. import storage
-from .base import (BtbModel, InvariantError, LruState, Prediction,
-                   UpdateOutcome, select_victim)
-from .btbx import BtbX, select_victim_restricted_lru
+from .base import (BtbModel, InvariantError, LruState, Prediction, SetArray,
+                   UpdateOutcome)
+from .btbx import BtbX
 from .conv import ConvBtb
 from .paged import PdedeBtb, RBtb
 
@@ -46,11 +46,16 @@ def build_model(name: str, budget_kb: Optional[float] = None,
 
     if name == "btbx":
         if sets is not None:
-            return BtbX(storage.geometry_for_isa(isa, sets), isa)
+            try:
+                return BtbX(storage.geometry_for_isa(isa, sets), isa)
+            except storage.GeometryError as exc:
+                raise ConfigError(str(exc)) from None
         return BtbX(_match_preset(budget_kb, isa).geometry(isa), isa)
 
     if name == "conv":
         if sets is not None:
+            if sets < 1:
+                raise ConfigError(f"sets must be >= 1, got {sets}")
             return ConvBtb(sets * 8, isa=isa)
         preset = _match_preset(budget_kb, isa)
         entries = storage.conv_capacity(preset.total_bits(isa),
@@ -80,7 +85,6 @@ def build_model(name: str, budget_kb: Optional[float] = None,
 
 __all__ = [
     "BtbModel", "BtbX", "ConfigError", "ConvBtb", "InvariantError",
-    "LruState", "MODEL_NAMES", "PdedeBtb", "Prediction", "RBtb",
-    "UpdateOutcome", "build_model", "select_victim",
-    "select_victim_restricted_lru",
+    "LruState", "MODEL_NAMES", "PdedeBtb", "Prediction", "RBtb", "SetArray",
+    "UpdateOutcome", "build_model",
 ]

@@ -1,4 +1,4 @@
-"""Shared lookup/update contract and true-LRU bookkeeping for all BTB models.
+"""Shared lookup/update contract and set-associative tables for all BTB models.
 
 Every organization exposes the same two entry points: `lookup(pc)` is the
 front-end probe (it may refresh recency on a valid hit but never allocates
@@ -12,7 +12,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core import BranchKind, BranchRecord
+from ..core import BranchKind, BranchRecord, xor_fold
 
 
 class InvariantError(AssertionError):
@@ -103,25 +103,78 @@ class RecencyLru:
         return next(iter(self._order))
 
 
-def select_victim(valid, lru: LruState, eligible) -> int:
-    """Victim way among `eligible`: any invalid way first (lowest index),
-    otherwise the least recently used of the eligible ways.  Recency of
-    ineligible ways never matters for the choice."""
-    if not eligible:
-        raise InvariantError("victim selection over an empty eligible set")
-    for way in eligible:
-        if not valid[way]:
-            return way
-    return lru.oldest(eligible)
+INVALID = -1  # tag of an empty way: folded tags, page bits and regions are >= 0
+
+
+class SetArray:
+    """Tags, true-LRU recency and per-way valid counts of one set-associative
+    table.  An empty way holds the tag INVALID, so a probe is one list
+    search.  What an entry stores lives in the owning model's payload lists;
+    which ways an entry may use is the `eligible` argument of `fill`.
+    """
+
+    __slots__ = ("sets", "ways", "tag_bits", "tags", "lru", "way_valid")
+
+    def __init__(self, sets: int, ways: int, tag_bits: int = 0):
+        self.sets, self.ways, self.tag_bits = sets, ways, tag_bits
+        self.tags = [[INVALID] * ways for _ in range(sets)]
+        self.lru = [LruState(ways) for _ in range(sets)]
+        self.way_valid = [0] * ways
+
+    def locate(self, line: int):
+        """(set, tag, way or None) of a line address: the set is
+        line % sets and the tag is line // sets folded to tag_bits."""
+        s = line % self.sets
+        tag = xor_fold(line // self.sets, self.tag_bits)
+        return s, tag, self.probe(s, tag)
+
+    def probe(self, s: int, tag: int) -> Optional[int]:
+        row = self.tags[s]
+        return row.index(tag) if tag in row else None
+
+    def fill(self, s: int, tag: int, eligible):
+        """Write tag into the lowest-index empty way among `eligible`, else
+        into the least recently used of them, and touch it.  Ways outside
+        `eligible` are never chosen, empty or not.  Returns (way, whether
+        the victim was valid)."""
+        if not eligible:
+            raise InvariantError("victim selection over an empty eligible set")
+        row = self.tags[s]
+        for way in eligible:
+            if row[way] == INVALID:
+                break
+        else:
+            way = self.lru[s].oldest(eligible)
+        victim_valid = row[way] != INVALID
+        if not victim_valid:
+            self.way_valid[way] += 1
+        row[way] = tag
+        self.lru[s].touch(way)
+        return way, victim_valid
+
+    def invalidate(self, s: int, way: int) -> None:
+        self.tags[s][way] = INVALID
+        self.way_valid[way] -= 1
+
+    def valid(self) -> int:
+        return sum(self.way_valid)
+
+    def check(self) -> None:
+        counts = [sum(row[way] != INVALID for row in self.tags)
+                  for way in range(self.ways)]
+        if counts != self.way_valid:
+            raise InvariantError(f"per-way valid drift: {counts} != {self.way_valid}")
+        for lru in self.lru:
+            lru.check()
 
 
 class BtbModel:
     """Interface shared by the four organizations.
 
-    Each organization's main array provides `_index_tag(pc)` and
-    `_probe(set, tag)`.  `lookup` probes through `_lookup_probe`, which keeps
-    the result, and `commit_update` through `_main_probe`, which reuses it
-    for the same branch, so a record's main-array probe happens once.
+    Each organization keeps its main array in `self._main`, a `SetArray`.
+    `lookup` probes it through `_lookup_probe`, which keeps the result, and
+    `commit_update` through `_main_probe`, which reuses it for the same
+    branch, so a record's main-array probe happens once.
     """
 
     name = "?"
@@ -129,8 +182,7 @@ class BtbModel:
 
     def _lookup_probe(self, pc: int):
         """(set, way or None) of pc in the main array."""
-        s, tag = self._index_tag(pc)
-        way = self._probe(s, tag)
+        s, tag, way = self._main.locate(pc >> self.isa.align_shift)
         self._last_probe = (pc, s, tag, way)
         return s, way
 
@@ -142,8 +194,7 @@ class BtbModel:
         self._last_probe = None
         if last is not None and last[0] == pc:
             return last[1], last[2], last[3]
-        s, tag = self._index_tag(pc)
-        return s, tag, self._probe(s, tag)
+        return self._main.locate(pc >> self.isa.align_shift)
 
     def lookup(self, pc: int) -> Optional[Prediction]:
         raise NotImplementedError
@@ -151,16 +202,9 @@ class BtbModel:
     def commit_update(self, record: BranchRecord) -> UpdateOutcome:
         raise NotImplementedError
 
-    def reset(self) -> None:
-        raise NotImplementedError
-
     def occupancy_items(self):
         """[(structure name, currently valid entries, capacity), ...]"""
         raise NotImplementedError
 
-    def occupancy(self) -> dict:
-        return {name: (valid / cap if cap else 0.0)
-                for name, valid, cap in self.occupancy_items()}
-
     def check_invariants(self) -> None:
-        pass
+        self._main.check()

@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core import ALIGNED4, BranchKind, BranchRecord, IsaProfile, xor_fold
-from .base import (BtbModel, InvariantError, LruState, Prediction, RecencyLru,
-                   UpdateOutcome, hit_outcomes, select_victim, way_sources)
+from .base import (INVALID, BtbModel, InvariantError, Prediction, RecencyLru,
+                   SetArray, UpdateOutcome, hit_outcomes, way_sources)
 
 PAGE_SHIFT = 12
 NO_PAGE = -1  # page_ptr sentinel for entries that need no page (returns)
@@ -40,74 +40,50 @@ class RBtb(BtbModel):
         if main_entries < 1 or page_entries < 1:
             raise ValueError("main_entries and page_entries must be >= 1")
         self.isa = isa
-        self.tag_bits = tag_bits
         self.page_shift = page_shift
-        self.assoc = next(a for a in range(min(assoc, main_entries), 0, -1)
-                          if main_entries % a == 0)
-        self.sets = main_entries // self.assoc
+        self.assoc = ways = next(a for a in range(min(assoc, main_entries), 0, -1)
+                                 if main_entries % a == 0)
+        self.sets = sets = main_entries // ways
         self.main_entries = main_entries
         self.page_entries = page_entries
-        self._sources = way_sources(self.assoc)
-        self._hits = hit_outcomes("main", self.assoc)
-        self.reset()
-
-    def reset(self):
-        ways, sets = self.assoc, self.sets
-        self._valid = [[False] * ways for _ in range(sets)]
-        self._tag = [[0] * ways for _ in range(sets)]
+        self._sources = way_sources(ways)
+        self._hits = hit_outcomes("main", ways)
+        self._main = SetArray(sets, ways, tag_bits)
         self._kind = [[BranchKind.CONDITIONAL] * ways for _ in range(sets)]
         self._in_off = [[0] * ways for _ in range(sets)]
         self._page_ptr = [[NO_PAGE] * ways for _ in range(sets)]
         self._page_gen = [[0] * ways for _ in range(sets)]
-        self._lru = [LruState(ways) for _ in range(sets)]
-        self._valid_count = 0
-        n = self.page_entries
-        self._pt_page = [0] * n
-        self._pt_valid = [False] * n
-        self._pt_gen = [0] * n
-        self._pt_lru = RecencyLru(n)
+        # The page table is searched through a dict, which beats a list
+        # search over its hundreds of slots.
+        self._pt_page = [INVALID] * page_entries
+        self._pt_gen = [0] * page_entries
+        self._pt_lru = RecencyLru(page_entries)
         self._pt_map = {}  # page number -> slot, the associative-search result
-        self._pt_valid_count = 0
-        self.page_searches = 0  # associative searches at allocation, for tests
-        self._last_probe = None
-
-    def _index_tag(self, pc: int):
-        line = pc >> self.isa.align_shift
-        return line % self.sets, xor_fold(line // self.sets, self.tag_bits)
-
-    def _probe(self, s: int, tag: int) -> Optional[int]:
-        valid, tags = self._valid[s], self._tag[s]
-        for way in range(self.assoc):
-            if valid[way] and tags[way] == tag:
-                return way
-        return None
 
     def _ensure_page(self, page: int):
         """Find or allocate the slot for a page number (associative search);
         eviction bumps the slot generation, orphaning old dependents."""
-        self.page_searches += 1
         slot = self._pt_map.get(page)
         if slot is not None:
             self._pt_lru.touch(slot)
             return slot, self._pt_gen[slot]
-        if self._pt_valid_count < self.page_entries:
-            slot = self._pt_valid.index(False)
-            self._pt_valid_count += 1
+        if len(self._pt_map) < self.page_entries:
+            slot = len(self._pt_map)  # slots fill in order and are never emptied
         else:
             slot = self._pt_lru.oldest()
             del self._pt_map[self._pt_page[slot]]
         self._pt_gen[slot] += 1
         self._pt_page[slot] = page
-        self._pt_valid[slot] = True
         self._pt_map[page] = slot
         self._pt_lru.touch(slot)
         return slot, self._pt_gen[slot]
 
     def _resolve(self, s: int, way: int) -> Optional[int]:
+        """Target page of an entry, or None for a return or a dangling
+        pointer.  A pointer's generation is at least 1, so it never matches
+        a slot that is still empty."""
         ptr = self._page_ptr[s][way]
-        if ptr == NO_PAGE:
-            return None
-        if not self._pt_valid[ptr] or self._pt_gen[ptr] != self._page_gen[s][way]:
+        if ptr == NO_PAGE or self._pt_gen[ptr] != self._page_gen[s][way]:
             return None
         return self._pt_page[ptr]
 
@@ -117,17 +93,16 @@ class RBtb(BtbModel):
             return None
         kind = self._kind[s][way]
         if kind is BranchKind.RETURN:
-            self._lru[s].touch(way)
+            self._main.lru[s].touch(way)
             return Prediction(None, kind, self._sources[way])
         page = self._resolve(s, way)
         if page is None:
             return None  # dangling page pointer: miss, never a wrong target
-        self._lru[s].touch(way)
+        self._main.lru[s].touch(way)
         return Prediction((page << self.page_shift) | self._in_off[s][way],
                           kind, self._sources[way])
 
-    def _write(self, s: int, way: int, tag: int, record: BranchRecord):
-        self._tag[s][way] = tag
+    def _write(self, s: int, way: int, record: BranchRecord):
         self._kind[s][way] = record.kind
         if record.kind is BranchKind.RETURN:
             self._in_off[s][way] = 0
@@ -142,7 +117,7 @@ class RBtb(BtbModel):
     def commit_update(self, record: BranchRecord) -> UpdateOutcome:
         s, tag, way = self._main_probe(record.pc)
         if way is not None:
-            self._lru[s].touch(way)
+            self._main.lru[s].touch(way)
             kind = self._kind[s][way]
             if record.kind is BranchKind.RETURN:
                 if kind is BranchKind.RETURN:
@@ -151,30 +126,20 @@ class RBtb(BtbModel):
                   and self._in_off[s][way] == (record.target & ((1 << self.page_shift) - 1))
                   and self._resolve(s, way) == record.target >> self.page_shift):
                 return self._hits[way]
-            self._write(s, way, tag, record)
+            self._write(s, way, record)
             return UpdateOutcome("rewrite", "main", way)
-        way = select_victim(self._valid[s], self._lru[s], range(self.assoc))
-        victim_valid = self._valid[s][way]
-        if not victim_valid:
-            self._valid_count += 1
-        self._valid[s][way] = True
-        self._write(s, way, tag, record)
-        self._lru[s].touch(way)
+        way, victim_valid = self._main.fill(s, tag, range(self.assoc))
+        self._write(s, way, record)
         return UpdateOutcome("alloc", "main", way, victim_valid)
 
     def occupancy_items(self):
-        return [("main", self._valid_count, self.main_entries),
-                ("page", self._pt_valid_count, self.page_entries)]
+        return [("main", self._main.valid(), self.main_entries),
+                ("page", len(self._pt_map), self.page_entries)]
 
     def check_invariants(self):
-        if sum(v.count(True) for v in self._valid) != self._valid_count:
-            raise InvariantError("main valid count drift")
-        if self._pt_valid.count(True) != self._pt_valid_count:
-            raise InvariantError("page valid count drift")
-        for lru in self._lru:
-            lru.check()
-        for slot in range(self.page_entries):
-            if self._pt_valid[slot] != (self._pt_map.get(self._pt_page[slot]) == slot):
+        self._main.check()
+        for slot, page in enumerate(self._pt_page):
+            if (page != INVALID) != (self._pt_map.get(page) == slot):
                 raise InvariantError(f"page map out of sync at slot {slot}")
 
 
@@ -200,50 +165,38 @@ class PdedeBtb(BtbModel):
         if main_entries < assoc:
             raise ValueError(f"need at least {assoc} main entries")
         self.isa = isa
-        self.tag_bits = tag_bits
         self.page_shift = page_shift
         self.region_pages_log2 = region_pages_log2
-        self.assoc = assoc
+        self.assoc = ways = assoc
         self.reserved_ways = assoc // 2  # ways [0, reserved) are same-page only
-        self.sets = main_entries // assoc
-        self.main_entries = self.sets * assoc
-        self.page_assoc = min(self.PAGE_ASSOC, page_entries)
-        self.page_sets = max(1, page_entries // self.page_assoc)
-        self.page_entries = self.page_sets * self.page_assoc
+        self.sets = sets = main_entries // assoc
+        self.main_entries = sets * assoc
+        self.page_assoc = pa = min(self.PAGE_ASSOC, page_entries)
+        self.page_sets = ps = max(1, page_entries // pa)
+        self.page_entries = ps * pa
         self.region_entries = region_entries
-        self._sources = way_sources(assoc)
-        self._hits = hit_outcomes("main", assoc)
-        self.reset()
-
-    def reset(self):
-        ways, sets = self.assoc, self.sets
-        self._valid = [[False] * ways for _ in range(sets)]
-        self._tag = [[0] * ways for _ in range(sets)]
+        self._sources = way_sources(ways)
+        self._hits = hit_outcomes("main", ways)
+        self._main = SetArray(sets, ways, tag_bits)
         self._kind = [[BranchKind.CONDITIONAL] * ways for _ in range(sets)]
         self._same = [[True] * ways for _ in range(sets)]
         self._in_off = [[0] * ways for _ in range(sets)]
         self._page_ptr = [[NO_PAGE] * ways for _ in range(sets)]
         self._page_gen = [[0] * ways for _ in range(sets)]
-        self._lru = [LruState(ways) for _ in range(sets)]
-        self._valid_count = 0
-        pa, ps = self.page_assoc, self.page_sets
-        self._pt_low = [[0] * pa for _ in range(ps)]
+        # Page slots are tagged by the page's low bits within its region.
+        self._pt = SetArray(ps, pa)
         self._pt_rptr = [[0] * pa for _ in range(ps)]
         self._pt_rgen = [[0] * pa for _ in range(ps)]
-        self._pt_valid = [[False] * pa for _ in range(ps)]
         self._pt_gen = [[0] * pa for _ in range(ps)]
-        self._pt_lru = [LruState(pa) for _ in range(ps)]
-        self._pt_valid_count = 0
-        n = self.region_entries
-        self._rt_region = [0] * n
-        self._rt_valid = [False] * n
-        self._rt_gen = [0] * n
-        self._rt_lru = LruState(n)
-        self._rt_valid_count = 0
-        self.page_probes = 0  # side-table references, for tests
-        self._last_probe = None
+        # One set of region slots, tagged by region number.
+        self._rt = SetArray(1, region_entries)
+        self._rt_gen = [0] * region_entries
 
     # -- side tables ----------------------------------------------------
+    #
+    # Page and region slots are never emptied once filled, and a pointer's
+    # generation is at least 1, so a generation match also proves the slot
+    # it points at holds an entry.
 
     def _page_set(self, page: int) -> int:
         if self.page_sets == 1:
@@ -251,47 +204,37 @@ class PdedeBtb(BtbModel):
         return xor_fold(page, 30) % self.page_sets
 
     def _ensure_region(self, region: int):
-        for slot in range(self.region_entries):
-            if self._rt_valid[slot] and self._rt_region[slot] == region:
-                self._rt_lru.touch(slot)
-                return slot, self._rt_gen[slot]
-        slot = select_victim(self._rt_valid, self._rt_lru, range(self.region_entries))
-        if not self._rt_valid[slot]:
-            self._rt_valid_count += 1
-        self._rt_gen[slot] += 1
-        self._rt_region[slot] = region
-        self._rt_valid[slot] = True
-        self._rt_lru.touch(slot)
+        slot = self._rt.probe(0, region)
+        if slot is None:
+            slot, _ = self._rt.fill(0, region, range(self.region_entries))
+            self._rt_gen[slot] += 1
+        else:
+            self._rt.lru[0].touch(slot)
         return slot, self._rt_gen[slot]
 
     def _page_slot_number(self, ps: int, slot: int) -> Optional[int]:
         """Page number held by a page slot, or None if its region link died."""
         rptr = self._pt_rptr[ps][slot]
-        if not self._rt_valid[rptr] or self._rt_gen[rptr] != self._pt_rgen[ps][slot]:
+        if self._rt_gen[rptr] != self._pt_rgen[ps][slot]:
             return None
-        return ((self._rt_region[rptr] << self.region_pages_log2)
-                | self._pt_low[ps][slot])
+        return ((self._rt.tags[0][rptr] << self.region_pages_log2)
+                | self._pt.tags[ps][slot])
 
     def _ensure_page(self, page: int):
-        self.page_probes += 1
         ps = self._page_set(page)
         low = page & ((1 << self.region_pages_log2) - 1)
+        # A slot whose region died keeps its low bits, so several slots may
+        # carry this tag: only a live one with the whole page number counts.
+        row = self._pt.tags[ps]
         for slot in range(self.page_assoc):
-            if (self._pt_valid[ps][slot] and self._pt_low[ps][slot] == low
-                    and self._page_slot_number(ps, slot) == page):
-                self._pt_lru[ps].touch(slot)
+            if row[slot] == low and self._page_slot_number(ps, slot) == page:
+                self._pt.lru[ps].touch(slot)
                 return ps, slot, self._pt_gen[ps][slot]
         rslot, rgen = self._ensure_region(page >> self.region_pages_log2)
-        slot = select_victim(self._pt_valid[ps], self._pt_lru[ps],
-                             range(self.page_assoc))
-        if not self._pt_valid[ps][slot]:
-            self._pt_valid_count += 1
+        slot, _ = self._pt.fill(ps, low, range(self.page_assoc))
         self._pt_gen[ps][slot] += 1
-        self._pt_low[ps][slot] = low
         self._pt_rptr[ps][slot] = rslot
         self._pt_rgen[ps][slot] = rgen
-        self._pt_valid[ps][slot] = True
-        self._pt_lru[ps].touch(slot)
         return ps, slot, self._pt_gen[ps][slot]
 
     def _resolve(self, s: int, way: int) -> Optional[int]:
@@ -299,22 +242,11 @@ class PdedeBtb(BtbModel):
         if ptr == NO_PAGE:
             return None
         ps, slot = divmod(ptr, self.page_assoc)
-        if not self._pt_valid[ps][slot] or self._pt_gen[ps][slot] != self._page_gen[s][way]:
+        if self._pt_gen[ps][slot] != self._page_gen[s][way]:
             return None
         return self._page_slot_number(ps, slot)
 
     # -- main table -------------------------------------------------------
-
-    def _index_tag(self, pc: int):
-        line = pc >> self.isa.align_shift
-        return line % self.sets, xor_fold(line // self.sets, self.tag_bits)
-
-    def _probe(self, s: int, tag: int) -> Optional[int]:
-        valid, tags = self._valid[s], self._tag[s]
-        for way in range(self.assoc):
-            if valid[way] and tags[way] == tag:
-                return way
-        return None
 
     def lookup(self, pc: int) -> Optional[Prediction]:
         s, way = self._lookup_probe(pc)
@@ -322,25 +254,23 @@ class PdedeBtb(BtbModel):
             return None
         kind = self._kind[s][way]
         if kind is BranchKind.RETURN:
-            self._lru[s].touch(way)
+            self._main.lru[s].touch(way)
             return Prediction(None, kind, self._sources[way])
         if self._same[s][way]:
             # Page bits come straight from the PC; no side-table access.
             target = ((pc >> self.page_shift) << self.page_shift) | self._in_off[s][way]
-            self._lru[s].touch(way)
+            self._main.lru[s].touch(way)
             return Prediction(target, kind, self._sources[way])
         page = self._resolve(s, way)
         if page is None:
             return None  # stale page or region link: miss, never a wrong target
-        self._lru[s].touch(way)
+        self._main.lru[s].touch(way)
         return Prediction((page << self.page_shift) | self._in_off[s][way],
                           kind, self._sources[way])
 
-    def _write(self, s: int, way: int, tag: int, record: BranchRecord,
-               same: bool):
+    def _write(self, s: int, way: int, record: BranchRecord, same: bool):
         if same is False and way < self.reserved_ways:
             raise InvariantError(f"different-page entry written to reserved way {way}")
-        self._tag[s][way] = tag
         self._kind[s][way] = record.kind
         if record.kind is BranchKind.RETURN:
             self._same[s][way] = True
@@ -365,13 +295,12 @@ class PdedeBtb(BtbModel):
             if not same and way < self.reserved_ways:
                 # Target moved off-page but a reserved way cannot hold the
                 # pointer: drop the entry and re-allocate in a general way.
-                self._valid[s][way] = False
-                self._valid_count -= 1
+                self._main.invalidate(s, way)
                 return self._allocate(record, s, tag, same, migrated=True)
-            self._lru[s].touch(way)
+            self._main.lru[s].touch(way)
             if self._entry_matches(s, way, record, same):
                 return self._hits[way]
-            self._write(s, way, tag, record, same)
+            self._write(s, way, record, same)
             return UpdateOutcome("rewrite", "main", way)
         return self._allocate(record, s, tag, same)
 
@@ -391,39 +320,24 @@ class PdedeBtb(BtbModel):
 
     def _allocate(self, record: BranchRecord, s: int, tag: int, same: bool,
                   migrated: bool = False) -> UpdateOutcome:
-        if same:
-            # Invalid-first over all ways naturally prefers the reserved
-            # (lowest-index) half before spilling into general ways.
-            way = select_victim(self._valid[s], self._lru[s], range(self.assoc))
-        else:
-            way = select_victim(self._valid[s], self._lru[s],
-                                range(self.reserved_ways, self.assoc))
-        victim_valid = self._valid[s][way]
-        if not victim_valid:
-            self._valid_count += 1
-        self._valid[s][way] = True
-        self._write(s, way, tag, record, same)
-        self._lru[s].touch(way)
+        # Same-page entries may use every way, and empty-first placement
+        # fills the reserved (lowest-index) half before the general ways.
+        first = 0 if same else self.reserved_ways
+        way, victim_valid = self._main.fill(s, tag, range(first, self.assoc))
+        self._write(s, way, record, same)
         return UpdateOutcome("migrate" if migrated else "alloc", "main",
                              way, victim_valid)
 
     def occupancy_items(self):
-        return [("main", self._valid_count, self.main_entries),
-                ("page", self._pt_valid_count, self.page_entries),
-                ("region", self._rt_valid_count, self.region_entries)]
+        return [("main", self._main.valid(), self.main_entries),
+                ("page", self._pt.valid(), self.page_entries),
+                ("region", self._rt.valid(), self.region_entries)]
 
     def check_invariants(self):
-        count = 0
-        for s in range(self.sets):
-            self._lru[s].check()
-            for way in range(self.assoc):
-                if not self._valid[s][way]:
-                    continue
-                count += 1
-                if way < self.reserved_ways and not self._same[s][way]:
+        for table in (self._main, self._pt, self._rt):
+            table.check()
+        for s, row in enumerate(self._main.tags):
+            for way in range(self.reserved_ways):
+                if row[way] != INVALID and not self._same[s][way]:
                     raise InvariantError(
                         f"set {s} reserved way {way} holds a different-page entry")
-        if count != self._valid_count:
-            raise InvariantError("main valid count drift")
-        if sum(v.count(True) for v in self._pt_valid) != self._pt_valid_count:
-            raise InvariantError("page valid count drift")

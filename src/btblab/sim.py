@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .core import (ALIGNED4, BranchKind, BranchRecord, IsaProfile,
+from .core import (ALIGNED4, CALL_BYTES, BranchKind, BranchRecord, IsaProfile,
                    ReturnAddressStack, mode_for_profile, required_offset_width)
 from .models import build_model
 from .models.base import BtbModel
@@ -106,7 +106,6 @@ def run(model: BtbModel, trace: Union[TraceFile, Sequence[BranchRecord]],
     metrics = Metrics(measured_records=end - warmup)
     hits = metrics.hits_by_source
     ras = ReturnAddressStack(config.ras_capacity)
-    instr_bytes = 1 << config.isa.align_shift if config.isa.align_shift else 4
     lookup, commit = model.lookup, model.commit_update
     RETURN = BranchKind.RETURN
 
@@ -136,7 +135,7 @@ def run(model: BtbModel, trace: Union[TraceFile, Sequence[BranchRecord]],
         if config.debug:
             model.check_invariants()
         if kind.is_call:
-            ras.push(rec.pc + instr_bytes)
+            ras.push(rec.pc + CALL_BYTES)
         elif kind is RETURN:
             popped = ras.pop()
             if measured:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import decimal
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import IsaProfile, ALIGNED4
@@ -254,29 +254,6 @@ def btbx_geometry_for_budget(budget_kb: float,
         best = g
         sets *= 2
     return best
-
-
-@dataclass(frozen=True)
-class StorageReport:
-    """Storage total for one organization at one configuration."""
-
-    total_bits: int
-    branch_capacity: int
-    breakdown: dict = field(default_factory=dict)
-
-    @property
-    def total_kb(self) -> float:
-        return self.total_bits / BITS_PER_KB
-
-
-def btbx_storage_report(g: BtbxGeometry) -> StorageReport:
-    main = g.sets * g.set_bits
-    xc = g.xc_entries * g.xc_entry_bits
-    return StorageReport(
-        total_bits=main + xc,
-        branch_capacity=g.branch_capacity,
-        breakdown={"main_bits": main, "xc_bits": xc},
-    )
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from .core import (BranchKind, BranchRecord, IsaProfile, KIND_NAMES,
-                   KINDS_BY_NAME, mode_name, profile_for_mode)
+from .core import (CALL_BYTES, BranchKind, BranchRecord, IsaProfile,
+                   KIND_NAMES, KINDS_BY_NAME, mode_name, profile_for_mode)
 
 MAGIC = b"BTBT"
 VERSION = 1
@@ -173,6 +173,32 @@ def write_trace_jsonl(path, trace: TraceFile) -> None:
                                  "taken": rec.taken, "gap": rec.gap}) + "\n")
 
 
+# JSON type of each record field; pc and target are hex strings.
+_JSONL_FIELDS = {"pc": str, "target": str, "kind": str, "taken": bool, "gap": int}
+
+
+def _jsonl_record(line: str, index: int) -> BranchRecord:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(str(exc), index) from None
+    if not isinstance(obj, dict):
+        raise TraceFormatError("record is not a JSON object", index)
+    for name, json_type in _JSONL_FIELDS.items():
+        if name not in obj:
+            raise TraceFormatError(f"missing field {name!r}", index)
+        value = obj[name]
+        if (not isinstance(value, json_type)
+                or (json_type is int and isinstance(value, bool))):
+            raise TraceFormatError(
+                f"{name} must be a JSON {json_type.__name__}, got {value!r}", index)
+    try:
+        return BranchRecord(int(obj["pc"], 16), int(obj["target"], 16),
+                            KINDS_BY_NAME[obj["kind"]], obj["taken"], obj["gap"])
+    except (KeyError, ValueError) as exc:
+        raise TraceFormatError(f"bad field value: {exc}", index) from None
+
+
 def read_trace_jsonl(path) -> TraceFile:
     with open(path, "r", encoding="utf-8") as fh:
         head_line = fh.readline()
@@ -180,7 +206,7 @@ def read_trace_jsonl(path) -> TraceFile:
             head = json.loads(head_line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"bad header line: {exc}") from None
-        if head.get("format") != "btbt":
+        if not isinstance(head, dict) or head.get("format") != "btbt":
             raise TraceFormatError("missing btbt header object")
         mode_names = {"aligned4": 0, "byte": 1}
         if head.get("isa_mode") not in mode_names:
@@ -191,18 +217,7 @@ def read_trace_jsonl(path) -> TraceFile:
         for index, line in enumerate(fh):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-                taken, gap = obj["taken"], obj["gap"]
-                rec = BranchRecord(int(obj["pc"], 16), int(obj["target"], 16),
-                                   KINDS_BY_NAME[obj["kind"]], taken, gap)
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise TraceFormatError(str(exc), index) from None
-            if not isinstance(taken, bool):
-                raise TraceFormatError(f"taken must be true or false, got {taken!r}",
-                                       index)
-            if isinstance(gap, bool) or not isinstance(gap, int):
-                raise TraceFormatError(f"gap must be an integer, got {gap!r}", index)
+            rec = _jsonl_record(line, index)
             _validate_record(rec, isa, index)
             records.append(rec)
         declared = head.get("record_count")
@@ -392,10 +407,8 @@ def _index_stream(spec: GeneratorSpec, rng: random.Random) -> Iterator[int]:
 def gen_records(spec: GeneratorSpec) -> Iterator[BranchRecord]:
     """Dynamic stream over the static set; deterministic for a fixed seed."""
     statics = build_static_branches(spec)
-    isa = profile_for_mode(spec.isa_mode)
     rng = random.Random(spec.seed + 1)  # stream draws, distinct from static draws
     shadow: List[int] = []
-    instr_bytes = 1 << isa.align_shift if isa.align_shift else 4
     for idx in _index_stream(spec, rng):
         b = statics[idx]
         gap = rng.randint(0, 2 * spec.gap_mean) if spec.gap_mean else 0
@@ -408,7 +421,7 @@ def gen_records(spec: GeneratorSpec) -> Iterator[BranchRecord]:
         else:
             target = b.target
         if taken and b.kind.is_call:
-            shadow.append(b.pc + instr_bytes)
+            shadow.append(b.pc + CALL_BYTES)
         yield BranchRecord(b.pc, target, b.kind, taken, gap)
 
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from btblab.trace import read_trace
+from btblab.trace import GeneratorSpec, generate, read_trace, write_trace
 
 RUN = [sys.executable, "-m", "btblab.cli"]
 
@@ -25,6 +25,12 @@ def gen_args(out, branches=300, records=3000, seed=7, extra=()):
 @pytest.fixture
 def workdir(tmp_path):
     return tmp_path
+
+
+def small_trace(workdir):
+    spec = GeneratorSpec(static_branches=50, records=500, seed=1)
+    write_trace(workdir / "ws.btbt", generate(spec))
+    return "ws.btbt"
 
 
 class TestGenTrace:
@@ -146,6 +152,23 @@ class TestSimulate:
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["sets"] == 64
 
+    @pytest.mark.parametrize("record, message", [
+        ('{"pc": 4096, "target": "0x2000", "kind": "cond", "taken": true,'
+         ' "gap": 0}', "record 0: pc"),
+        ('{"pc": "0x1000", "target": "0x2000", "kind": [], "taken": true,'
+         ' "gap": 0}', "record 0: kind"),
+        ("[1, 2]", "record 0: record is not a JSON object"),
+        (None, "header"),  # the header line itself is [1, 2]
+    ])
+    def test_malformed_jsonl_exit_2(self, workdir, record, message):
+        head = '{"format": "btbt", "version": 1, "isa_mode": "aligned4"}'
+        text = "[1, 2]\n" if record is None else f"{head}\n{record}\n"
+        (workdir / "bad.jsonl").write_text(text)
+        res = cli(["simulate", "--model", "conv", "--budget-kb", "0.9",
+                   "bad.jsonl"], workdir)
+        assert res.returncode == 2, res.stderr
+        assert message in res.stderr and "Traceback" not in res.stderr
+
     def test_repeat_runs_identical(self, workdir):
         cli(gen_args("ws.btbt", branches=200, records=4000), workdir)
         outs = []
@@ -192,6 +215,21 @@ class TestUsage:
                    "t.btbt", "--frobnicate"], workdir)
         assert res.returncode == 1
         assert "unrecognized arguments: --frobnicate" in res.stderr
+
+    @pytest.mark.parametrize("args, message", [
+        (["simulate", "--model", "btbx", "--sets", "30"], "power of two"),
+        (["simulate", "--model", "conv", "--sets", "0"], "sets must be >= 1"),
+        (["simulate", "--model", "conv", "--budget-kb", "0.9", "--warmup", "-5"],
+         "--warmup: must be >= 0"),
+        (["simulate", "--model", "conv", "--budget-kb", "0.9", "--measure", "-5"],
+         "--measure: must be >= 0"),
+        (["compare", "--models", "conv", "--budget-kb", "0.9", "--warmup", "-5"],
+         "--warmup: must be >= 0"),
+    ])
+    def test_bad_values_exit_1(self, workdir, args, message):
+        res = cli([*args, small_trace(workdir)], workdir)
+        assert res.returncode == 1, res.stderr
+        assert message in res.stderr
 
     def test_version(self, workdir):
         res = cli(["--version"], workdir)

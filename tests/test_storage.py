@@ -6,7 +6,7 @@ from btblab.core import BYTE
 from btblab.storage import (ALIGNED4_WAY_WIDTHS, BtbxGeometry,
                             ConvGeometry, GeometryError, PDEDE_PRESETS,
                             STANDARD_PRESETS, arm64_geometry,
-                            btbx_geometry_for_budget, btbx_storage_report,
+                            btbx_geometry_for_budget,
                             btbx_total_bits, capacity_table,
                             capacity_table_csv, conv_capacity, conv_geometry,
                             match_preset, round_kb, x86_geometry)
@@ -43,13 +43,6 @@ class TestBtbxTotals:
         for sets in (32, 64, 256, 1024):
             assert (btbx_total_bits(arm64_geometry(2 * sets))
                     == 2 * btbx_total_bits(arm64_geometry(sets)))
-
-    def test_report_breakdown(self):
-        rep = btbx_storage_report(arm64_geometry(512))
-        assert rep.total_bits == 118784
-        assert rep.breakdown == {"main_bits": 512 * 224, "xc_bits": 64 * 64}
-        assert rep.branch_capacity == 4160
-        assert rep.total_kb == 14.5
 
 
 class TestGeometryValidation:

@@ -123,7 +123,8 @@ class TestJsonlFormat:
             read_trace_jsonl(path)
 
     @pytest.mark.parametrize("field, value", [
-        ("taken", "false"), ("taken", 1), ("gap", 1.9), ("gap", True)])
+        ("taken", "false"), ("taken", 1), ("gap", 1.9), ("gap", True),
+        ("pc", 4096), ("target", None), ("kind", [])])
     def test_field_of_wrong_json_type_rejected(self, tmp_path, field, value):
         good = {"pc": "0x1000", "target": "0x2000", "kind": "cond",
                 "taken": False, "gap": 3}
@@ -140,6 +141,23 @@ class TestJsonlFormat:
         path.write_text('{"pc": "0x1000"}\n')
         with pytest.raises(TraceFormatError, match="header"):
             read_trace_jsonl(path)
+
+    @pytest.mark.parametrize("head", ["[1, 2]", '"btbt"', "7", "null"])
+    def test_non_object_header_rejected(self, tmp_path, head):
+        path = tmp_path / "t.jsonl"
+        path.write_text(head + "\n")
+        with pytest.raises(TraceFormatError, match="header") as err:
+            read_trace_jsonl(path)
+        assert err.value.record_index is None
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"0x1000"', "3", "null"])
+    def test_non_object_record_rejected(self, tmp_path, line):
+        head = {"format": "btbt", "version": 1, "isa_mode": "aligned4"}
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(head) + "\n" + line + "\n")
+        with pytest.raises(TraceFormatError, match="not a JSON object") as err:
+            read_trace_jsonl(path)
+        assert err.value.record_index == 0
 
 
 class TestGenerator:
