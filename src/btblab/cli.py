@@ -169,7 +169,8 @@ def cmd_capacity_table(args) -> int:
 
 def _sim_config(args, trace) -> SimConfig:
     return SimConfig(isa=trace.isa, warmup_records=args.warmup,
-                     measure_records=args.measure)
+                     measure_records=args.measure,
+                     debug=args.check_invariants)
 
 
 def cmd_simulate(args) -> int:
@@ -214,6 +215,9 @@ def cmd_compare(args) -> int:
 
 
 # -- wiring -------------------------------------------------------------------
+
+CHECK_INVARIANTS_HELP = ("check the model's internal invariants after every "
+                         "commit (slow; exit 3 on a violation)")
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="btblab",
@@ -260,6 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="warmup records (default: 10%%)")
     p.add_argument("--measure", type=_non_negative_int,
                    help="records to measure after warmup")
+    p.add_argument("--check-invariants", action="store_true",
+                   help=CHECK_INVARIANTS_HELP)
     p.add_argument("trace")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_simulate)
@@ -270,6 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-kb", type=float, required=True)
     p.add_argument("--warmup", type=_non_negative_int)
     p.add_argument("--measure", type=_non_negative_int)
+    p.add_argument("--check-invariants", action="store_true",
+                   help=CHECK_INVARIANTS_HELP)
     p.add_argument("trace")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_compare)

@@ -33,8 +33,10 @@ class BranchKind(IntEnum):
 
     @property
     def is_call(self) -> bool:
-        return self in (BranchKind.CALL, BranchKind.INDIRECT_CALL)
+        return self in CALL_KINDS
 
+
+CALL_KINDS = frozenset((BranchKind.CALL, BranchKind.INDIRECT_CALL))
 
 KIND_NAMES = {
     BranchKind.CONDITIONAL: "cond",

@@ -53,15 +53,15 @@ def build_model(name: str, budget_kb: Optional[float] = None,
         return BtbX(_match_preset(budget_kb, isa).geometry(isa), isa)
 
     if name == "conv":
+        geometry = storage.conv_geometry(isa)
         if sets is not None:
             if sets < 1:
                 raise ConfigError(f"sets must be >= 1, got {sets}")
-            return ConvBtb(sets * 8, isa=isa)
-        preset = _match_preset(budget_kb, isa)
-        entries = storage.conv_capacity(preset.total_bits(isa),
-                                        storage.conv_geometry(isa))
-        return ConvBtb(entries, isa=isa,
-                       tag_bits=storage.conv_geometry(isa).tag_bits)
+            entries = sets * 8
+        else:
+            preset = _match_preset(budget_kb, isa)
+            entries = storage.conv_capacity(preset.total_bits(isa), geometry)
+        return ConvBtb(entries, isa=isa, tag_bits=geometry.tag_bits)
 
     # The paged organizations are preset-driven; direct --sets sizing would
     # leave their side tables unspecified.

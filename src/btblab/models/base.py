@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..core import BranchKind, BranchRecord, xor_fold
 
@@ -19,10 +19,10 @@ class InvariantError(AssertionError):
     """Internal model state violated a structural invariant (a bug)."""
 
 
-@dataclass(slots=True, frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """A BTB hit: target is None when the entry says "take it from the RAS"
-    (only ever the case for return-type entries)."""
+    (only ever the case for return-type entries).  Immutable, so a model
+    builds one when it writes an entry and returns it on every hit."""
 
     target: Optional[int]
     kind: BranchKind
@@ -56,11 +56,14 @@ def way_sources(ways: int) -> tuple:
     return tuple(f"way{w}" for w in range(ways))
 
 
-def hit_outcomes(structure: str, slots: int) -> tuple:
-    """One shared "hit" outcome per slot of a structure.  Outcomes are
-    frozen, so commits that change nothing return these instead of
-    allocating a new one each time."""
-    return tuple(UpdateOutcome("hit", structure, slot) for slot in range(slots))
+def outcome_table(structure: str, slots: int) -> dict:
+    """Every outcome a structure's commits can return, built once per model
+    and read as table[kind][slot][victim_valid].  Outcomes are frozen, so a
+    commit hands out one of these instead of allocating its own."""
+    return {kind: tuple((UpdateOutcome(kind, structure, slot, False),
+                         UpdateOutcome(kind, structure, slot, True))
+                        for slot in range(slots))
+            for kind in ("hit", "rewrite", "migrate", "alloc")}
 
 
 class LruState:
@@ -78,8 +81,10 @@ class LruState:
         self.stamps[way] = self.clock
         self.clock += 1
 
-    def oldest(self, candidates) -> int:
-        return min(candidates, key=self.stamps.__getitem__)
+    def oldest(self, first: int = 0) -> int:
+        """The least recently used of ways first, first + 1, ..."""
+        stamps = self.stamps
+        return stamps.index(min(stamps[first:]), first)
 
     def check(self) -> None:
         if len(set(self.stamps)) != len(self.stamps):
@@ -110,46 +115,58 @@ class SetArray:
     """Tags, true-LRU recency and per-way valid counts of one set-associative
     table.  An empty way holds the tag INVALID, so a probe is one list
     search.  What an entry stores lives in the owning model's payload lists;
-    which ways an entry may use is the `eligible` argument of `fill`.
+    which ways an entry may use is the `first` argument of `fill`.
+
+    The set and tag of a line are computed once and memoized for the life of
+    the table, so the memo grows with the distinct lines seen, not with the
+    number of lookups.
     """
 
-    __slots__ = ("sets", "ways", "tag_bits", "tags", "lru", "way_valid")
+    __slots__ = ("sets", "ways", "tag_bits", "tags", "lru", "way_valid", "memo")
 
     def __init__(self, sets: int, ways: int, tag_bits: int = 0):
         self.sets, self.ways, self.tag_bits = sets, ways, tag_bits
         self.tags = [[INVALID] * ways for _ in range(sets)]
         self.lru = [LruState(ways) for _ in range(sets)]
         self.way_valid = [0] * ways
+        self.memo = {}  # line -> (set, tag)
+
+    def set_tag(self, line: int):
+        """(set, tag) of a line address: the set is line % sets and the tag
+        is line // sets folded to tag_bits."""
+        return line % self.sets, xor_fold(line // self.sets, self.tag_bits)
 
     def locate(self, line: int):
-        """(set, tag, way or None) of a line address: the set is
-        line % sets and the tag is line // sets folded to tag_bits."""
-        s = line % self.sets
-        tag = xor_fold(line // self.sets, self.tag_bits)
-        return s, tag, self.probe(s, tag)
+        """(set, tag, way or None) of a line address."""
+        try:
+            s, tag = self.memo[line]
+        except KeyError:
+            s, tag = self.memo[line] = self.set_tag(line)
+        row = self.tags[s]
+        return s, tag, (row.index(tag) if tag in row else None)
 
     def probe(self, s: int, tag: int) -> Optional[int]:
         row = self.tags[s]
         return row.index(tag) if tag in row else None
 
-    def fill(self, s: int, tag: int, eligible):
-        """Write tag into the lowest-index empty way among `eligible`, else
-        into the least recently used of them, and touch it.  Ways outside
-        `eligible` are never chosen, empty or not.  Returns (way, whether
+    def fill(self, s: int, tag: int, first: int = 0):
+        """Write tag into the lowest-index empty way at or after `first`,
+        else into the least recently used of those ways, and touch it.  Ways
+        before `first` are never chosen, empty or not.  Returns (way, whether
         the victim was valid)."""
-        if not eligible:
-            raise InvariantError("victim selection over an empty eligible set")
+        if first >= self.ways:
+            raise InvariantError(f"no eligible way at or after way {first}")
         row = self.tags[s]
-        for way in eligible:
-            if row[way] == INVALID:
-                break
-        else:
-            way = self.lru[s].oldest(eligible)
-        victim_valid = row[way] != INVALID
-        if not victim_valid:
+        lru = self.lru[s]
+        if INVALID in row[first:]:
+            way = row.index(INVALID, first)
             self.way_valid[way] += 1
+            victim_valid = False
+        else:
+            way = lru.oldest(first)
+            victim_valid = True
         row[way] = tag
-        self.lru[s].touch(way)
+        lru.touch(way)
         return way, victim_valid
 
     def invalidate(self, s: int, way: int) -> None:
@@ -159,6 +176,13 @@ class SetArray:
     def valid(self) -> int:
         return sum(self.way_valid)
 
+    def occupied(self):
+        """(set, way) of every valid entry."""
+        for s, row in enumerate(self.tags):
+            for way, tag in enumerate(row):
+                if tag != INVALID:
+                    yield s, way
+
     def check(self) -> None:
         counts = [sum(row[way] != INVALID for row in self.tags)
                   for way in range(self.ways)]
@@ -166,6 +190,10 @@ class SetArray:
             raise InvariantError(f"per-way valid drift: {counts} != {self.way_valid}")
         for lru in self.lru:
             lru.check()
+        for line, st in self.memo.items():
+            if st != self.set_tag(line):
+                raise InvariantError(f"memo of line {line:#x} holds {st}, "
+                                     f"expected {self.set_tag(line)}")
 
 
 class BtbModel:
@@ -178,13 +206,13 @@ class BtbModel:
     """
 
     name = "?"
-    _last_probe = None  # (pc, set, tag, way) of the last lookup
+    _last_probe = None  # (pc, (set, tag, way)) of the last lookup
 
     def _lookup_probe(self, pc: int):
-        """(set, way or None) of pc in the main array."""
-        s, tag, way = self._main.locate(pc >> self.isa.align_shift)
-        self._last_probe = (pc, s, tag, way)
-        return s, way
+        """(set, tag, way or None) of pc in the main array."""
+        probe = self._main.locate(pc >> self.isa.align_shift)
+        self._last_probe = (pc, probe)
+        return probe
 
     def _main_probe(self, pc: int):
         """(set, tag, way or None) of pc in the main array.  Reuses the last
@@ -193,7 +221,7 @@ class BtbModel:
         last = self._last_probe
         self._last_probe = None
         if last is not None and last[0] == pc:
-            return last[1], last[2], last[3]
+            return last[1]
         return self._main.locate(pc >> self.isa.align_shift)
 
     def lookup(self, pc: int) -> Optional[Prediction]:

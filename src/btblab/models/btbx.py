@@ -21,8 +21,8 @@ from typing import Optional
 from ..core import (ALIGNED4, BranchKind, BranchRecord, IsaProfile,
                     required_offset_width)
 from ..storage import BtbxGeometry
-from .base import (INVALID, BtbModel, InvariantError, Prediction, SetArray,
-                   UpdateOutcome, hit_outcomes, way_sources)
+from .base import (BtbModel, InvariantError, Prediction, SetArray,
+                   UpdateOutcome, outcome_table, way_sources)
 
 XC_TAG_BITS = 15
 
@@ -42,15 +42,17 @@ class BtbX(BtbModel):
         self.widths = geometry.way_widths
         self.xc_entries = n = geometry.xc_entries
         self._sources = way_sources(ways)
-        self._hits = hit_outcomes("main", ways)
-        self._xc_hits = hit_outcomes("xc", n)
+        self._out = outcome_table("main", ways)
+        self._xc_out = outcome_table("xc", n)
         self._main = SetArray(sets, ways, geometry.tag_bits)
-        self._kind = [[BranchKind.CONDITIONAL] * ways for _ in range(sets)]
         self._offset = [[0] * ways for _ in range(sets)]
         self._req_width = [[0] * ways for _ in range(sets)]
+        # The prediction an entry decodes to for the pc that wrote it, and
+        # that pc; another pc with the same set and tag decodes its own.
+        self._pred = [[None] * ways for _ in range(sets)]
+        self._owner = [[None] * ways for _ in range(sets)]
         self._xc = SetArray(n, 1, XC_TAG_BITS)  # direct-mapped: one way
-        self._xc_kind = [BranchKind.CONDITIONAL] * n
-        self._xc_target = [0] * n
+        self._xc_pred = [None] * n  # full targets: the same for every pc
 
     # -- address plumbing ---------------------------------------------------
 
@@ -61,24 +63,32 @@ class BtbX(BtbModel):
     def _offset_field(self, target: int, way: int) -> int:
         return (target >> self.isa.align_shift) & ((1 << self.widths[way]) - 1)
 
+    def _predict(self, pc: int, s: int, way: int, kind: BranchKind) -> Prediction:
+        target = (None if kind is BranchKind.RETURN
+                  else self._decode(pc, way, self._offset[s][way]))
+        return Prediction(target, kind, self._sources[way])
+
+    def _write(self, pc: int, s: int, way: int, kind: BranchKind,
+               target: int, req: int) -> None:
+        self._offset[s][way] = self._offset_field(target, way)
+        self._req_width[s][way] = req
+        self._owner[s][way] = pc
+        self._pred[s][way] = self._predict(pc, s, way, kind)
+
     # -- model interface ----------------------------------------------------
 
     def lookup(self, pc: int) -> Optional[Prediction]:
-        s, way = self._lookup_probe(pc)
+        s, _, way = self._lookup_probe(pc)
         if way is not None:
             # All ways and the companion are probed in parallel; a main-array
             # hit wins over a simultaneous companion hit.
             self._main.lru[s].touch(way)
-            kind = self._kind[s][way]
-            if kind is BranchKind.RETURN:
-                return Prediction(None, kind, self._sources[way])
-            return Prediction(self._decode(pc, way, self._offset[s][way]),
-                              kind, self._sources[way])
+            if self._owner[s][way] == pc:
+                return self._pred[s][way]
+            return self._predict(pc, s, way, self._pred[s][way].kind)
         slot, _, hit = self._xc.locate(pc >> self.isa.align_shift)
         if hit is not None:
-            kind = self._xc_kind[slot]
-            target = None if kind is BranchKind.RETURN else self._xc_target[slot]
-            return Prediction(target, kind, "xc")
+            return self._xc_pred[slot]
         return None
 
     def _required_width(self, record: BranchRecord) -> int:
@@ -91,56 +101,52 @@ class BtbX(BtbModel):
         s, tag, way = self._main_probe(pc)
         if way is not None:
             self._main.lru[s].touch(way)
+            stored = self._pred[s][way]
             if kind is BranchKind.RETURN:
-                if self._kind[s][way] is BranchKind.RETURN:
-                    return self._hits[way]
-                self._kind[s][way] = kind
-                self._req_width[s][way] = 0
-                return UpdateOutcome("rewrite", "main", way)
-            if (self._kind[s][way] == kind
-                    and self._decode(pc, way, self._offset[s][way]) == target):
-                return self._hits[way]
+                if stored.kind is BranchKind.RETURN:
+                    return self._out["hit"][way][False]
+                self._write(pc, s, way, kind, target, 0)
+                return self._out["rewrite"][way][False]
+            if stored.kind == kind:
+                decoded = (stored.target if self._owner[s][way] == pc
+                           else self._decode(pc, way, self._offset[s][way]))
+                if decoded == target:
+                    return self._out["hit"][way][False]
             req = required_offset_width(pc, target, self.isa)
             if req <= self.widths[way]:
                 # Target changed but still fits this way: refresh in place.
-                self._offset[s][way] = self._offset_field(target, way)
-                self._req_width[s][way] = req
-                self._kind[s][way] = kind
-                return UpdateOutcome("rewrite", "main", way)
+                self._write(pc, s, way, kind, target, req)
+                return self._out["rewrite"][way][False]
             # Outgrew its way: drop the entry and re-allocate.
             self._main.invalidate(s, way)
-            return self._allocate(record, s, tag, req, migrated=True)
+            return self._allocate(record, s, tag, req, "migrate")
         slot, _, hit = self._xc.locate(pc >> self.isa.align_shift)
         if hit is not None:
-            if self._xc_kind[slot] == kind and self._xc_target[slot] == target:
-                return self._xc_hits[slot]
+            stored = self._xc_pred[slot]
+            if stored.kind == kind and stored.target == target:
+                return self._xc_out["hit"][slot][False]
             req = self._required_width(record)
             if req <= self.widths[-1]:
                 # Shrunk enough for the main array; the companion copy dies
                 # so a branch never lives in both structures for long.
                 self._xc.invalidate(slot, 0)
-                return self._allocate(record, s, tag, req, migrated=True)
-            self._xc_target[slot] = target
-            self._xc_kind[slot] = kind
-            return UpdateOutcome("rewrite", "xc", slot)
-        return self._allocate(record, s, tag, self._required_width(record))
+                return self._allocate(record, s, tag, req, "migrate")
+            self._xc_pred[slot] = Prediction(target, kind, "xc")
+            return self._xc_out["rewrite"][slot][False]
+        return self._allocate(record, s, tag, self._required_width(record), "alloc")
 
     def _allocate(self, record: BranchRecord, s: int, tag: int, req: int,
-                  migrated: bool = False) -> UpdateOutcome:
-        outcome = "migrate" if migrated else "alloc"
+                  outcome: str) -> UpdateOutcome:
         # Way widths never decrease, so the ways wide enough are a suffix.
         first = bisect_left(self.widths, req)
         if first == self.ways:
             slot, xtag, _ = self._xc.locate(record.pc >> self.isa.align_shift)
-            _, victim_valid = self._xc.fill(slot, xtag, range(1))
-            self._xc_kind[slot] = record.kind
-            self._xc_target[slot] = record.target
-            return UpdateOutcome(outcome, "xc", slot, victim_valid)
-        way, victim_valid = self._main.fill(s, tag, range(first, self.ways))
-        self._kind[s][way] = record.kind
-        self._offset[s][way] = self._offset_field(record.target, way)
-        self._req_width[s][way] = req
-        return UpdateOutcome(outcome, "main", way, victim_valid)
+            _, victim_valid = self._xc.fill(slot, xtag)
+            self._xc_pred[slot] = Prediction(record.target, record.kind, "xc")
+            return self._xc_out[outcome][slot][victim_valid]
+        way, victim_valid = self._main.fill(s, tag, first)
+        self._write(record.pc, s, way, record.kind, record.target, req)
+        return self._out[outcome][way][victim_valid]
 
     def occupancy_items(self):
         items = [(name, valid, self.sets)
@@ -151,13 +157,19 @@ class BtbX(BtbModel):
     def check_invariants(self):
         self._main.check()
         self._xc.check()
-        for s, row in enumerate(self._main.tags):
-            for way, width in enumerate(self.widths):
-                if row[way] == INVALID:
-                    continue
-                if self._req_width[s][way] > width:
-                    raise InvariantError(
-                        f"set {s} way {way}: stored width {self._req_width[s][way]} "
-                        f"exceeds way width {width}")
-                if self._offset[s][way] >> width:
-                    raise InvariantError(f"set {s} way {way}: offset field overflow")
+        for s, way in self._main.occupied():
+            width = self.widths[way]
+            if self._req_width[s][way] > width:
+                raise InvariantError(
+                    f"set {s} way {way}: stored width {self._req_width[s][way]} "
+                    f"exceeds way width {width}")
+            if self._offset[s][way] >> width:
+                raise InvariantError(f"set {s} way {way}: offset field overflow")
+            pred = self._pred[s][way]
+            if pred != self._predict(self._owner[s][way], s, way, pred.kind):
+                raise InvariantError(f"set {s} way {way}: stored prediction "
+                                     f"{pred} differs from its payload")
+        for slot, _ in self._xc.occupied():
+            pred = self._xc_pred[slot]
+            if pred.source != "xc" or pred.target is None:
+                raise InvariantError(f"xc slot {slot}: bad prediction {pred}")

@@ -5,8 +5,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core import ALIGNED4, BranchKind, BranchRecord, IsaProfile
-from .base import (BtbModel, Prediction, SetArray, UpdateOutcome, hit_outcomes,
-                   way_sources)
+from .base import (BtbModel, InvariantError, Prediction, SetArray,
+                   UpdateOutcome, outcome_table, way_sources)
 
 
 class ConvBtb(BtbModel):
@@ -31,36 +31,43 @@ class ConvBtb(BtbModel):
         self.sets = sets = entries // ways
         self.entries = entries
         self._sources = way_sources(ways)
-        self._hits = hit_outcomes("main", ways)
+        self._out = outcome_table("main", ways)
         self._main = SetArray(sets, ways, tag_bits)
-        self._kind = [[BranchKind.CONDITIONAL] * ways for _ in range(sets)]
-        self._target = [[0] * ways for _ in range(sets)]
+        # A full target does not depend on the pc, so an entry's payload is
+        # the prediction its hits return.
+        self._pred = [[None] * ways for _ in range(sets)]
 
     def lookup(self, pc: int) -> Optional[Prediction]:
-        s, way = self._lookup_probe(pc)
+        s, _, way = self._lookup_probe(pc)
         if way is None:
             return None
         self._main.lru[s].touch(way)
-        kind = self._kind[s][way]
-        target = None if kind is BranchKind.RETURN else self._target[s][way]
-        return Prediction(target, kind, self._sources[way])
+        return self._pred[s][way]
 
     def commit_update(self, record: BranchRecord) -> UpdateOutcome:
         s, tag, way = self._main_probe(record.pc)
+        kind = record.kind
         if way is not None:
             self._main.lru[s].touch(way)
-            matches = (self._kind[s][way] == record.kind
-                       and (record.kind is BranchKind.RETURN
-                            or self._target[s][way] == record.target))
-            if matches:
-                return self._hits[way]
-            outcome = UpdateOutcome("rewrite", "main", way)
+            pred = self._pred[s][way]
+            if pred.kind == kind and (kind is BranchKind.RETURN
+                                      or pred.target == record.target):
+                return self._out["hit"][way][False]
+            outcome = self._out["rewrite"][way][False]
         else:
-            way, victim_valid = self._main.fill(s, tag, range(self.assoc))
-            outcome = UpdateOutcome("alloc", "main", way, victim_valid)
-        self._kind[s][way] = record.kind
-        self._target[s][way] = record.target
+            way, victim_valid = self._main.fill(s, tag)
+            outcome = self._out["alloc"][way][victim_valid]
+        target = None if kind is BranchKind.RETURN else record.target
+        self._pred[s][way] = Prediction(target, kind, self._sources[way])
         return outcome
 
     def occupancy_items(self):
         return [("main", self._main.valid(), self.entries)]
+
+    def check_invariants(self):
+        self._main.check()
+        for s, way in self._main.occupied():
+            pred = self._pred[s][way]
+            if (pred.source != self._sources[way]
+                    or (pred.target is None) != (pred.kind is BranchKind.RETURN)):
+                raise InvariantError(f"set {s} way {way}: bad prediction {pred}")

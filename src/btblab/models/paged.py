@@ -19,7 +19,7 @@ from typing import Optional
 
 from ..core import ALIGNED4, BranchKind, BranchRecord, IsaProfile, xor_fold
 from .base import (INVALID, BtbModel, InvariantError, Prediction, RecencyLru,
-                   SetArray, UpdateOutcome, hit_outcomes, way_sources)
+                   SetArray, UpdateOutcome, outcome_table, way_sources)
 
 PAGE_SHIFT = 12
 NO_PAGE = -1  # page_ptr sentinel for entries that need no page (returns)
@@ -47,12 +47,14 @@ class RBtb(BtbModel):
         self.main_entries = main_entries
         self.page_entries = page_entries
         self._sources = way_sources(ways)
-        self._hits = hit_outcomes("main", ways)
+        self._out = outcome_table("main", ways)
         self._main = SetArray(sets, ways, tag_bits)
-        self._kind = [[BranchKind.CONDITIONAL] * ways for _ in range(sets)]
         self._in_off = [[0] * ways for _ in range(sets)]
         self._page_ptr = [[NO_PAGE] * ways for _ in range(sets)]
         self._page_gen = [[0] * ways for _ in range(sets)]
+        # What an entry predicts while its page pointer holds; its target is
+        # absolute, so it does not depend on the lookup pc.
+        self._pred = [[None] * ways for _ in range(sets)]
         # The page table is searched through a dict, which beats a list
         # search over its hundreds of slots.
         self._pt_page = [INVALID] * page_entries
@@ -78,59 +80,48 @@ class RBtb(BtbModel):
         self._pt_lru.touch(slot)
         return slot, self._pt_gen[slot]
 
-    def _resolve(self, s: int, way: int) -> Optional[int]:
-        """Target page of an entry, or None for a return or a dangling
-        pointer.  A pointer's generation is at least 1, so it never matches
-        a slot that is still empty."""
+    def _live(self, s: int, way: int) -> bool:
+        """Whether an entry needs no page (a return) or its page pointer's
+        generation still matches the slot's.  A pointer's generation is at
+        least 1, so it never matches a slot that is still empty."""
         ptr = self._page_ptr[s][way]
-        if ptr == NO_PAGE or self._pt_gen[ptr] != self._page_gen[s][way]:
-            return None
-        return self._pt_page[ptr]
+        return ptr == NO_PAGE or self._pt_gen[ptr] == self._page_gen[s][way]
 
     def lookup(self, pc: int) -> Optional[Prediction]:
-        s, way = self._lookup_probe(pc)
-        if way is None:
-            return None
-        kind = self._kind[s][way]
-        if kind is BranchKind.RETURN:
-            self._main.lru[s].touch(way)
-            return Prediction(None, kind, self._sources[way])
-        page = self._resolve(s, way)
-        if page is None:
+        s, _, way = self._lookup_probe(pc)
+        if way is None or not self._live(s, way):
             return None  # dangling page pointer: miss, never a wrong target
         self._main.lru[s].touch(way)
-        return Prediction((page << self.page_shift) | self._in_off[s][way],
-                          kind, self._sources[way])
+        return self._pred[s][way]
 
     def _write(self, s: int, way: int, record: BranchRecord):
-        self._kind[s][way] = record.kind
+        target = record.target
         if record.kind is BranchKind.RETURN:
+            target = None
             self._in_off[s][way] = 0
             self._page_ptr[s][way] = NO_PAGE
             self._page_gen[s][way] = 0
         else:
-            slot, gen = self._ensure_page(record.target >> self.page_shift)
-            self._in_off[s][way] = record.target & ((1 << self.page_shift) - 1)
+            slot, gen = self._ensure_page(target >> self.page_shift)
+            self._in_off[s][way] = target & ((1 << self.page_shift) - 1)
             self._page_ptr[s][way] = slot
             self._page_gen[s][way] = gen
+        self._pred[s][way] = Prediction(target, record.kind, self._sources[way])
 
     def commit_update(self, record: BranchRecord) -> UpdateOutcome:
         s, tag, way = self._main_probe(record.pc)
         if way is not None:
             self._main.lru[s].touch(way)
-            kind = self._kind[s][way]
-            if record.kind is BranchKind.RETURN:
-                if kind is BranchKind.RETURN:
-                    return self._hits[way]
-            elif (kind == record.kind
-                  and self._in_off[s][way] == (record.target & ((1 << self.page_shift) - 1))
-                  and self._resolve(s, way) == record.target >> self.page_shift):
-                return self._hits[way]
+            pred = self._pred[s][way]
+            if pred.kind == record.kind and (
+                    record.kind is BranchKind.RETURN
+                    or (pred.target == record.target and self._live(s, way))):
+                return self._out["hit"][way][False]
             self._write(s, way, record)
-            return UpdateOutcome("rewrite", "main", way)
-        way, victim_valid = self._main.fill(s, tag, range(self.assoc))
+            return self._out["rewrite"][way][False]
+        way, victim_valid = self._main.fill(s, tag)
         self._write(s, way, record)
-        return UpdateOutcome("alloc", "main", way, victim_valid)
+        return self._out["alloc"][way][victim_valid]
 
     def occupancy_items(self):
         return [("main", self._main.valid(), self.main_entries),
@@ -141,6 +132,17 @@ class RBtb(BtbModel):
         for slot, page in enumerate(self._pt_page):
             if (page != INVALID) != (self._pt_map.get(page) == slot):
                 raise InvariantError(f"page map out of sync at slot {slot}")
+        for s, way in self._main.occupied():
+            if not self._live(s, way):
+                continue
+            ptr = self._page_ptr[s][way]
+            target = (None if ptr == NO_PAGE else
+                      (self._pt_page[ptr] << self.page_shift) | self._in_off[s][way])
+            pred = self._pred[s][way]
+            if (pred.target != target or pred.source != self._sources[way]
+                    or (pred.kind is BranchKind.RETURN) != (ptr == NO_PAGE)):
+                raise InvariantError(f"set {s} way {way}: stored prediction "
+                                     f"{pred} differs from its payload")
 
 
 class PdedeBtb(BtbModel):
@@ -176,18 +178,23 @@ class PdedeBtb(BtbModel):
         self.page_entries = ps * pa
         self.region_entries = region_entries
         self._sources = way_sources(ways)
-        self._hits = hit_outcomes("main", ways)
+        self._out = outcome_table("main", ways)
         self._main = SetArray(sets, ways, tag_bits)
-        self._kind = [[BranchKind.CONDITIONAL] * ways for _ in range(sets)]
         self._same = [[True] * ways for _ in range(sets)]
         self._in_off = [[0] * ways for _ in range(sets)]
         self._page_ptr = [[NO_PAGE] * ways for _ in range(sets)]
         self._page_gen = [[0] * ways for _ in range(sets)]
-        # Page slots are tagged by the page's low bits within its region.
+        # The prediction an entry rebuilds to for the pc that wrote it, and
+        # that pc.  A different-page target is absolute; a same-page one
+        # takes its page from the lookup pc, so another pc rebuilds its own.
+        self._pred = [[None] * ways for _ in range(sets)]
+        self._owner = [[None] * ways for _ in range(sets)]
+        # Page slots are tagged by the page's low bits within its region; a
+        # page pointer is set * page_assoc + way, which indexes the lists.
         self._pt = SetArray(ps, pa)
-        self._pt_rptr = [[0] * pa for _ in range(ps)]
-        self._pt_rgen = [[0] * pa for _ in range(ps)]
-        self._pt_gen = [[0] * pa for _ in range(ps)]
+        self._pt_rptr = [0] * self.page_entries
+        self._pt_rgen = [0] * self.page_entries
+        self._pt_gen = [0] * self.page_entries
         # One set of region slots, tagged by region number.
         self._rt = SetArray(1, region_entries)
         self._rt_gen = [0] * region_entries
@@ -206,85 +213,92 @@ class PdedeBtb(BtbModel):
     def _ensure_region(self, region: int):
         slot = self._rt.probe(0, region)
         if slot is None:
-            slot, _ = self._rt.fill(0, region, range(self.region_entries))
+            slot, _ = self._rt.fill(0, region)
             self._rt_gen[slot] += 1
         else:
             self._rt.lru[0].touch(slot)
         return slot, self._rt_gen[slot]
 
-    def _page_slot_number(self, ps: int, slot: int) -> Optional[int]:
+    def _page_slot_number(self, ptr: int) -> Optional[int]:
         """Page number held by a page slot, or None if its region link died."""
-        rptr = self._pt_rptr[ps][slot]
-        if self._rt_gen[rptr] != self._pt_rgen[ps][slot]:
+        rptr = self._pt_rptr[ptr]
+        if self._rt_gen[rptr] != self._pt_rgen[ptr]:
             return None
+        ps, slot = divmod(ptr, self.page_assoc)
         return ((self._rt.tags[0][rptr] << self.region_pages_log2)
                 | self._pt.tags[ps][slot])
 
     def _ensure_page(self, page: int):
+        """(pointer, generation) of the page slot holding a page number."""
         ps = self._page_set(page)
+        base = ps * self.page_assoc
         low = page & ((1 << self.region_pages_log2) - 1)
         # A slot whose region died keeps its low bits, so several slots may
         # carry this tag: only a live one with the whole page number counts.
         row = self._pt.tags[ps]
         for slot in range(self.page_assoc):
-            if row[slot] == low and self._page_slot_number(ps, slot) == page:
+            if row[slot] == low and self._page_slot_number(base + slot) == page:
                 self._pt.lru[ps].touch(slot)
-                return ps, slot, self._pt_gen[ps][slot]
+                return base + slot, self._pt_gen[base + slot]
         rslot, rgen = self._ensure_region(page >> self.region_pages_log2)
-        slot, _ = self._pt.fill(ps, low, range(self.page_assoc))
-        self._pt_gen[ps][slot] += 1
-        self._pt_rptr[ps][slot] = rslot
-        self._pt_rgen[ps][slot] = rgen
-        return ps, slot, self._pt_gen[ps][slot]
+        slot, _ = self._pt.fill(ps, low)
+        ptr = base + slot
+        self._pt_gen[ptr] += 1
+        self._pt_rptr[ptr] = rslot
+        self._pt_rgen[ptr] = rgen
+        return ptr, self._pt_gen[ptr]
 
-    def _resolve(self, s: int, way: int) -> Optional[int]:
+    def _live(self, s: int, way: int) -> bool:
+        """Whether a different-page entry's page link, and that page slot's
+        region link, still hold."""
         ptr = self._page_ptr[s][way]
-        if ptr == NO_PAGE:
-            return None
-        ps, slot = divmod(ptr, self.page_assoc)
-        if self._pt_gen[ps][slot] != self._page_gen[s][way]:
-            return None
-        return self._page_slot_number(ps, slot)
+        return (self._pt_gen[ptr] == self._page_gen[s][way]
+                and self._rt_gen[self._pt_rptr[ptr]] == self._pt_rgen[ptr])
 
     # -- main table -------------------------------------------------------
 
+    def _same_page_prediction(self, pc: int, s: int, way: int) -> Prediction:
+        """What a same-page or return entry predicts for pc: page bits come
+        straight from the pc, with no side-table access."""
+        kind = self._pred[s][way].kind
+        target = (None if kind is BranchKind.RETURN else
+                  ((pc >> self.page_shift) << self.page_shift) | self._in_off[s][way])
+        return Prediction(target, kind, self._sources[way])
+
     def lookup(self, pc: int) -> Optional[Prediction]:
-        s, way = self._lookup_probe(pc)
+        s, _, way = self._lookup_probe(pc)
         if way is None:
             return None
-        kind = self._kind[s][way]
-        if kind is BranchKind.RETURN:
-            self._main.lru[s].touch(way)
-            return Prediction(None, kind, self._sources[way])
         if self._same[s][way]:
-            # Page bits come straight from the PC; no side-table access.
-            target = ((pc >> self.page_shift) << self.page_shift) | self._in_off[s][way]
             self._main.lru[s].touch(way)
-            return Prediction(target, kind, self._sources[way])
-        page = self._resolve(s, way)
-        if page is None:
+            if self._owner[s][way] == pc:
+                return self._pred[s][way]
+            return self._same_page_prediction(pc, s, way)
+        if not self._live(s, way):
             return None  # stale page or region link: miss, never a wrong target
         self._main.lru[s].touch(way)
-        return Prediction((page << self.page_shift) | self._in_off[s][way],
-                          kind, self._sources[way])
+        return self._pred[s][way]
 
     def _write(self, s: int, way: int, record: BranchRecord, same: bool):
         if same is False and way < self.reserved_ways:
             raise InvariantError(f"different-page entry written to reserved way {way}")
-        self._kind[s][way] = record.kind
+        target = record.target
         if record.kind is BranchKind.RETURN:
+            target = None
             self._same[s][way] = True
             self._in_off[s][way] = 0
             self._page_ptr[s][way] = NO_PAGE
-            return
-        self._same[s][way] = same
-        self._in_off[s][way] = record.target & ((1 << self.page_shift) - 1)
-        if same:
-            self._page_ptr[s][way] = NO_PAGE
         else:
-            ps, slot, gen = self._ensure_page(record.target >> self.page_shift)
-            self._page_ptr[s][way] = ps * self.page_assoc + slot
-            self._page_gen[s][way] = gen
+            self._same[s][way] = same
+            self._in_off[s][way] = target & ((1 << self.page_shift) - 1)
+            if same:
+                self._page_ptr[s][way] = NO_PAGE
+            else:
+                ptr, gen = self._ensure_page(target >> self.page_shift)
+                self._page_ptr[s][way] = ptr
+                self._page_gen[s][way] = gen
+        self._owner[s][way] = record.pc
+        self._pred[s][way] = Prediction(target, record.kind, self._sources[way])
 
     def commit_update(self, record: BranchRecord) -> UpdateOutcome:
         pc, target = record.pc, record.target
@@ -296,37 +310,35 @@ class PdedeBtb(BtbModel):
                 # Target moved off-page but a reserved way cannot hold the
                 # pointer: drop the entry and re-allocate in a general way.
                 self._main.invalidate(s, way)
-                return self._allocate(record, s, tag, same, migrated=True)
+                return self._allocate(record, s, tag, same, "migrate")
             self._main.lru[s].touch(way)
             if self._entry_matches(s, way, record, same):
-                return self._hits[way]
+                return self._out["hit"][way][False]
             self._write(s, way, record, same)
-            return UpdateOutcome("rewrite", "main", way)
-        return self._allocate(record, s, tag, same)
+            return self._out["rewrite"][way][False]
+        return self._allocate(record, s, tag, same, "alloc")
 
     def _entry_matches(self, s: int, way: int, record: BranchRecord,
                        same: bool) -> bool:
-        if self._kind[s][way] != record.kind:
+        pred = self._pred[s][way]
+        if pred.kind != record.kind:
             return False
         if record.kind is BranchKind.RETURN:
             return True
         if self._same[s][way] != same:
             return False
-        if self._in_off[s][way] != (record.target & ((1 << self.page_shift) - 1)):
-            return False
         if same:
-            return True
-        return self._resolve(s, way) == record.target >> self.page_shift
+            return self._in_off[s][way] == record.target & ((1 << self.page_shift) - 1)
+        return pred.target == record.target and self._live(s, way)
 
     def _allocate(self, record: BranchRecord, s: int, tag: int, same: bool,
-                  migrated: bool = False) -> UpdateOutcome:
+                  outcome: str) -> UpdateOutcome:
         # Same-page entries may use every way, and empty-first placement
         # fills the reserved (lowest-index) half before the general ways.
         first = 0 if same else self.reserved_ways
-        way, victim_valid = self._main.fill(s, tag, range(first, self.assoc))
+        way, victim_valid = self._main.fill(s, tag, first)
         self._write(s, way, record, same)
-        return UpdateOutcome("migrate" if migrated else "alloc", "main",
-                             way, victim_valid)
+        return self._out[outcome][way][victim_valid]
 
     def occupancy_items(self):
         return [("main", self._main.valid(), self.main_entries),
@@ -336,8 +348,19 @@ class PdedeBtb(BtbModel):
     def check_invariants(self):
         for table in (self._main, self._pt, self._rt):
             table.check()
-        for s, row in enumerate(self._main.tags):
-            for way in range(self.reserved_ways):
-                if row[way] != INVALID and not self._same[s][way]:
-                    raise InvariantError(
-                        f"set {s} reserved way {way} holds a different-page entry")
+        for s, way in self._main.occupied():
+            if way < self.reserved_ways and not self._same[s][way]:
+                raise InvariantError(
+                    f"set {s} reserved way {way} holds a different-page entry")
+            pred = self._pred[s][way]
+            if self._same[s][way]:
+                rebuilt = self._same_page_prediction(self._owner[s][way], s, way)
+            elif self._live(s, way):
+                page = self._page_slot_number(self._page_ptr[s][way])
+                rebuilt = Prediction((page << self.page_shift) | self._in_off[s][way],
+                                     pred.kind, self._sources[way])
+            else:
+                continue
+            if pred != rebuilt:
+                raise InvariantError(f"set {s} way {way}: stored prediction "
+                                     f"{pred} differs from its payload")

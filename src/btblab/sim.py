@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .core import (ALIGNED4, CALL_BYTES, BranchKind, BranchRecord, IsaProfile,
-                   ReturnAddressStack, mode_for_profile, required_offset_width)
+from .core import (ALIGNED4, CALL_BYTES, CALL_KINDS, BranchKind, BranchRecord,
+                   IsaProfile, ReturnAddressStack, mode_for_profile,
+                   required_offset_width)
 from .models import build_model
 from .models.base import BtbModel
 from .trace import TraceFile
@@ -103,11 +104,12 @@ def run(model: BtbModel, trace: Union[TraceFile, Sequence[BranchRecord]],
     end = total if config.measure_records is None else min(
         total, warmup + config.measure_records)
 
-    metrics = Metrics(measured_records=end - warmup)
-    hits = metrics.hits_by_source
     ras = ReturnAddressStack(config.ras_capacity)
     lookup, commit = model.lookup, model.commit_update
+    check = model.check_invariants if config.debug else None
     RETURN = BranchKind.RETURN
+    hits: Dict[str, int] = {}
+    instructions = taken = misses = wrong = underflows = ras_mispredicts = 0
 
     for i, rec in enumerate(records):
         measured = warmup <= i < end
@@ -115,34 +117,41 @@ def run(model: BtbModel, trace: Union[TraceFile, Sequence[BranchRecord]],
             occupancy = _OccupancyArea(model, i)
         pred = lookup(rec.pc)
         if measured:
-            metrics.instructions += rec.gap + 1
+            instructions += rec.gap + 1
         if not rec.taken:
             continue
         kind = rec.kind
         if measured:
-            metrics.taken_branches += 1
+            taken += 1
             if pred is None:
-                metrics.taken_btb_misses += 1
+                misses += 1
             elif (pred.kind is RETURN if kind is RETURN
                   else pred.target == rec.target):
-                hits[pred.source] = hits.get(pred.source, 0) + 1
+                source = pred.source
+                hits[source] = hits.get(source, 0) + 1
             else:
-                metrics.taken_btb_misses += 1
-                metrics.wrong_target_misses += 1
+                misses += 1
+                wrong += 1
         outcome = commit(rec)
         if measured and outcome.kind != "hit":
             occupancy.change(i)
-        if config.debug:
-            model.check_invariants()
-        if kind.is_call:
+        if check is not None:
+            check()
+        if kind in CALL_KINDS:
             ras.push(rec.pc + CALL_BYTES)
         elif kind is RETURN:
             popped = ras.pop()
             if measured:
                 if popped is None:
-                    metrics.ras_underflows += 1
+                    underflows += 1
                 elif popped != rec.target:
-                    metrics.ras_mispredicts += 1
+                    ras_mispredicts += 1
+
+    metrics = Metrics(instructions=instructions, taken_branches=taken,
+                      taken_btb_misses=misses, hits_by_source=hits,
+                      measured_records=end - warmup,
+                      wrong_target_misses=wrong, ras_underflows=underflows,
+                      ras_mispredicts=ras_mispredicts)
     if end > warmup:
         metrics.occupancy_by_way = occupancy.by_way(end)
 

@@ -130,29 +130,59 @@ def iter_records(path) -> Tuple[TraceHeader, Iterator[BranchRecord]]:
     return next(records), records
 
 
+_CHUNK_RECORDS = 1 << 14  # records read and unpacked at a time
+_KINDS = tuple(BranchKind)  # indexed by kind code
+
+
 def _read_binary(path):
-    """Yield the trace header, then each validated record."""
+    """Yield the trace header, then each validated record.
+
+    Records are read a chunk at a time and unpacked with `iter_unpack`.  One
+    combined test passes every well-formed record; a record it flags goes
+    through the per-field checks, which raise with the record's index.
+    """
     with open(path, "rb") as fh:
         header = read_header(fh)
         yield header
         isa = header.isa
-        for index in range(header.record_count):
-            raw = fh.read(RECORD_BYTES)
-            if len(raw) < RECORD_BYTES:
-                raise TraceFormatError("truncated record", index)
-            pc, target, kind, taken, gap, pad = _RECORD.unpack(raw)
-            if pad != 0:
-                raise TraceFormatError(f"nonzero pad {pad}", index)
-            if kind > 5:
-                raise TraceFormatError(f"unknown kind code {kind}", index)
-            if taken > 1:
-                raise TraceFormatError(f"bad taken flag {taken}", index)
-            rec = BranchRecord(pc, target, BranchKind(kind), bool(taken), gap)
-            _validate_record(rec, isa, index)
-            yield rec
+        # Bits a valid pc or target leaves clear in its u64 field: those at
+        # and above va_bits, and the alignment bits.
+        bad_bits = (((1 << 64) - (1 << isa.va_bits))
+                    | ((1 << isa.align_shift) - 1))
+        count = header.record_count
+        start = 0
+        while start < count:
+            want = min(count - start, _CHUNK_RECORDS) * RECORD_BYTES
+            chunk = fh.read(want)
+            whole = len(chunk) - len(chunk) % RECORD_BYTES
+            for index, (pc, target, kind, taken, gap, pad) in enumerate(
+                    _RECORD.iter_unpack(memoryview(chunk)[:whole]), start):
+                if (pad or kind > 5 or taken > 1 or (pc | target) & bad_bits
+                        or (kind and not taken)):
+                    yield _checked_record(pc, target, kind, taken, gap, pad,
+                                          isa, index)
+                else:
+                    yield BranchRecord(pc, target, _KINDS[kind], taken == 1, gap)
+            start += whole // RECORD_BYTES
+            if len(chunk) < want:
+                raise TraceFormatError("truncated record", start)
         if fh.read(1):
-            raise TraceFormatError("trailing bytes after last record",
-                                   header.record_count)
+            raise TraceFormatError("trailing bytes after last record", count)
+
+
+def _checked_record(pc: int, target: int, kind: int, taken: int, gap: int,
+                    pad: int, isa: IsaProfile, index: int) -> BranchRecord:
+    """One record through the per-field checks, which raise on the first
+    field that fails."""
+    if pad != 0:
+        raise TraceFormatError(f"nonzero pad {pad}", index)
+    if kind > 5:
+        raise TraceFormatError(f"unknown kind code {kind}", index)
+    if taken > 1:
+        raise TraceFormatError(f"bad taken flag {taken}", index)
+    rec = BranchRecord(pc, target, BranchKind(kind), bool(taken), gap)
+    _validate_record(rec, isa, index)
+    return rec
 
 
 def read_trace(path) -> TraceFile:
@@ -209,9 +239,10 @@ def read_trace_jsonl(path) -> TraceFile:
         if not isinstance(head, dict) or head.get("format") != "btbt":
             raise TraceFormatError("missing btbt header object")
         mode_names = {"aligned4": 0, "byte": 1}
-        if head.get("isa_mode") not in mode_names:
-            raise TraceFormatError(f"unknown isa_mode {head.get('isa_mode')!r}")
-        mode = mode_names[head["isa_mode"]]
+        name = head.get("isa_mode")
+        if not isinstance(name, str) or name not in mode_names:
+            raise TraceFormatError(f"unknown isa_mode {name!r}")
+        mode = mode_names[name]
         isa = profile_for_mode(mode)
         records = []
         for index, line in enumerate(fh):

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from btblab.trace import GeneratorSpec, generate, read_trace, write_trace
+from btblab import cli as btblab_cli
+from btblab.models import build_model
+from btblab.trace import (GeneratorSpec, TraceFormatError, generate,
+                          read_trace, write_trace)
 
 RUN = [sys.executable, "-m", "btblab.cli"]
 
@@ -203,6 +210,92 @@ class TestCompare:
             env={"PATH": "/usr/bin:/bin", "BTBLAB_THREADS": "1",
                  "PYTHONPATH": os.environ["PYTHONPATH"]})
         assert res.returncode == 0, res.stderr
+
+
+def main_in_process(args):
+    """(exit code, stderr) of the CLI run in this process."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = btblab_cli.main(args)
+    return code, err.getvalue()
+
+
+def churn_trace(path):
+    spec = GeneratorSpec(static_branches=200, records=2000, pattern="uniform",
+                         seed=3, width_buckets=((0, 6, 0.5), (7, 20, 0.3),
+                                                (21, 30, 0.2)))
+    write_trace(path, generate(spec))
+    return str(path)
+
+
+class TestCheckInvariants:
+    @pytest.mark.parametrize("command, output", [
+        (["simulate", "--model", "pdede", "--budget-kb", "0.9"], "m.json"),
+        (["simulate", "--model", "btbx", "--sets", "8"], "m.json"),
+        (["compare", "--models", "conv,rbtb,pdede,btbx", "--budget-kb", "0.9"],
+         "c.csv"),
+    ])
+    def test_outputs_identical_with_and_without(self, workdir, command, output):
+        trace = churn_trace(workdir / "ws.btbt")
+        outs = []
+        for flag in ([], ["--check-invariants"]):
+            out = workdir / f"{len(flag)}-{output}"
+            assert main_in_process([*command, *flag, trace, "-o", str(out)])[0] == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_corrupted_memo_exits_3(self, workdir, monkeypatch):
+        def corrupted(*args, **kwargs):
+            model = build_model(*args, **kwargs)
+            s, tag = model._main.set_tag(0x12345)
+            model._main.memo[0x12345] = (s, tag ^ 1)
+            return model
+
+        monkeypatch.setattr(btblab_cli, "build_model", corrupted)
+        args = ["simulate", "--model", "btbx", "--budget-kb", "0.9",
+                churn_trace(workdir / "ws.btbt")]
+        assert main_in_process(args)[0] == 0  # nothing reads the stray entry
+        code, err = main_in_process([*args, "--check-invariants"])
+        assert code == 3
+        assert "memo of line 0x12345" in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _mutated(blob, edits, cut, tail):
+    raw = bytearray(blob)
+    for pos, value in edits:
+        raw[pos % len(raw)] = value
+    return bytes(raw[:len(raw) - cut]) + tail
+
+
+class TestFuzzedInput:
+    @given(edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)),
+                          max_size=4),
+           cut=st.integers(0, 30), tail=st.sampled_from([b"", b"", b"\x00"]))
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_binary_exits_2_without_traceback(self, fuzz_dir, edits,
+                                                     cut, tail):
+        spec = GeneratorSpec(static_branches=4, records=6, seed=1)
+        clean = fuzz_dir / "clean.btbt"
+        write_trace(clean, generate(spec))
+        path = fuzz_dir / "fuzzed.btbt"
+        path.write_bytes(_mutated(clean.read_bytes(), edits, cut, tail))
+        try:
+            read_trace(path)
+            parses = True
+        except TraceFormatError:
+            parses = False
+        code, err = main_in_process(["simulate", "--model", "conv", "--sets",
+                                     "4", str(path)])
+        assert "Traceback" not in err
+        if parses:
+            assert code == 0, err
+        else:
+            assert code == 2 and "btblab: input error:" in err
 
 
 class TestUsage:

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from conftest import rec, taken_branch_trace
-from btblab.core import BranchKind
+from btblab.core import ALIGNED4, BYTE, BranchKind, xor_fold
 from btblab.models import ConfigError, build_model
 from btblab.models.base import InvariantError, LruState, SetArray
 from btblab.models.btbx import BtbX
 from btblab.models.conv import ConvBtb
 from btblab.models.paged import PdedeBtb, RBtb
+from btblab import storage
 from btblab.storage import BtbxGeometry, arm64_geometry
 from btblab.trace import GeneratorSpec, gen_records
 
@@ -136,7 +137,7 @@ def full_set(touches):
     """One 8-way set with every way valid (tag = way), then touched in order."""
     table = SetArray(1, 8)
     for way in range(8):
-        assert table.fill(0, way, range(8)) == (way, False)
+        assert table.fill(0, way) == (way, False)
     for way in touches:
         table.lru[0].touch(way)
     return table
@@ -145,25 +146,25 @@ def full_set(touches):
 class TestRestrictedLru:
     def test_singleton_eligible(self):
         table = full_set((3, 1, 7, 0))
-        table.invalidate(0, 0)  # an empty way outside `eligible` stays unused
-        assert table.fill(0, 99, [7]) == (7, True)
+        table.invalidate(0, 0)  # an empty way before `first` stays unused
+        assert table.fill(0, 99, 7) == (7, True)
         assert table.tags[0][7] == 99
 
     def test_oldest_among_eligible(self):
         # recency oldest -> newest among the interesting ways: 5, 2, 7, 6
         table = full_set((0, 1, 3, 4, 5, 2, 7, 6))
-        assert table.fill(0, 99, [5, 6, 7]) == (5, True)
+        assert table.fill(0, 99, 5) == (5, True)
 
     def test_invalid_way_preferred(self):
         table = full_set(range(8))
         table.invalidate(0, 6)
-        assert table.fill(0, 99, [5, 6, 7]) == (6, False)
+        assert table.fill(0, 99, 5) == (6, False)
         assert table.way_valid == [1] * 8
         table.check()
 
     def test_empty_eligible_is_a_bug(self):
         with pytest.raises(InvariantError):
-            full_set(()).fill(0, 99, [])
+            full_set(()).fill(0, 99, 8)
 
     @pytest.mark.parametrize("ways", [1, 2, 4, 8, 16])
     def test_oldest_matches_recency_list(self, ways):
@@ -175,8 +176,8 @@ class TestRestrictedLru:
             lru.touch(way)
             order.remove(way)
             order.append(way)
-            eligible = sorted(rng.sample(range(ways), rng.randint(1, ways)))
-            assert lru.oldest(eligible) == min(eligible, key=order.index)
+            first = rng.randrange(ways)
+            assert lru.oldest(first) == min(range(first, ways), key=order.index)
         lru.check()
 
     def test_check_rejects_repeated_stamp(self):
@@ -184,6 +185,113 @@ class TestRestrictedLru:
         lru.stamps[1] = lru.stamps[2]
         with pytest.raises(InvariantError):
             lru.check()
+
+
+class TestLocateMemo:
+    @pytest.mark.parametrize("sets", [1, 29, 64, 399, 512])
+    @pytest.mark.parametrize("tag_bits", [10, 12, 15])
+    def test_memo_matches_formula(self, sets, tag_bits):
+        rng = random.Random(sets * tag_bits)
+        table = SetArray(sets, 4, tag_bits)
+        lines = [rng.getrandbits(rng.choice((8, 20, 46))) for _ in range(300)]
+        for line in lines + lines:  # the second pass reads the memo
+            s, tag, way = table.locate(line)
+            assert (s, tag) == (line % sets, xor_fold(line // sets, tag_bits))
+            assert way == table.probe(s, tag)
+            if way is None and rng.random() < 0.5:
+                table.fill(s, tag)
+        assert len(table.memo) == len(set(lines))
+        table.check()
+
+    def test_check_rejects_corrupted_memo(self):
+        table = SetArray(64, 4, 12)
+        s, tag, _ = table.locate(0x12345)
+        table.memo[0x12345] = (s, tag ^ 1)
+        with pytest.raises(InvariantError, match="memo"):
+            table.check()
+
+
+def aliasing_line(table, line):
+    """Another line with the same set and tag as `line`."""
+    return next(other for other in range(line + table.sets, line + (1 << 40),
+                                          table.sets)
+                if table.set_tag(other) == table.set_tag(line))
+
+
+class TestStoredPredictions:
+    """A hit returns the prediction stored when its entry was written only
+    while that prediction is still what the entry decodes to."""
+
+    def test_btbx_aliasing_pcs_decode_their_own_targets(self):
+        m = BtbX(arm64_geometry(32))
+        pa = 0x40000 << 2
+        pb = aliasing_line(m._main, pa >> 2) << 2
+        ta = pa ^ (0b101 << 2)  # width 3: the 4-bit way
+        m.commit_update(rec(pa, ta))
+        pred_b = m.lookup(pb)
+        way = int(pred_b.source[3:])
+        n = m.widths[way] + 2
+        tb = (pb & ~((1 << n) - 1)) | (ta & ((1 << n) - 1))
+        assert pred_b.target == tb != ta
+        assert m.lookup(pa).target == ta
+        assert m.commit_update(rec(pb, tb)).kind == "hit"
+        assert m.lookup(pa).target == ta
+        m.check_invariants()
+
+    def test_pdede_aliasing_pcs_rebuild_their_own_page(self):
+        m = PdedeBtb(main_entries=64, page_entries=16)
+        pa = 0x40000 << 2
+        pb = aliasing_line(m._main, pa >> 2) << 2
+        ta = (pa & ~(PAGE - 1)) | 0x10  # same page as pa
+        m.commit_update(rec(pa, ta))
+        tb = (pb & ~(PAGE - 1)) | 0x10
+        assert m.lookup(pb).target == tb != ta
+        assert m.lookup(pa).target == ta
+        assert m.commit_update(rec(pb, tb)).kind == "hit"
+        m.check_invariants()
+
+    @pytest.mark.parametrize("model", [
+        lambda: RBtb(main_entries=64, page_entries=1),
+        lambda: PdedeBtb(main_entries=64, page_entries=1),
+    ])
+    def test_evicted_page_slot_misses_even_after_its_page_returns(self, model):
+        m = model()
+        a = rec(0x1000, (5 << 12) | 0x10)
+        m.commit_update(a)
+        assert m.lookup(a.pc).target == a.target
+        m.commit_update(rec(0x2000, (6 << 12) | 0x20))  # evicts page 5
+        assert m.lookup(a.pc) is None
+        m.commit_update(rec(0x3000, (5 << 12) | 0x30))  # page 5 again, new slot life
+        assert m.lookup(a.pc) is None
+        assert valid_counts(m)["main"] == 3
+        m.check_invariants()
+
+    def test_pdede_evicted_region_slot_misses(self):
+        m = PdedeBtb(main_entries=64, page_entries=16, region_entries=1)
+        a = rec(0x1000, (5 << 12) | 0x10)  # region 0
+        m.commit_update(a)
+        assert m.lookup(a.pc).target == a.target
+        m.commit_update(rec(0x2000, (0x105 << 12) | 0x20))  # region 1 evicts 0
+        assert m.lookup(a.pc) is None
+        m.commit_update(rec(0x3000, (5 << 12) | 0x30))  # region 0 again
+        assert m.lookup(a.pc) is None
+        m.check_invariants()
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_check_rejects_a_prediction_that_differs_from_its_payload(self, index):
+        m = churn_models()[index]
+        r = rec(0x1000, (5 << 12) | 0x10)
+        m.commit_update(r)
+        m.check_invariants()
+        s, _, way = m._main.locate(r.pc >> 2)
+        pred = m._pred[s][way]
+        wrong = [pred._replace(source="way7" if way != 7 else "way6")]
+        if m.name != "conv":  # conv's payload is the prediction itself
+            wrong.append(pred._replace(target=pred.target + 4))
+        for bad in wrong:
+            m._pred[s][way] = bad
+            with pytest.raises(InvariantError, match="prediction"):
+                m.check_invariants()
 
 
 def churn_models():
@@ -478,6 +586,13 @@ class TestFactory:
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError):
             build_model("tage", budget_kb=14.5)
+
+    @pytest.mark.parametrize("isa, tag_bits", [(ALIGNED4, 12), (BYTE, 10)])
+    def test_conv_tag_width_same_on_both_routes(self, isa, tag_bits):
+        by_sets = build_model("conv", sets=64, isa=isa)
+        budget = storage.standard_budgets_kb(isa)[4]  # 14.5 or 14.875 KB
+        by_budget = build_model("conv", budget_kb=budget, isa=isa)
+        assert by_sets._main.tag_bits == by_budget._main.tag_bits == tag_bits
 
     def test_sets_sizing(self):
         assert build_model("btbx", sets=64).sets == 64

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from conftest import rec, taken_branch_trace
@@ -166,6 +168,29 @@ class TestOccupancy:
         assert metrics.measured_records == window[1] - window[0]
         assert metrics.occupancy_by_way == expected
         assert list(metrics.occupancy_by_way) == list(expected)
+
+
+class TestMemory:
+    @pytest.fixture(scope="class")
+    def round_robin(self):
+        spec = GeneratorSpec(static_branches=3000, records=200_000, seed=1)
+        return list(gen_records(spec))
+
+    @pytest.mark.parametrize("name", ["conv", "pdede"])
+    def test_peak_flat_in_trace_length(self, round_robin, name):
+        """Memos and stored predictions grow with the branches, not with the
+        records: ten times the records keep the same peak."""
+        peaks = []
+        for n in (20_000, 200_000):
+            model = build_model(name, budget_kb=14.5)
+            records = round_robin[:n]
+            tracemalloc.start()
+            try:
+                run(model, records)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
 
 class TestOffsetHistogram:

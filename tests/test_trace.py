@@ -5,9 +5,13 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from decoderef import read_binary_reference
+from btblab import trace as btrace
 from btblab.core import BranchKind
-from btblab.trace import (GeneratorSpec, GeneratorSpecError,
+from btblab.trace import (RECORD_BYTES, GeneratorSpec, GeneratorSpecError,
                           TraceFormatError, build_static_branches, gen_records,
                           generate, iter_records, load_trace, read_trace,
                           read_trace_jsonl, save_trace, write_records,
@@ -100,6 +104,129 @@ class TestBinaryFormat:
         assert unraisable == []
 
 
+_HEADER = struct.Struct("<4sBBHQ")
+_RECORD = struct.Struct("<QQBBHI")
+GOOD = (0x1000, 0x2000, 0, 1, 3, 0)  # pc, target, kind, taken, gap, pad
+CHUNK = btrace._CHUNK_RECORDS
+
+
+def raw_trace(records, count=None, isa_mode=0, tail=b"", cut=0):
+    """Bytes of a binary trace built field by field; `count` overrides the
+    header's record count, `cut` drops bytes from the end."""
+    blob = (_HEADER.pack(b"BTBT", 1, isa_mode, 0,
+                         len(records) if count is None else count)
+            + b"".join(_RECORD.pack(*r) for r in records) + tail)
+    return blob[:len(blob) - cut]
+
+
+def decoded(read, path):
+    """("ok", header, records) or ("error", message, record_index)."""
+    try:
+        header, records = read(path)
+    except TraceFormatError as exc:
+        return ("error", str(exc), exc.record_index)
+    return ("ok", header, list(records))
+
+
+def read_chunked(path):
+    header, records = iter_records(path)
+    return header, list(records)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def agree(path):
+    """The chunked reader and the per-record reference give the same result."""
+    got = decoded(read_chunked, path)
+    assert got == decoded(read_binary_reference, path)
+    return got
+
+
+MISALIGNED = (0x1001,) + GOOD[1:]
+
+
+class TestChunkedDecode:
+    @pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_counts_around_the_chunk_size(self, tmp_path, count):
+        path = tmp_path / "t.btbt"
+        path.write_bytes(raw_trace([GOOD] * count))
+        status, header, records = agree(path)
+        assert status == "ok" and len(records) == header.record_count == count
+
+    @pytest.mark.parametrize("index", [CHUNK - 1, CHUNK])
+    def test_defect_on_either_side_of_a_chunk_boundary(self, tmp_path, index):
+        records = [GOOD] * (CHUNK + 2)
+        records[index] = MISALIGNED
+        path = tmp_path / "t.btbt"
+        path.write_bytes(raw_trace(records))
+        assert agree(path)[2] == index
+
+    @pytest.mark.parametrize("count, cut, index", [
+        (CHUNK + 1, 5, CHUNK),        # final record cut short
+        (CHUNK + 1, RECORD_BYTES, CHUNK),  # file ends on the chunk boundary
+        (CHUNK, 1, CHUNK - 1),        # last record of a full chunk cut short
+    ])
+    def test_truncated_final_record(self, tmp_path, count, cut, index):
+        path = tmp_path / "t.btbt"
+        path.write_bytes(raw_trace([GOOD] * count, cut=cut))
+        assert agree(path) == ("error", f"record {index}: truncated record", index)
+
+    @pytest.mark.parametrize("count", [CHUNK - 1, CHUNK])
+    def test_trailing_bytes(self, tmp_path, count):
+        path = tmp_path / "t.btbt"
+        path.write_bytes(raw_trace([GOOD] * count, tail=b"\x00"))
+        assert agree(path)[1:] == (
+            f"record {count}: trailing bytes after last record", count)
+
+
+ADDRESSES = st.one_of(
+    st.integers(0, 2**46 - 1).map(lambda line: line << 2),  # valid either way
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([0x1001, 0x1002, 1 << 48, (1 << 48) - 4, 2**64 - 1]))
+FIELDS = st.tuples(ADDRESSES, ADDRESSES, st.integers(0, 7),
+                   st.sampled_from([0, 1, 1, 1, 2, 255]),
+                   st.integers(0, 0xFFFF),
+                   st.sampled_from([0, 0, 0, 0, 1, 2**32 - 1]))
+RECORDS = st.lists(st.one_of(st.just(GOOD), FIELDS), max_size=12)
+
+
+class TestDecoderFuzz:
+    @given(data=st.one_of(
+        st.binary(max_size=120),
+        st.builds(lambda head, body: _HEADER.pack(b"BTBT", *head) + body,
+                  st.tuples(st.sampled_from([1, 1, 1, 2]),
+                            st.sampled_from([0, 1, 1, 2]),
+                            st.sampled_from([0, 0, 0, 7]),
+                            st.integers(0, 8) | st.integers(0, 2**64 - 1)),
+                  st.binary(max_size=200))))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bytes_parse_or_raise_format_error(self, fuzz_dir, data):
+        path = fuzz_dir / "any.btbt"
+        path.write_bytes(data)
+        try:
+            read_trace(path)
+        except TraceFormatError:
+            pass
+
+    @given(records=RECORDS, isa_mode=st.integers(0, 1),
+           count_delta=st.integers(-2, 2), cut=st.integers(0, 30),
+           tail=st.sampled_from([b"", b"", b"\x00", b"\x01" * 30]))
+    @settings(max_examples=400, deadline=None)
+    def test_chunked_decoder_agrees_with_reference(self, fuzz_dir, records,
+                                                   isa_mode, count_delta,
+                                                   cut, tail):
+        path = fuzz_dir / "agree.btbt"
+        count = max(0, len(records) + count_delta)
+        path.write_bytes(raw_trace(records, count, isa_mode, tail, cut))
+        # A tiny chunk makes these short files span several chunks.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(btrace, "_CHUNK_RECORDS", 3)
+            agree(path)
+
+
 class TestJsonlFormat:
     def test_round_trip(self, small_trace, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -150,6 +277,13 @@ class TestJsonlFormat:
             read_trace_jsonl(path)
         assert err.value.record_index is None
 
+    @pytest.mark.parametrize("mode", ["[]", "{}", "0", '"arm"'])
+    def test_isa_mode_of_any_json_type_rejected(self, tmp_path, mode):
+        path = tmp_path / "t.jsonl"
+        path.write_text(f'{{"format": "btbt", "isa_mode": {mode}}}\n')
+        with pytest.raises(TraceFormatError, match="unknown isa_mode"):
+            read_trace_jsonl(path)
+
     @pytest.mark.parametrize("line", ["[1, 2]", '"0x1000"', "3", "null"])
     def test_non_object_record_rejected(self, tmp_path, line):
         head = {"format": "btbt", "version": 1, "isa_mode": "aligned4"}
@@ -158,6 +292,45 @@ class TestJsonlFormat:
         with pytest.raises(TraceFormatError, match="not a JSON object") as err:
             read_trace_jsonl(path)
         assert err.value.record_index == 0
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["0x1000", "0x2000", "0x1001", "-0x4", "cond", "ret",
+                       "ind_call", "aligned4", "byte", "btbt", ""])
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+JSONL_HEADERS = st.fixed_dictionaries(
+    {"format": st.sampled_from(["btbt", "btbt", "x"]) | JSON_VALUES},
+    optional={"isa_mode": st.sampled_from(["aligned4", "byte"]) | JSON_VALUES,
+              "record_count": st.integers(0, 3) | JSON_VALUES,
+              "version": JSON_VALUES})
+JSONL_RECORDS = st.fixed_dictionaries(
+    {}, optional={"pc": st.sampled_from(["0x1000", "0x2000"]) | JSON_VALUES,
+                  "target": st.sampled_from(["0x1000", "0x2000"]) | JSON_VALUES,
+                  "kind": st.sampled_from(["cond", "ret", "call"]) | JSON_VALUES,
+                  "taken": st.booleans() | JSON_VALUES,
+                  "gap": st.integers(-1, 70000) | JSON_VALUES})
+
+
+class TestJsonlFuzz:
+    @given(text=st.one_of(
+        st.text(max_size=200),
+        st.builds(lambda head, lines: "\n".join([head, *lines]) + "\n",
+                  JSONL_HEADERS.map(json.dumps),
+                  st.lists(JSONL_RECORDS.map(json.dumps) | JSON_VALUES.map(json.dumps)
+                           | st.text(max_size=20), max_size=4))))
+    @settings(max_examples=400, deadline=None)
+    def test_any_text_parses_or_raises_format_error(self, fuzz_dir, text):
+        path = fuzz_dir / "any.jsonl"
+        path.write_text(text, encoding="utf-8")
+        try:
+            trace = read_trace_jsonl(path)
+        except TraceFormatError:
+            return
+        assert len(trace.records) == trace.header.record_count
 
 
 class TestGenerator:
