@@ -219,6 +219,7 @@ def cmd_compare(args) -> int:
 CHECK_INVARIANTS_HELP = ("check the model's internal invariants after every "
                          "commit (slow; exit 3 on a violation)")
 
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="btblab",
                      description="BTB organization simulator and accounting tool")
