@@ -81,7 +81,7 @@ class LruState:
         self.stamps[way] = self.clock
         self.clock += 1
 
-    def oldest(self, first: int = 0) -> int:
+    def oldest(self, first: int) -> int:
         """The least recently used of ways first, first + 1, ..."""
         stamps = self.stamps
         return stamps.index(min(stamps[first:]), first)

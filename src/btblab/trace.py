@@ -210,7 +210,7 @@ _JSONL_FIELDS = {"pc": str, "target": str, "kind": str, "taken": bool, "gap": in
 def _jsonl_record(line: str, index: int) -> BranchRecord:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
         raise TraceFormatError(str(exc), index) from None
     if not isinstance(obj, dict):
         raise TraceFormatError("record is not a JSON object", index)
@@ -234,7 +234,7 @@ def read_trace_jsonl(path) -> TraceFile:
         head_line = fh.readline()
         try:
             head = json.loads(head_line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise TraceFormatError(f"bad header line: {exc}") from None
         if not isinstance(head, dict) or head.get("format") != "btbt":
             raise TraceFormatError("missing btbt header object")

@@ -166,7 +166,8 @@ class TestSimulate:
          ' "gap": 0}', "record 0: kind"),
         ("[1, 2]", "record 0: record is not a JSON object"),
         (None, "header"),  # the header line itself is [1, 2]
-    ])
+        ("[" * 100_000, "record 0: maximum recursion depth"),
+    ], ids=lambda v: v if v is None or len(v) < 100 else "deeply-nested")
     def test_malformed_jsonl_exit_2(self, workdir, record, message):
         head = '{"format": "btbt", "version": 1, "isa_mode": "aligned4"}'
         text = "[1, 2]\n" if record is None else f"{head}\n{record}\n"

@@ -284,6 +284,16 @@ class TestJsonlFormat:
         with pytest.raises(TraceFormatError, match="unknown isa_mode"):
             read_trace_jsonl(path)
 
+    @pytest.mark.parametrize("header", [True, False])
+    def test_nesting_too_deep_rejected(self, tmp_path, header):
+        head = '{"format": "btbt", "isa_mode": "aligned4"}\n'
+        deep = "[" * 100_000 + "\n"
+        path = tmp_path / "t.jsonl"
+        path.write_text(deep if header else head + deep)
+        with pytest.raises(TraceFormatError, match="recursion") as err:
+            read_trace_jsonl(path)
+        assert err.value.record_index == (None if header else 0)
+
     @pytest.mark.parametrize("line", ["[1, 2]", '"0x1000"', "3", "null"])
     def test_non_object_record_rejected(self, tmp_path, line):
         head = {"format": "btbt", "version": 1, "isa_mode": "aligned4"}
