@@ -1,23 +1,39 @@
-"""btblab: trace-driven simulation and storage accounting for BTB designs."""
+"""btblab: trace-driven simulation and storage accounting for BTB designs.
+
+The names below are exported lazily: `from btblab import run` imports the
+simulator on first use, so a command that needs only the trace generator
+never loads the models.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .core import (ALIGNED4, BYTE, BranchKind, BranchRecord, IsaProfile,
-                   OffsetEncoding, ReturnAddressStack, decode_target,
-                   encode_offset, required_offset_width)
-from .models import BtbX, ConvBtb, PdedeBtb, RBtb, build_model
-from .sim import Metrics, SimConfig, compare, offset_histogram, run
-from .storage import (BtbxGeometry, ConvGeometry, btbx_total_bits,
-                      capacity_table, conv_capacity, x86_geometry)
-from .trace import (GeneratorSpec, TraceFile, generate, load_trace,
-                    read_trace, save_trace, write_trace)
+_EXPORTS = {
+    "core": ("ALIGNED4", "BYTE", "BranchKind", "BranchRecord", "IsaProfile",
+             "OffsetEncoding", "ReturnAddressStack", "decode_target",
+             "encode_offset", "required_offset_width"),
+    "models": ("BtbX", "ConvBtb", "PdedeBtb", "RBtb", "build_model"),
+    "sim": ("Metrics", "SimConfig", "compare", "offset_histogram", "run"),
+    "storage": ("BtbxGeometry", "ConvGeometry", "btbx_total_bits",
+                "capacity_table", "conv_capacity", "x86_geometry"),
+    "trace": ("GeneratorSpec", "TraceFile", "generate", "load_trace",
+              "read_trace", "save_trace", "write_trace"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
 
-__all__ = [
-    "ALIGNED4", "BYTE", "BranchKind", "BranchRecord", "BtbX", "BtbxGeometry",
-    "ConvBtb", "ConvGeometry", "GeneratorSpec", "IsaProfile", "Metrics",
-    "OffsetEncoding", "PdedeBtb", "RBtb", "ReturnAddressStack", "SimConfig",
-    "TraceFile", "btbx_total_bits", "build_model", "capacity_table",
-    "compare", "conv_capacity", "decode_target", "encode_offset", "generate",
-    "load_trace", "offset_histogram", "read_trace", "required_offset_width",
-    "run", "save_trace", "write_trace", "x86_geometry",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

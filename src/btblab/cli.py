@@ -7,6 +7,9 @@ so equal manifests mean equal results.
 
 Exit codes: 0 success, 1 usage error, 2 input/parse error, 3 internal
 invariant violation.
+
+Each command imports the modules it needs when it runs, so `gen-trace`
+never loads the models, the simulator or the storage tables.
 """
 
 from __future__ import annotations
@@ -14,18 +17,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import logging
 import sys
 from typing import List, Optional
 
 from . import __version__
-from .core import KINDS_BY_NAME, profile_for_mode
-from .models import ConfigError, MODEL_NAMES, build_model
-from .models.base import InvariantError
-from .sim import SimConfig, compare, compare_csv, offset_histogram, run
-from .storage import capacity_table, capacity_table_csv
+from .core import (KINDS_BY_NAME, MODEL_NAMES, ConfigError, InvariantError,
+                   profile_for_mode)
 from .trace import (GeneratorSpec, GeneratorSpecError, TraceFormatError,
-                    generate, load_trace, save_trace)
+                    gen_records, load_trace, write_records)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -134,14 +133,15 @@ def cmd_gen_trace(args) -> int:
         isa_mode=_ISA_MODES[args.isa],
     )
     spec.validate()
-    trace = generate(spec)
-    save_trace(args.output, trace)
+    written = write_records(args.output, spec.isa_mode, gen_records(spec),
+                            count=spec.records)
     manifest = write_manifest(args.output, "gen-trace", spec.to_dict())
-    print(f"wrote {args.output} ({len(trace.records)} records), {manifest}")
+    print(f"wrote {args.output} ({written} records), {manifest}")
     return EXIT_OK
 
 
 def cmd_analyze_offsets(args) -> int:
+    from .sim import offset_histogram
     trace = load_trace(args.trace)
     csv_text = offset_histogram(trace).csv()
     _write_text(args.output, csv_text)
@@ -152,6 +152,9 @@ def cmd_analyze_offsets(args) -> int:
 
 
 def cmd_capacity_table(args) -> int:
+    import logging  # for the extrapolated-budget warning
+    from .storage import capacity_table, capacity_table_csv
+    logging.basicConfig(level=logging.WARNING, format="btblab: %(message)s")
     budgets = None
     if args.budgets:
         try:
@@ -167,13 +170,16 @@ def cmd_capacity_table(args) -> int:
     return EXIT_OK
 
 
-def _sim_config(args, trace) -> SimConfig:
+def _sim_config(args, trace):
+    from .sim import SimConfig
     return SimConfig(isa=trace.isa, warmup_records=args.warmup,
                      measure_records=args.measure,
                      debug=args.check_invariants)
 
 
 def cmd_simulate(args) -> int:
+    from .models import build_model
+    from .sim import run
     trace = load_trace(args.trace)
     config = _sim_config(args, trace)
     model = build_model(args.model, budget_kb=args.budget_kb, sets=args.sets,
@@ -196,6 +202,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .sim import compare, compare_csv
     names = [m.strip() for m in args.models.split(",") if m.strip()]
     for name in names:
         if name not in MODEL_NAMES:
@@ -287,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="btblab: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,4 +1,5 @@
-"""Address arithmetic, ISA profiles, the target-offset codec, and the RAS.
+"""Address arithmetic, ISA profiles, the target-offset codec, and the RAS;
+also the model names and errors that the CLI needs without the models.
 
 The offset codec is the storage trick everything else builds on: instead of
 keeping a full target address per branch, keep only the target's low-order
@@ -15,6 +16,17 @@ from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple, Optional
+
+
+MODEL_NAMES = ("conv", "rbtb", "pdede", "btbx")
+
+
+class ConfigError(ValueError):
+    """A model/budget combination that cannot be resolved."""
+
+
+class InvariantError(AssertionError):
+    """Internal model state violated a structural invariant (a bug)."""
 
 
 class BranchKind(IntEnum):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core import ALIGNED4, IsaProfile
+from ..core import ALIGNED4, MODEL_NAMES, ConfigError, IsaProfile
 from .. import storage
 from .base import (BtbModel, InvariantError, LruState, Prediction, SetArray,
                    UpdateOutcome)
@@ -12,13 +12,7 @@ from .btbx import BtbX
 from .conv import ConvBtb
 from .paged import PdedeBtb, RBtb
 
-MODEL_NAMES = ("conv", "rbtb", "pdede", "btbx")
-
 RBTB_PAGE_ENTRY_BITS = 37  # valid + full 36-bit page number
-
-
-class ConfigError(ValueError):
-    """A model/budget combination that cannot be resolved."""
 
 
 def _match_preset(budget_kb: float, isa: IsaProfile) -> storage.BudgetPreset:

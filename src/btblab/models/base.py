@@ -12,11 +12,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from ..core import BranchKind, BranchRecord, xor_fold
-
-
-class InvariantError(AssertionError):
-    """Internal model state violated a structural invariant (a bug)."""
+from ..core import BranchKind, BranchRecord, InvariantError, xor_fold
 
 
 class Prediction(NamedTuple):
@@ -120,9 +116,14 @@ class SetArray:
     The set and tag of a line are computed once and memoized for the life of
     the table, so the memo grows with the distinct lines seen, not with the
     number of lookups.
+
+    `changes` is a one-item list counting the fills into empty ways and the
+    invalidations, the only writes that move a valid count.  A model shares
+    one such counter among all its tables (see `BtbModel.changes`).
     """
 
-    __slots__ = ("sets", "ways", "tag_bits", "tags", "lru", "way_valid", "memo")
+    __slots__ = ("sets", "ways", "tag_bits", "tags", "lru", "way_valid", "memo",
+                 "changes")
 
     def __init__(self, sets: int, ways: int, tag_bits: int = 0):
         self.sets, self.ways, self.tag_bits = sets, ways, tag_bits
@@ -130,6 +131,7 @@ class SetArray:
         self.lru = [LruState(ways) for _ in range(sets)]
         self.way_valid = [0] * ways
         self.memo = {}  # line -> (set, tag)
+        self.changes = [0]
 
     def set_tag(self, line: int):
         """(set, tag) of a line address: the set is line % sets and the tag
@@ -161,6 +163,7 @@ class SetArray:
         if INVALID in row[first:]:
             way = row.index(INVALID, first)
             self.way_valid[way] += 1
+            self.changes[0] += 1
             victim_valid = False
         else:
             way = lru.oldest(first)
@@ -172,6 +175,7 @@ class SetArray:
     def invalidate(self, s: int, way: int) -> None:
         self.tags[s][way] = INVALID
         self.way_valid[way] -= 1
+        self.changes[0] += 1
 
     def valid(self) -> int:
         return sum(self.way_valid)
@@ -203,9 +207,14 @@ class BtbModel:
     `lookup` probes it through `_lookup_probe`, which keeps the result, and
     `commit_update` through `_main_probe`, which reuses it for the same
     branch, so a record's main-array probe happens once.
+
+    `changes` is the model's change counter, a one-item list shared by all
+    its tables: whenever a count in `occupancy_items()` may have moved, it
+    has moved, so a reader re-reads the counts only when it differs.
     """
 
     name = "?"
+    changes = None  # set by each model to its main array's counter
     _last_probe = None  # (pc, (set, tag, way)) of the last lookup
 
     def _lookup_probe(self, pc: int):

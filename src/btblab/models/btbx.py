@@ -52,6 +52,7 @@ class BtbX(BtbModel):
         self._pred = [[None] * ways for _ in range(sets)]
         self._owner = [[None] * ways for _ in range(sets)]
         self._xc = SetArray(n, 1, XC_TAG_BITS)  # direct-mapped: one way
+        self.changes = self._xc.changes = self._main.changes
         self._xc_pred = [None] * n  # full targets: the same for every pc
 
     # -- address plumbing ---------------------------------------------------

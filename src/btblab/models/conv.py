@@ -33,6 +33,7 @@ class ConvBtb(BtbModel):
         self._sources = way_sources(ways)
         self._out = outcome_table("main", ways)
         self._main = SetArray(sets, ways, tag_bits)
+        self.changes = self._main.changes
         # A full target does not depend on the pc, so an entry's payload is
         # the prediction its hits return.
         self._pred = [[None] * ways for _ in range(sets)]

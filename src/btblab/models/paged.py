@@ -49,6 +49,7 @@ class RBtb(BtbModel):
         self._sources = way_sources(ways)
         self._out = outcome_table("main", ways)
         self._main = SetArray(sets, ways, tag_bits)
+        self.changes = self._main.changes
         self._in_off = [[0] * ways for _ in range(sets)]
         self._page_ptr = [[NO_PAGE] * ways for _ in range(sets)]
         self._page_gen = [[0] * ways for _ in range(sets)]
@@ -71,6 +72,7 @@ class RBtb(BtbModel):
             return slot, self._pt_gen[slot]
         if len(self._pt_map) < self.page_entries:
             slot = len(self._pt_map)  # slots fill in order and are never emptied
+            self.changes[0] += 1
         else:
             slot = self._pt_lru.oldest()
             del self._pt_map[self._pt_page[slot]]
@@ -198,6 +200,7 @@ class PdedeBtb(BtbModel):
         # One set of region slots, tagged by region number.
         self._rt = SetArray(1, region_entries)
         self._rt_gen = [0] * region_entries
+        self.changes = self._pt.changes = self._rt.changes = self._main.changes
 
     # -- side tables ----------------------------------------------------
     #

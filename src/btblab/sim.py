@@ -105,7 +105,7 @@ def run(model: BtbModel, trace: Union[TraceFile, Sequence[BranchRecord]],
         total, warmup + config.measure_records)
 
     ras = ReturnAddressStack(config.ras_capacity)
-    lookup, commit = model.lookup, model.commit_update
+    lookup, commit, changes = model.lookup, model.commit_update, model.changes
     check = model.check_invariants if config.debug else None
     RETURN = BranchKind.RETURN
     hits: Dict[str, int] = {}
@@ -132,8 +132,8 @@ def run(model: BtbModel, trace: Union[TraceFile, Sequence[BranchRecord]],
             else:
                 misses += 1
                 wrong += 1
-        outcome = commit(rec)
-        if measured and outcome.kind != "hit":
+        commit(rec)
+        if measured and changes[0] != occupancy.seen:
             occupancy.change(i)
         if check is not None:
             check()
@@ -163,21 +163,24 @@ class _OccupancyArea:
     """Valid entries per structure summed over the measured records.
 
     Each record contributes the valid counts as they stand after it.  Those
-    change only on a commit whose outcome is not "hit", so the model is read
-    at the window's start and after each such commit, and the area grows by
-    count x records between readings that differ; the integer sums equal a
-    per-record sample exactly.
+    change only when the model's change counter moves, so the model is read
+    at the window's start and after each commit that moved it, and the area
+    grows by count x records between readings that differ; the integer sums
+    equal a per-record sample exactly.
     """
 
     def __init__(self, model: BtbModel, start: int):
         self._read = model.occupancy_items
+        self._changes = model.changes
+        self.seen = self._changes[0]  # counter value `items` was read at
         self.items = self._read()
         self.area = [0] * len(self.items)
         self.start = start
         self.since = start  # first record whose state `items` describes
 
     def change(self, i: int) -> None:
-        """Record i's commit may have changed the valid counts."""
+        """Record i's commit moved the model's change counter."""
+        self.seen = self._changes[0]
         items = self._read()
         if items != self.items:
             self._close(i)

@@ -14,13 +14,10 @@ values round half-up at the precision carried by each preset row.
 from __future__ import annotations
 
 import decimal
-import logging
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import IsaProfile, ALIGNED4
-
-log = logging.getLogger(__name__)
 
 BITS_PER_KB = 8192
 
@@ -312,8 +309,10 @@ def capacity_table(budgets_kb: Optional[Iterable] = None,
             btbx = geometry.branch_capacity if geometry else None
             pdede = None
             extrapolated = True
-            log.warning("budget %.5g KB matches no preset: pdede column omitted, "
-                        "other columns extrapolated", budget)
+            import logging  # only this warning needs it
+            logging.getLogger(__name__).warning(
+                "budget %.5g KB matches no preset: pdede column omitted, "
+                "other columns extrapolated", budget)
         rows.append(CapacityRow(
             budget_kb=kb(bits),
             budget_label=label,

@@ -10,25 +10,33 @@ object per record with pc/target as hex strings.
 
 The generator builds a fixed static branch set and replays it under a
 round-robin, uniform, or zipf access pattern.  Branch PCs are laid out one
-per page (stride of a page plus one line) so that set indices stay uniform
-for any set count while target pages stay distinct; kind and offset-width
-classes are dealt out by largest-remainder interleaving, which pins the
-realized class shares to the requested ones and spreads each class evenly
-across sets.  Returns take their per-record target from a shadow call
-stack, so call/return pairing is meaningful to a RAS.
+per page (stride of a page plus one line), which keeps target pages
+distinct.  Set indices are not uniform for every set count: the stride
+shares a factor with many of them, so such a table sees only some of its
+sets (ROADMAP.md, item 1).  Kind and offset-width classes are dealt out by
+largest-remainder interleaving, which pins the realized class shares to
+the requested ones and spreads each class evenly through the branch
+order.  Returns take their per-record target from a shadow call stack, so
+call/return pairing is meaningful to a RAS.  Generation streams: records
+are made one at a time and the writers take any iterable, so a trace of
+any length is written in constant memory.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import random
 import struct
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from itertools import accumulate, cycle, islice
+from operator import add
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
-from .core import (CALL_BYTES, BranchKind, BranchRecord, IsaProfile,
-                   KIND_NAMES, KINDS_BY_NAME, mode_name, profile_for_mode)
+from .core import (CALL_BYTES, CALL_KINDS, BranchKind, BranchRecord,
+                   IsaProfile, KIND_NAMES, KINDS_BY_NAME, mode_name,
+                   profile_for_mode)
 
 MAGIC = b"BTBT"
 VERSION = 1
@@ -79,26 +87,53 @@ def _validate_record(rec: BranchRecord, isa: IsaProfile, index: int) -> None:
         raise TraceFormatError(f"gap {rec.gap} exceeds format limit", index)
 
 
-# -- binary form -------------------------------------------------------------
+_CHUNK_RECORDS = 1 << 14  # records read, or packed and written, at a time
 
-def write_trace(path, trace: TraceFile) -> None:
-    write_records(path, trace.header.isa_mode, trace.records,
-                  count=len(trace.records))
+
+def _chunks(records: Iterable[BranchRecord]) -> Iterator[List[BranchRecord]]:
+    """Consecutive lists of up to _CHUNK_RECORDS records."""
+    records = iter(records)
+    while chunk := list(islice(records, _CHUNK_RECORDS)):
+        yield chunk
+
+
+def _is_text(path) -> bool:
+    return str(path).endswith((".jsonl", ".json"))
 
 
 def write_records(path, isa_mode: int, records: Iterable[BranchRecord],
                   count: Optional[int] = None) -> int:
-    """Stream records to a binary trace; patches the header count afterwards
-    when it is not known up front.  Returns the record count."""
+    """Stream records to a trace file and return how many were written.
+
+    A .jsonl/.json path selects the text form, any other the binary form.
+    `count` is the header's record count: the binary writer patches it
+    afterwards when it is missing or wrong, while the text form needs it up
+    front, so without it the records are gathered into a list first.
+    """
     profile_for_mode(isa_mode)
+    if _is_text(path):
+        return _write_jsonl(path, isa_mode, records, count)
+    return _write_binary(path, isa_mode, records, count)
+
+
+# -- binary form -------------------------------------------------------------
+
+def write_trace(path, trace: TraceFile) -> None:
+    _write_binary(path, trace.header.isa_mode, trace.records,
+                  len(trace.records))
+
+
+def _write_binary(path, isa_mode: int, records: Iterable[BranchRecord],
+                  count: Optional[int]) -> int:
+    pack = _RECORD.pack
+    written = 0
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, isa_mode, 0, count or 0))
-        written = 0
-        for rec in records:
-            fh.write(_RECORD.pack(rec.pc, rec.target, int(rec.kind),
-                                  int(rec.taken), rec.gap, 0))
-            written += 1
-        if count is None or count != written:
+        for chunk in _chunks(records):
+            fh.write(b"".join([pack(r.pc, r.target, r.kind, r.taken, r.gap, 0)
+                               for r in chunk]))
+            written += len(chunk)
+        if count != written:
             fh.seek(8)  # record_count field offset
             fh.write(struct.pack("<Q", written))
     return written
@@ -130,7 +165,6 @@ def iter_records(path) -> Tuple[TraceHeader, Iterator[BranchRecord]]:
     return next(records), records
 
 
-_CHUNK_RECORDS = 1 << 14  # records read and unpacked at a time
 _KINDS = tuple(BranchKind)  # indexed by kind code
 
 
@@ -193,14 +227,31 @@ def read_trace(path) -> TraceFile:
 # -- text (JSON lines) form ---------------------------------------------------
 
 def write_trace_jsonl(path, trace: TraceFile) -> None:
+    _write_jsonl(path, trace.header.isa_mode, trace.records,
+                 len(trace.records))
+
+
+def _write_jsonl(path, isa_mode: int, records: Iterable[BranchRecord],
+                 count: Optional[int]) -> int:
+    if count is None:
+        records = list(records)
+        count = len(records)
+    dumps = json.dumps
+    written = 0
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"format": "btbt", "version": VERSION,
-                             "isa_mode": mode_name(trace.header.isa_mode),
-                             "record_count": len(trace.records)}) + "\n")
-        for rec in trace.records:
-            fh.write(json.dumps({"pc": hex(rec.pc), "target": hex(rec.target),
-                                 "kind": KIND_NAMES[rec.kind],
-                                 "taken": rec.taken, "gap": rec.gap}) + "\n")
+        fh.write(dumps({"format": "btbt", "version": VERSION,
+                        "isa_mode": mode_name(isa_mode),
+                        "record_count": count}) + "\n")
+        for chunk in _chunks(records):
+            fh.write("".join([dumps({"pc": hex(r.pc), "target": hex(r.target),
+                                     "kind": KIND_NAMES[r.kind],
+                                     "taken": r.taken, "gap": r.gap}) + "\n"
+                              for r in chunk]))
+            written += len(chunk)
+    if written != count:
+        raise ValueError(f"{path}: header declares {count} records, "
+                         f"{written} were written")
+    return written
 
 
 # JSON type of each record field; pc and target are hex strings.
@@ -229,9 +280,24 @@ def _jsonl_record(line: str, index: int) -> BranchRecord:
         raise TraceFormatError(f"bad field value: {exc}", index) from None
 
 
+def _utf8(line: str) -> bool:
+    """Whether a line read with errors="surrogateescape" was valid UTF-8:
+    that handler turns each undecodable byte into a lone surrogate, which
+    valid UTF-8 never decodes to."""
+    if line.isascii():
+        return True
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def read_trace_jsonl(path) -> TraceFile:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         head_line = fh.readline()
+        if not _utf8(head_line):
+            raise TraceFormatError("bad header line: not valid UTF-8")
         try:
             head = json.loads(head_line)
         except (json.JSONDecodeError, RecursionError) as exc:
@@ -242,16 +308,23 @@ def read_trace_jsonl(path) -> TraceFile:
         name = head.get("isa_mode")
         if not isinstance(name, str) or name not in mode_names:
             raise TraceFormatError(f"unknown isa_mode {name!r}")
+        declared = head.get("record_count")
+        if "record_count" in head and (not isinstance(declared, int)
+                                       or isinstance(declared, bool)
+                                       or declared < 0):
+            raise TraceFormatError(
+                f"record_count must be a non-negative JSON int, got {declared!r}")
         mode = mode_names[name]
         isa = profile_for_mode(mode)
         records = []
         for index, line in enumerate(fh):
+            if not _utf8(line):
+                raise TraceFormatError("line is not valid UTF-8", index)
             if not line.strip():
                 continue
             rec = _jsonl_record(line, index)
             _validate_record(rec, isa, index)
             records.append(rec)
-        declared = head.get("record_count")
         if declared is not None and declared != len(records):
             raise TraceFormatError(
                 f"header declares {declared} records, found {len(records)}")
@@ -260,15 +333,12 @@ def read_trace_jsonl(path) -> TraceFile:
 
 def load_trace(path) -> TraceFile:
     """Read either form; .jsonl/.json extensions select the text reader."""
-    text = str(path).endswith((".jsonl", ".json"))
-    return read_trace_jsonl(path) if text else read_trace(path)
+    return read_trace_jsonl(path) if _is_text(path) else read_trace(path)
 
 
 def save_trace(path, trace: TraceFile) -> None:
-    if str(path).endswith((".jsonl", ".json")):
-        write_trace_jsonl(path, trace)
-    else:
-        write_trace(path, trace)
+    write_records(path, trace.header.isa_mode, trace.records,
+                  count=len(trace.records))
 
 
 # -- synthetic workloads ------------------------------------------------------
@@ -365,19 +435,36 @@ class GeneratorSpec:
 def _deal(weights: List[float], n: int) -> List[int]:
     """Largest-remainder interleave: deal n draws over classes so realized
     shares track `weights` exactly and classes spread evenly through the
-    sequence.  Integer arithmetic keeps ties exact, breaking toward the
-    earlier class (so equal call/return shares alternate call-first)."""
+    sequence.  Integer arithmetic keeps ties exact, and `index` finds the
+    first maximum, so a tie goes to the earlier class (equal call/return
+    shares alternate call-first).
+
+    The remainders are the whole state, so once they are all back at zero
+    the deal repeats from its start; shares in whole percent come back
+    every 100 draws, and only one period is computed."""
     scaled = [round(w * 10**9) for w in weights]
     total = sum(scaled)
     err = [0] * len(scaled)
     out = []
-    for _ in range(n):
-        for i, w in enumerate(scaled):
-            err[i] += w
-        pick = max(range(len(scaled)), key=lambda i: (err[i], -i))
+    while len(out) < n:
+        err = list(map(add, err, scaled))
+        pick = err.index(max(err))
         err[pick] -= total
         out.append(pick)
-    return out
+        if not any(err):
+            out *= -(-n // len(out))  # whole periods, at least n draws
+    return out[:n]
+
+
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform draw from range(n), n >= 1, that takes the same bits from
+    the generator as CPython's `randrange(n)`: rejection sampling on
+    n.bit_length() bits.  `randint(lo, hi)` is lo + _below(.., hi - lo + 1)."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 @dataclass
@@ -391,69 +478,81 @@ class StaticBranch:
 def build_static_branches(spec: GeneratorSpec) -> List[StaticBranch]:
     spec.validate()
     isa = profile_for_mode(spec.isa_mode)
-    rng = random.Random(spec.seed)
+    getrandbits = random.Random(spec.seed).getrandbits
     n = spec.static_branches
-    kind_ids = _deal([p for _, p in spec.kind_mix], n)
-    bucket_ids = _deal([p for _, _, p in spec.width_buckets], n)
-    # One branch per page keeps target pages distinct while the +1 keeps
-    # line addresses (hence set indices) marching through every set.
-    stride = (1 << (12 - isa.align_shift)) + 1
+    kinds = [spec.kind_mix[i][0]
+             for i in _deal([p for _, p in spec.kind_mix], n)]
+    # (lowest width, number of widths) of each bucket
+    spans = [(lo, hi - lo + 1) for lo, hi, _ in spec.width_buckets]
+    buckets = [spans[i] for i in _deal([p for _, _, p in spec.width_buckets], n)]
+    shift = isa.align_shift
+    # One branch per page keeps target pages distinct, and the +1 moves each
+    # branch to the next line within its page.  Set indices do not reach
+    # every set: the stride shares a factor with many set counts (ROADMAP.md,
+    # item 1).
+    stride = (1 << (12 - shift)) + 1
     branches = []
-    for j in range(n):
+    for j, kind, (lo, span) in zip(range(n), kinds, buckets):
         line = BASE_LINE + j * stride
-        pc = line << isa.align_shift
-        kind = spec.kind_mix[kind_ids[j]][0]
-        lo, hi, _ = spec.width_buckets[bucket_ids[j]]
-        width = rng.randint(lo, hi)
+        pc = line << shift
+        width = lo + _below(getrandbits, span)
         if kind is BranchKind.RETURN:
             width = RETURN_FALLBACK_WIDTH  # placeholder; real targets come from pairing
         if width == 0:
             target = pc
         else:
-            flip = (1 << (width - 1)) | rng.getrandbits(width - 1)
-            target = (line ^ flip) << isa.align_shift
+            flip = (1 << (width - 1)) | getrandbits(width - 1)
+            target = (line ^ flip) << shift
         branches.append(StaticBranch(pc, target, kind, width))
     return branches
 
 
 def _index_stream(spec: GeneratorSpec, rng: random.Random) -> Iterator[int]:
-    n = spec.static_branches
+    """Static branch index of each record, drawn lazily from rng."""
+    n, records = spec.static_branches, spec.records
     if spec.pattern == "round_robin":
-        for t in range(spec.records):
-            yield t % n
-    elif spec.pattern == "uniform":
-        for _ in range(spec.records):
-            yield rng.randrange(n)
-    else:  # zipf over branch index (lower index = hotter)
-        weights = [1.0 / (r + 1) ** spec.zipf_s for r in range(n)]
-        cum = []
-        acc = 0.0
-        for w in weights:
-            acc += w
-            cum.append(acc)
-        for _ in range(spec.records):
-            yield bisect.bisect_left(cum, rng.random() * acc)
+        return islice(cycle(range(n)), records)
+    if spec.pattern == "uniform":
+        getrandbits = rng.getrandbits
+        return (_below(getrandbits, n) for _ in range(records))
+    # zipf over branch index (lower index = hotter)
+    cum = list(accumulate(1.0 / (r + 1) ** spec.zipf_s for r in range(n)))
+    total, draw = cum[-1], rng.random
+    return (bisect_left(cum, draw() * total) for _ in range(records))
 
 
 def gen_records(spec: GeneratorSpec) -> Iterator[BranchRecord]:
-    """Dynamic stream over the static set; deterministic for a fixed seed."""
-    statics = build_static_branches(spec)
+    """Dynamic stream over the static set; deterministic for a fixed seed.
+
+    Each record takes its draws from one generator in a fixed order: the
+    branch index (uniform and zipf only), the gap, then the direction of a
+    conditional branch.
+    """
+    # (pc, target, kind, is conditional, is a return, is a call)
+    statics = [(b.pc, b.target, b.kind, b.kind is BranchKind.CONDITIONAL,
+                b.kind is BranchKind.RETURN, b.kind in CALL_KINDS)
+               for b in build_static_branches(spec)]
     rng = random.Random(spec.seed + 1)  # stream draws, distinct from static draws
-    shadow: List[int] = []
+    getrandbits, draw = rng.getrandbits, rng.random
+    taken_rate = spec.taken_rate
+    gaps = 2 * spec.gap_mean + 1  # a gap is drawn from range(gaps)
+    gap_bits = gaps.bit_length()
+    # The shadow call stack grows by about 1% of records (calls outnumber
+    # returns), so it holds packed u64s rather than int objects.
+    shadow = array("Q")
     for idx in _index_stream(spec, rng):
-        b = statics[idx]
-        gap = rng.randint(0, 2 * spec.gap_mean) if spec.gap_mean else 0
-        if b.kind is BranchKind.CONDITIONAL:
-            taken = rng.random() < spec.taken_rate
-        else:
-            taken = True
-        if b.kind is BranchKind.RETURN:
-            target = shadow.pop() if shadow else b.target
-        else:
-            target = b.target
-        if taken and b.kind.is_call:
-            shadow.append(b.pc + CALL_BYTES)
-        yield BranchRecord(b.pc, target, b.kind, taken, gap)
+        pc, target, kind, is_cond, is_ret, is_call = statics[idx]
+        gap = 0
+        if gaps > 1:  # _below(getrandbits, gaps), inlined
+            gap = getrandbits(gap_bits)
+            while gap >= gaps:
+                gap = getrandbits(gap_bits)
+        taken = draw() < taken_rate if is_cond else True
+        if is_ret and shadow:
+            target = shadow.pop()
+        elif is_call:  # calls are never conditional, so always taken
+            shadow.append(pc + CALL_BYTES)
+        yield BranchRecord(pc, target, kind, taken, gap)
 
 
 def generate(spec: GeneratorSpec) -> TraceFile:

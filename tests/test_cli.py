@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btblab import cli as btblab_cli
+from btblab import models as btblab_models
 from btblab.models import build_model
 from btblab.trace import (GeneratorSpec, TraceFormatError, generate,
                           read_trace, write_trace)
@@ -252,7 +253,7 @@ class TestCheckInvariants:
             model._main.memo[0x12345] = (s, tag ^ 1)
             return model
 
-        monkeypatch.setattr(btblab_cli, "build_model", corrupted)
+        monkeypatch.setattr(btblab_models, "build_model", corrupted)
         args = ["simulate", "--model", "btbx", "--budget-kb", "0.9",
                 churn_trace(workdir / "ws.btbt")]
         assert main_in_process(args)[0] == 0  # nothing reads the stray entry
@@ -297,6 +298,37 @@ class TestFuzzedInput:
             assert code == 0, err
         else:
             assert code == 2 and "btblab: input error:" in err
+
+
+class TestLazyImports:
+    def test_gen_trace_loads_no_model_stack(self, workdir):
+        script = ("import json, sys\n"
+                  "from btblab.cli import main\n"
+                  f"code = main({gen_args('ws.btbt')!r})\n"
+                  "print(json.dumps([code, sorted(sys.modules)]))\n")
+        res = subprocess.run([sys.executable, "-c", script], cwd=workdir,
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        code, modules = json.loads(res.stdout.splitlines()[-1])
+        assert code == 0 and "btblab.trace" in modules
+        loaded = {"btblab.models", "btblab.sim", "btblab.storage",
+                  "logging"} & set(modules)
+        assert not loaded
+
+    def test_capacity_table_warning_reaches_stderr(self, workdir):
+        res = cli(["capacity-table", "--budgets", "5"], workdir)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr.startswith("btblab: budget 5 KB matches no preset")
+
+    def test_every_export_resolves(self):
+        import btblab
+        namespace = {}
+        exec("from btblab import *", namespace)
+        for name in btblab.__all__:
+            assert namespace[name] is getattr(btblab, name)
+            assert name in dir(btblab)
+        with pytest.raises(AttributeError):
+            btblab.no_such_name
 
 
 class TestUsage:

@@ -169,6 +169,30 @@ class TestOccupancy:
         assert metrics.occupancy_by_way == expected
         assert list(metrics.occupancy_by_way) == list(expected)
 
+    def test_thrashing_run_rereads_counts_rarely(self):
+        # 3000 round-robin branches thrash conv's 116 entries: nearly every
+        # measured commit allocates over a valid victim, which moves no
+        # count, so the counts are re-read only while empty ways remain.
+        spec = GeneratorSpec(static_branches=3000, records=20_000, seed=1)
+        model = build_model("conv", budget_kb=0.9)
+        read, reads, allocs = model.occupancy_items, [], []
+        commit = model.commit_update
+
+        def counted_read():
+            reads.append(None)
+            return read()
+
+        def counted_commit(record):
+            outcome = commit(record)
+            allocs.append(outcome.kind == "alloc")
+            return outcome
+
+        model.occupancy_items, model.commit_update = counted_read, counted_commit
+        metrics = run(model, list(gen_records(spec)), SimConfig(warmup_records=0))
+        assert sum(allocs) > 15_000
+        assert len(reads) <= model.entries + 1
+        assert metrics.occupancy_by_way["main"] > 0.9
+
 
 class TestMemory:
     @pytest.fixture(scope="class")

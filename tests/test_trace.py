@@ -1,14 +1,19 @@
 import gc
+import hashlib
 import json
+import random
 import struct
 import sys
+import tracemalloc
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dealref import deal_reference
 from decoderef import read_binary_reference
+from btblab import cli
 from btblab import trace as btrace
 from btblab.core import BranchKind
 from btblab.trace import (RECORD_BYTES, GeneratorSpec, GeneratorSpecError,
@@ -294,6 +299,47 @@ class TestJsonlFormat:
             read_trace_jsonl(path)
         assert err.value.record_index == (None if header else 0)
 
+    @pytest.mark.parametrize("record", [
+        b'{"pc": "0x1000", "target": "0x\xff", "kind": "cond"}',
+        b'{"pc": "0x1000", "target": "0x2000", "kind": "cond", "taken": true, '
+        b'"gap": 3, "note": "\xc3\x28"}',  # an unread field
+        b"\xff\xfe"])
+    def test_invalid_utf8_record_rejected_with_index(self, tmp_path, record):
+        good = (b'{"pc": "0x1000", "target": "0x2000", "kind": "cond", '
+                b'"taken": true, "gap": 3}')
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b'{"format": "btbt", "isa_mode": "aligned4"}\n'
+                         + good + b"\n" + record + b"\n")
+        with pytest.raises(TraceFormatError, match="UTF-8") as err:
+            read_trace_jsonl(path)
+        assert err.value.record_index == 1
+
+    def test_invalid_utf8_header_rejected(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b'{"format": "btbt", "isa_mode": "aligned4", "x": "\xff"}\n')
+        with pytest.raises(TraceFormatError, match="UTF-8") as err:
+            read_trace_jsonl(path)
+        assert err.value.record_index is None
+
+    def test_valid_utf8_beyond_ascii_accepted(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"format": "btbt", "isa_mode": "aligned4", "x": "é€😀"}\n'
+                        '{"pc": "0x1000", "target": "0x2000", "kind": "cond", '
+                        '"taken": true, "gap": 3, "note": "ü"}\n', encoding="utf-8")
+        assert len(read_trace_jsonl(path).records) == 1
+
+    @pytest.mark.parametrize("count", ["true", "false", "1.0", "-1", '"1"',
+                                       "null", "[1]"])
+    def test_record_count_must_be_a_non_negative_int(self, tmp_path, count):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"format": "btbt", "isa_mode": "aligned4", '
+                        f'"record_count": {count}}}\n'
+                        '{"pc": "0x1000", "target": "0x2000", "kind": "cond", '
+                        '"taken": true, "gap": 3}\n')
+        with pytest.raises(TraceFormatError, match="record_count") as err:
+            read_trace_jsonl(path)
+        assert err.value.record_index is None
+
     @pytest.mark.parametrize("line", ["[1, 2]", '"0x1000"', "3", "null"])
     def test_non_object_record_rejected(self, tmp_path, line):
         head = {"format": "btbt", "version": 1, "isa_mode": "aligned4"}
@@ -341,6 +387,32 @@ class TestJsonlFuzz:
         except TraceFormatError:
             return
         assert len(trace.records) == trace.header.record_count
+
+    @given(data=st.one_of(
+        st.binary(max_size=200),
+        st.builds(lambda text, edits: _edited(text.encode("utf-8"), edits),
+                  st.builds(lambda head, lines: "\n".join([head, *lines]) + "\n",
+                            JSONL_HEADERS.map(json.dumps),
+                            st.lists(JSONL_RECORDS.map(json.dumps), max_size=4)),
+                  st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 255)),
+                           max_size=4))))
+    @settings(max_examples=400, deadline=None)
+    def test_any_bytes_parse_or_raise_format_error(self, fuzz_dir, data):
+        path = fuzz_dir / "any.jsonl"
+        path.write_bytes(data)
+        try:
+            trace = read_trace_jsonl(path)
+        except TraceFormatError:
+            return
+        assert len(trace.records) == trace.header.record_count
+
+
+def _edited(blob, edits):
+    """blob with each (position, byte value) edit applied."""
+    raw = bytearray(blob)
+    for pos, value in edits:
+        raw[pos % len(raw)] = value
+    return bytes(raw)
 
 
 class TestGenerator:
@@ -451,6 +523,146 @@ class TestGenerator:
             counts[r.pc] = counts.get(r.pc, 0) + 1
         statics = build_static_branches(spec)
         assert counts[statics[0].pc] > 10 * counts.get(statics[99].pc, 1)
+
+
+# Generator specs whose traces were hashed before the generator was rewritten
+# for speed (3 patterns x 2 ISA modes, gap_mean 0 and 9, taken_rate 0 and 1,
+# equal call and return shares, wide and zero offsets); the rewrite must
+# reproduce every byte.  Each has 700 static branches, 5000 records and seed
+# 3 unless it says otherwise.
+PINNED_SPECS = {
+    "rr-aligned4": dict(pattern="round_robin"),
+    "rr-byte": dict(pattern="round_robin", isa_mode=1),
+    "uniform-aligned4": dict(pattern="uniform"),
+    "uniform-byte": dict(pattern="uniform", isa_mode=1),
+    "zipf-aligned4": dict(pattern="zipf", zipf_s=1.0),
+    "zipf-byte": dict(pattern="zipf", isa_mode=1),
+    "gap0": dict(pattern="uniform", gap_mean=0),
+    "gap9": dict(pattern="uniform", gap_mean=9, seed=11),
+    "taken0": dict(pattern="uniform", taken_rate=0.0),
+    "taken1": dict(pattern="uniform", taken_rate=1.0),
+    "call-ret": dict(pattern="uniform", kind_mix=((BranchKind.CALL, 0.5),
+                                                  (BranchKind.RETURN, 0.5))),
+    "wide-byte": dict(pattern="zipf", isa_mode=1, seed=5,
+                      width_buckets=((0, 0, 0.2), (1, 20, 0.5), (21, 46, 0.3))),
+}
+PINNED_DIGESTS = {
+    "rr-aligned4.btbt": "191210b37cf3ea5a32bdace4e3ebf07dde636f91b186883177ef69881a3aac4e",
+    "rr-aligned4.jsonl": "c3f4cc11b1db1fff0b5749d743c2b486938fa758af573dc212bcf644cb222e3a",
+    "rr-byte.btbt": "d185c7925f594e1ce5da4e0fb3b7c42022dd3d6db5da8cbc80253089f5a9015d",
+    "uniform-aligned4.btbt": "b94a759ff226d1480c5d95af8df6aa89d3d8405e0974a9c2bac3912207a930e4",
+    "uniform-byte.btbt": "583edc831d05820091d4e94253cc7a88032dc26186d2668f4b64db2e6cdd94fb",
+    "zipf-aligned4.btbt": "88c8003252152998418ea8ad4c5cd312eb5acd14be431a947d0d8e753d0bd7db",
+    "zipf-byte.btbt": "b819cfc12169422d6d521c7a5b051feccc762f1201681adfb85a507b185490a6",
+    "gap0.btbt": "381dc87c067e889c639b66980d9e4bd260deea3d3a24c61c7ac7e299c666f113",
+    "gap9.btbt": "f5870999b8632eb9b372ffca79c0e4267da0ea2b8debfbd4e4c40c59ff398072",
+    "taken0.btbt": "3dbad4500642149c056b1d0171a9fac65a45d386d09217983a27e37c606a5f78",
+    "taken1.btbt": "40a1f9427082c7256923d81b6602cdd1ef1a6b4a87e14e033d4bab0a81fd0280",
+    "call-ret.btbt": "025b840bc666dbf2b70f635bbd1f01213ce2fffae1cd382b1cd08a649ddd63c0",
+    "call-ret.jsonl": "48714d50d68bea60bf5f9b88d9dc4e8deb0f13f654cf1a2f378d112e6939c4af",
+    "wide-byte.btbt": "36a8daf8c7535ed3385c5f2dc3ed185465ffa177fdf12014662d49915db5f6b0",
+}
+
+
+def pinned_spec(name):
+    fields = {"seed": 3, **PINNED_SPECS[name.rsplit(".", 1)[0]]}
+    return GeneratorSpec(static_branches=700, records=5000, **fields)
+
+
+class TestPinnedGenerator:
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_streamed_bytes_match_pinned_digest(self, tmp_path, name):
+        spec = pinned_spec(name)
+        path = tmp_path / name
+        assert write_records(path, spec.isa_mode, gen_records(spec),
+                             count=spec.records) == spec.records
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", ["rr-aligned4.jsonl", "zipf-byte.btbt"])
+    def test_saved_trace_matches_pinned_digest(self, tmp_path, name):
+        path = tmp_path / name
+        save_trace(path, generate(pinned_spec(name)))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DIGESTS[name]
+
+    def test_cli_gen_trace_matches_pinned_digest(self, tmp_path, capsys):
+        path = tmp_path / "t.btbt"
+        # rr-byte: 700 branches, 5000 records, seed 3, default mix and gaps
+        assert cli.main(["gen-trace", "--branches", "700", "--records", "5000",
+                         "--seed", "3", "--isa", "byte", "-o", str(path)]) == 0
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == PINNED_DIGESTS["rr-byte.btbt"])
+
+
+class TestDraws:
+    @pytest.mark.parametrize("weights", [
+        [p for _, p in btrace.DEFAULT_KIND_MIX],
+        [p for _, _, p in btrace.DEFAULT_WIDTH_BUCKETS],
+        [0.5, 0.5], [0.25] * 4, [1.0], [0.0, 1.0, 0.0], [0.3, 0.0, 0.7],
+        [0.54, 0.22, 0.23, 0.01], [1 / 3] * 3, [0.1, 0.45, 0.45],
+    ])
+    def test_deal_matches_key_based_reference(self, weights):
+        assert btrace._deal(weights, 5000) == deal_reference(weights, 5000)
+
+    @given(weights=st.lists(st.integers(0, 12), min_size=1, max_size=8)
+           .filter(any), n=st.integers(0, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_deal_matches_reference_on_any_shares(self, weights, n):
+        shares = [w / sum(weights) for w in weights]
+        assert btrace._deal(shares, n) == deal_reference(shares, n)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (0, 18), (5, 5), (1, 4),
+                                        (12, 19), (20, 25), (0, 2 ** 20),
+                                        (3, 2 ** 40 + 3)])
+    def test_bounded_draw_matches_randint(self, seed, lo, hi):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        draws = [lo + btrace._below(ours.getrandbits, hi - lo + 1)
+                 for _ in range(300)]
+        assert draws == [theirs.randint(lo, hi) for _ in range(300)]
+        assert ours.getstate() == theirs.getstate()
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingGenTrace:
+    def test_peak_memory_flat_in_record_count(self, tmp_path, capsys):
+        def gen_trace(records):
+            args = ["gen-trace", "--branches", "3000", "--records", str(records),
+                    "--seed", "1", "-o", str(tmp_path / f"{records}.btbt")]
+            return lambda: cli.main(args)
+
+        small = traced_peak(gen_trace(20_000))
+        large = traced_peak(gen_trace(200_000))
+        # A list of 10x the records would add megabytes; the shadow call
+        # stack's slow growth (about 1% of records) stays well below this.
+        assert large - small < 256 * 1024, (small, large)
+
+    def test_jsonl_written_as_generated(self, tmp_path):
+        spec = GeneratorSpec(static_branches=50, records=600, seed=2)
+        streamed, saved = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert write_records(streamed, 0, gen_records(spec),
+                             count=spec.records) == 600
+        write_trace_jsonl(saved, generate(spec))
+        assert streamed.read_bytes() == saved.read_bytes()
+        assert read_trace_jsonl(streamed).records == generate(spec).records
+
+    def test_jsonl_without_count_gathers_records_first(self, tmp_path):
+        spec = GeneratorSpec(static_branches=50, records=300, seed=2)
+        path = tmp_path / "a.jsonl"
+        assert write_records(path, 0, gen_records(spec)) == 300
+        assert read_trace_jsonl(path).header.record_count == 300
+
+    def test_jsonl_wrong_count_rejected(self, tmp_path):
+        spec = GeneratorSpec(static_branches=50, records=300, seed=2)
+        with pytest.raises(ValueError, match="declares 400"):
+            write_records(tmp_path / "a.jsonl", 0, gen_records(spec), count=400)
 
 
 class TestLargeTrace:
