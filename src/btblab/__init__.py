@@ -18,7 +18,7 @@ _EXPORTS = {
     "storage": ("BtbxGeometry", "ConvGeometry", "btbx_total_bits",
                 "capacity_table", "conv_capacity", "x86_geometry"),
     "trace": ("GeneratorSpec", "TraceFile", "generate", "load_trace",
-              "read_trace", "save_trace", "write_trace"),
+              "save_trace"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -6,7 +6,7 @@ from typing import Optional
 
 from ..core import ALIGNED4, MODEL_NAMES, ConfigError, IsaProfile
 from .. import storage
-from .base import (BtbModel, InvariantError, LruState, Prediction, SetArray,
+from .base import (BtbModel, InvariantError, Prediction, SetArray,
                    UpdateOutcome)
 from .btbx import BtbX
 from .conv import ConvBtb
@@ -79,6 +79,6 @@ def build_model(name: str, budget_kb: Optional[float] = None,
 
 __all__ = [
     "BtbModel", "BtbX", "ConfigError", "ConvBtb", "InvariantError",
-    "LruState", "MODEL_NAMES", "PdedeBtb", "Prediction", "RBtb", "SetArray",
+    "MODEL_NAMES", "PdedeBtb", "Prediction", "RBtb", "SetArray",
     "UpdateOutcome", "build_model",
 ]

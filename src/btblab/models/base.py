@@ -8,7 +8,6 @@ contents, driven by taken branches at commit.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -52,6 +51,12 @@ def way_sources(ways: int) -> tuple:
     return tuple(f"way{w}" for w in range(ways))
 
 
+def divisor_ways(entries: int, assoc: int) -> int:
+    """The largest associativity, at most `assoc`, that divides `entries`."""
+    return next(a for a in range(min(assoc, entries), 0, -1)
+                if entries % a == 0)
+
+
 def outcome_table(structure: str, slots: int) -> dict:
     """Every outcome a structure's commits can return, built once per model
     and read as table[kind][slot][victim_valid].  Outcomes are frozen, so a
@@ -60,48 +65,6 @@ def outcome_table(structure: str, slots: int) -> dict:
                          UpdateOutcome(kind, structure, slot, True))
                         for slot in range(slots))
             for kind in ("hit", "rewrite", "migrate", "alloc")}
-
-
-class LruState:
-    """True-LRU recency for one set: each way holds the stamp of its last
-    touch, so the oldest way is the one with the smallest stamp.  This is
-    the same order that a permutation of recency counters gives."""
-
-    __slots__ = ("stamps", "clock")
-
-    def __init__(self, ways: int):
-        self.stamps = list(range(ways))
-        self.clock = ways
-
-    def touch(self, way: int) -> None:
-        self.stamps[way] = self.clock
-        self.clock += 1
-
-    def oldest(self, first: int) -> int:
-        """The least recently used of ways first, first + 1, ..."""
-        stamps = self.stamps
-        return stamps.index(min(stamps[first:]), first)
-
-    def check(self) -> None:
-        if len(set(self.stamps)) != len(self.stamps):
-            raise InvariantError(f"recency stamps not distinct: {self.stamps}")
-
-
-class RecencyLru:
-    """True LRU over many slots with O(1) touch and oldest-slot queries;
-    recency order is identical to counter-based LRU.  Suits large
-    fully-associative tables where per-touch counter sweeps would dominate."""
-
-    __slots__ = ("_order",)
-
-    def __init__(self, slots: int):
-        self._order = OrderedDict((i, None) for i in range(slots))
-
-    def touch(self, slot: int) -> None:
-        self._order.move_to_end(slot)
-
-    def oldest(self) -> int:
-        return next(iter(self._order))
 
 
 INVALID = -1  # tag of an empty way: folded tags, page bits and regions are >= 0
@@ -117,18 +80,24 @@ class SetArray:
     the table, so the memo grows with the distinct lines seen, not with the
     number of lookups.
 
+    Recency is true LRU: `stamps[s][way]` is the clock value of the way's
+    last touch, so the least recently used way holds the smallest stamp.
+    One clock serves every set, which orders each set's stamps exactly as a
+    per-set clock or a permutation of recency counters would.
+
     `changes` is a one-item list counting the fills into empty ways and the
     invalidations, the only writes that move a valid count.  A model shares
     one such counter among all its tables (see `BtbModel.changes`).
     """
 
-    __slots__ = ("sets", "ways", "tag_bits", "tags", "lru", "way_valid", "memo",
-                 "changes")
+    __slots__ = ("sets", "ways", "tag_bits", "tags", "stamps", "clock",
+                 "way_valid", "memo", "changes")
 
     def __init__(self, sets: int, ways: int, tag_bits: int = 0):
         self.sets, self.ways, self.tag_bits = sets, ways, tag_bits
         self.tags = [[INVALID] * ways for _ in range(sets)]
-        self.lru = [LruState(ways) for _ in range(sets)]
+        self.stamps = [list(range(ways)) for _ in range(sets)]
+        self.clock = ways
         self.way_valid = [0] * ways
         self.memo = {}  # line -> (set, tag)
         self.changes = [0]
@@ -151,6 +120,11 @@ class SetArray:
         row = self.tags[s]
         return row.index(tag) if tag in row else None
 
+    def touch(self, s: int, way: int) -> None:
+        """Make a way the most recently used of its set."""
+        self.stamps[s][way] = self.clock
+        self.clock += 1
+
     def fill(self, s: int, tag: int, first: int = 0):
         """Write tag into the lowest-index empty way at or after `first`,
         else into the least recently used of those ways, and touch it.  Ways
@@ -159,17 +133,18 @@ class SetArray:
         if first >= self.ways:
             raise InvariantError(f"no eligible way at or after way {first}")
         row = self.tags[s]
-        lru = self.lru[s]
+        stamps = self.stamps[s]
         if INVALID in row[first:]:
             way = row.index(INVALID, first)
             self.way_valid[way] += 1
             self.changes[0] += 1
             victim_valid = False
         else:
-            way = lru.oldest(first)
+            way = stamps.index(min(stamps[first:]), first)
             victim_valid = True
         row[way] = tag
-        lru.touch(way)
+        stamps[way] = self.clock
+        self.clock += 1
         return way, victim_valid
 
     def invalidate(self, s: int, way: int) -> None:
@@ -192,8 +167,9 @@ class SetArray:
                   for way in range(self.ways)]
         if counts != self.way_valid:
             raise InvariantError(f"per-way valid drift: {counts} != {self.way_valid}")
-        for lru in self.lru:
-            lru.check()
+        for stamps in self.stamps:
+            if len(set(stamps)) != len(stamps):
+                raise InvariantError(f"recency stamps not distinct: {stamps}")
         for line, st in self.memo.items():
             if st != self.set_tag(line):
                 raise InvariantError(f"memo of line {line:#x} holds {st}, "

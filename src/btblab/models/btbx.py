@@ -83,7 +83,7 @@ class BtbX(BtbModel):
         if way is not None:
             # All ways and the companion are probed in parallel; a main-array
             # hit wins over a simultaneous companion hit.
-            self._main.lru[s].touch(way)
+            self._main.touch(s, way)
             if self._owner[s][way] == pc:
                 return self._pred[s][way]
             return self._predict(pc, s, way, self._pred[s][way].kind)
@@ -101,7 +101,7 @@ class BtbX(BtbModel):
         pc, target, kind = record.pc, record.target, record.kind
         s, tag, way = self._main_probe(pc)
         if way is not None:
-            self._main.lru[s].touch(way)
+            self._main.touch(s, way)
             stored = self._pred[s][way]
             if kind is BranchKind.RETURN:
                 if stored.kind is BranchKind.RETURN:

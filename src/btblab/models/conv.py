@@ -6,7 +6,7 @@ from typing import Optional
 
 from ..core import ALIGNED4, BranchKind, BranchRecord, IsaProfile
 from .base import (BtbModel, InvariantError, Prediction, SetArray,
-                   UpdateOutcome, outcome_table, way_sources)
+                   UpdateOutcome, divisor_ways, outcome_table, way_sources)
 
 
 class ConvBtb(BtbModel):
@@ -26,8 +26,7 @@ class ConvBtb(BtbModel):
         if entries < 1:
             raise ValueError(f"entries must be >= 1, got {entries}")
         self.isa = isa
-        self.assoc = ways = next(a for a in range(min(assoc, entries), 0, -1)
-                                 if entries % a == 0)
+        self.assoc = ways = divisor_ways(entries, assoc)
         self.sets = sets = entries // ways
         self.entries = entries
         self._sources = way_sources(ways)
@@ -42,14 +41,14 @@ class ConvBtb(BtbModel):
         s, _, way = self._lookup_probe(pc)
         if way is None:
             return None
-        self._main.lru[s].touch(way)
+        self._main.touch(s, way)
         return self._pred[s][way]
 
     def commit_update(self, record: BranchRecord) -> UpdateOutcome:
         s, tag, way = self._main_probe(record.pc)
         kind = record.kind
         if way is not None:
-            self._main.lru[s].touch(way)
+            self._main.touch(s, way)
             pred = self._pred[s][way]
             if pred.kind == kind and (kind is BranchKind.RETURN
                                       or pred.target == record.target):

@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core import ALIGNED4, BranchKind, BranchRecord, IsaProfile, xor_fold
-from .base import (INVALID, BtbModel, InvariantError, Prediction, RecencyLru,
-                   SetArray, UpdateOutcome, outcome_table, way_sources)
+from .base import (INVALID, BtbModel, InvariantError, Prediction, SetArray,
+                   UpdateOutcome, divisor_ways, outcome_table, way_sources)
 
 PAGE_SHIFT = 12
 NO_PAGE = -1  # page_ptr sentinel for entries that need no page (returns)
@@ -41,8 +41,7 @@ class RBtb(BtbModel):
             raise ValueError("main_entries and page_entries must be >= 1")
         self.isa = isa
         self.page_shift = page_shift
-        self.assoc = ways = next(a for a in range(min(assoc, main_entries), 0, -1)
-                                 if main_entries % a == 0)
+        self.assoc = ways = divisor_ways(main_entries, assoc)
         self.sets = sets = main_entries // ways
         self.main_entries = main_entries
         self.page_entries = page_entries
@@ -57,29 +56,29 @@ class RBtb(BtbModel):
         # absolute, so it does not depend on the lookup pc.
         self._pred = [[None] * ways for _ in range(sets)]
         # The page table is searched through a dict, which beats a list
-        # search over its hundreds of slots.
+        # search over its hundreds of slots.  The dict's insertion order is
+        # also the table's true-LRU order, least recently used first: a hit
+        # moves its page to the end.
         self._pt_page = [INVALID] * page_entries
         self._pt_gen = [0] * page_entries
-        self._pt_lru = RecencyLru(page_entries)
         self._pt_map = {}  # page number -> slot, the associative-search result
 
     def _ensure_page(self, page: int):
         """Find or allocate the slot for a page number (associative search);
         eviction bumps the slot generation, orphaning old dependents."""
-        slot = self._pt_map.get(page)
+        pt_map = self._pt_map
+        slot = pt_map.pop(page, None)
         if slot is not None:
-            self._pt_lru.touch(slot)
+            pt_map[page] = slot
             return slot, self._pt_gen[slot]
-        if len(self._pt_map) < self.page_entries:
-            slot = len(self._pt_map)  # slots fill in order and are never emptied
+        if len(pt_map) < self.page_entries:
+            slot = len(pt_map)  # slots fill in order and are never emptied
             self.changes[0] += 1
         else:
-            slot = self._pt_lru.oldest()
-            del self._pt_map[self._pt_page[slot]]
+            slot = pt_map.pop(next(iter(pt_map)))
         self._pt_gen[slot] += 1
         self._pt_page[slot] = page
-        self._pt_map[page] = slot
-        self._pt_lru.touch(slot)
+        pt_map[page] = slot
         return slot, self._pt_gen[slot]
 
     def _live(self, s: int, way: int) -> bool:
@@ -93,7 +92,7 @@ class RBtb(BtbModel):
         s, _, way = self._lookup_probe(pc)
         if way is None or not self._live(s, way):
             return None  # dangling page pointer: miss, never a wrong target
-        self._main.lru[s].touch(way)
+        self._main.touch(s, way)
         return self._pred[s][way]
 
     def _write(self, s: int, way: int, record: BranchRecord):
@@ -113,7 +112,7 @@ class RBtb(BtbModel):
     def commit_update(self, record: BranchRecord) -> UpdateOutcome:
         s, tag, way = self._main_probe(record.pc)
         if way is not None:
-            self._main.lru[s].touch(way)
+            self._main.touch(s, way)
             pred = self._pred[s][way]
             if pred.kind == record.kind and (
                     record.kind is BranchKind.RETURN
@@ -219,7 +218,7 @@ class PdedeBtb(BtbModel):
             slot, _ = self._rt.fill(0, region)
             self._rt_gen[slot] += 1
         else:
-            self._rt.lru[0].touch(slot)
+            self._rt.touch(0, slot)
         return slot, self._rt_gen[slot]
 
     def _page_slot_number(self, ptr: int) -> Optional[int]:
@@ -241,7 +240,7 @@ class PdedeBtb(BtbModel):
         row = self._pt.tags[ps]
         for slot in range(self.page_assoc):
             if row[slot] == low and self._page_slot_number(base + slot) == page:
-                self._pt.lru[ps].touch(slot)
+                self._pt.touch(ps, slot)
                 return base + slot, self._pt_gen[base + slot]
         rslot, rgen = self._ensure_region(page >> self.region_pages_log2)
         slot, _ = self._pt.fill(ps, low)
@@ -273,13 +272,13 @@ class PdedeBtb(BtbModel):
         if way is None:
             return None
         if self._same[s][way]:
-            self._main.lru[s].touch(way)
+            self._main.touch(s, way)
             if self._owner[s][way] == pc:
                 return self._pred[s][way]
             return self._same_page_prediction(pc, s, way)
         if not self._live(s, way):
             return None  # stale page or region link: miss, never a wrong target
-        self._main.lru[s].touch(way)
+        self._main.touch(s, way)
         return self._pred[s][way]
 
     def _write(self, s: int, way: int, record: BranchRecord, same: bool):
@@ -314,7 +313,7 @@ class PdedeBtb(BtbModel):
                 # pointer: drop the entry and re-allocate in a general way.
                 self._main.invalidate(s, way)
                 return self._allocate(record, s, tag, same, "migrate")
-            self._main.lru[s].touch(way)
+            self._main.touch(s, way)
             if self._entry_matches(s, way, record, same):
                 return self._out["hit"][way][False]
             self._write(s, way, record, same)

@@ -18,7 +18,7 @@ largest-remainder interleaving, which pins the realized class shares to
 the requested ones and spreads each class evenly through the branch
 order.  Returns take their per-record target from a shadow call stack, so
 call/return pairing is meaningful to a RAS.  Generation streams: records
-are made one at a time and the writers take any iterable, so a trace of
+are made one at a time and the writer takes any iterable, so a trace of
 any length is written in constant memory.
 """
 
@@ -29,7 +29,7 @@ import random
 import struct
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, cycle, islice
 from operator import add
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
@@ -59,8 +59,10 @@ class TraceFormatError(ValueError):
 
 @dataclass(frozen=True)
 class TraceHeader:
+    """record_count is None for a text trace whose header declares none."""
+
     isa_mode: int
-    record_count: int
+    record_count: Optional[int]
     version: int = VERSION
 
     @property
@@ -116,12 +118,31 @@ def write_records(path, isa_mode: int, records: Iterable[BranchRecord],
     return _write_binary(path, isa_mode, records, count)
 
 
+def iter_records(path) -> Tuple[TraceHeader, Iterator[BranchRecord]]:
+    """Streaming reader for either form, chosen by the extension as in
+    `write_records`; the iterator validates each record as it goes, and
+    checks a text trace's declared count after its last line.
+
+    The file belongs to the iterator, which has already started: closing
+    or dropping it closes the file, even before the first record.
+    """
+    records = _read_jsonl(path) if _is_text(path) else _read_binary(path)
+    return next(records), records
+
+
+def load_trace(path) -> TraceFile:
+    """Read either form into memory; the header's count is the number read."""
+    header, records = iter_records(path)
+    records = list(records)
+    return TraceFile(replace(header, record_count=len(records)), records)
+
+
+def save_trace(path, trace: TraceFile) -> None:
+    write_records(path, trace.header.isa_mode, trace.records,
+                  count=len(trace.records))
+
+
 # -- binary form -------------------------------------------------------------
-
-def write_trace(path, trace: TraceFile) -> None:
-    _write_binary(path, trace.header.isa_mode, trace.records,
-                  len(trace.records))
-
 
 def _write_binary(path, isa_mode: int, records: Iterable[BranchRecord],
                   count: Optional[int]) -> int:
@@ -153,16 +174,6 @@ def read_header(fh) -> TraceHeader:
     if isa_mode not in (0, 1):
         raise TraceFormatError(f"unknown isa_mode {isa_mode}")
     return TraceHeader(isa_mode=isa_mode, record_count=count)
-
-
-def iter_records(path) -> Tuple[TraceHeader, Iterator[BranchRecord]]:
-    """Streaming reader; the iterator validates each record as it goes.
-
-    The file belongs to the iterator, which has already started: closing
-    or dropping it closes the file, even before the first record.
-    """
-    records = _read_binary(path)
-    return next(records), records
 
 
 _KINDS = tuple(BranchKind)  # indexed by kind code
@@ -219,17 +230,7 @@ def _checked_record(pc: int, target: int, kind: int, taken: int, gap: int,
     return rec
 
 
-def read_trace(path) -> TraceFile:
-    header, records = iter_records(path)
-    return TraceFile(header, list(records))
-
-
 # -- text (JSON lines) form ---------------------------------------------------
-
-def write_trace_jsonl(path, trace: TraceFile) -> None:
-    _write_jsonl(path, trace.header.isa_mode, trace.records,
-                 len(trace.records))
-
 
 def _write_jsonl(path, isa_mode: int, records: Iterable[BranchRecord],
                  count: Optional[int]) -> int:
@@ -293,7 +294,8 @@ def _utf8(line: str) -> bool:
     return True
 
 
-def read_trace_jsonl(path) -> TraceFile:
+def _read_jsonl(path):
+    """Yield the trace header, then each validated record."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         head_line = fh.readline()
         if not _utf8(head_line):
@@ -315,8 +317,9 @@ def read_trace_jsonl(path) -> TraceFile:
             raise TraceFormatError(
                 f"record_count must be a non-negative JSON int, got {declared!r}")
         mode = mode_names[name]
+        yield TraceHeader(mode, declared)
         isa = profile_for_mode(mode)
-        records = []
+        found = 0
         for index, line in enumerate(fh):
             if not _utf8(line):
                 raise TraceFormatError("line is not valid UTF-8", index)
@@ -324,21 +327,11 @@ def read_trace_jsonl(path) -> TraceFile:
                 continue
             rec = _jsonl_record(line, index)
             _validate_record(rec, isa, index)
-            records.append(rec)
-        if declared is not None and declared != len(records):
+            found += 1
+            yield rec
+        if declared is not None and declared != found:
             raise TraceFormatError(
-                f"header declares {declared} records, found {len(records)}")
-    return TraceFile(TraceHeader(mode, len(records)), records)
-
-
-def load_trace(path) -> TraceFile:
-    """Read either form; .jsonl/.json extensions select the text reader."""
-    return read_trace_jsonl(path) if _is_text(path) else read_trace(path)
-
-
-def save_trace(path, trace: TraceFile) -> None:
-    write_records(path, trace.header.isa_mode, trace.records,
-                  count=len(trace.records))
+                f"header declares {declared} records, found {found}")
 
 
 # -- synthetic workloads ------------------------------------------------------

@@ -13,7 +13,7 @@ from btblab import cli as btblab_cli
 from btblab import models as btblab_models
 from btblab.models import build_model
 from btblab.trace import (GeneratorSpec, TraceFormatError, generate,
-                          read_trace, write_trace)
+                          load_trace, save_trace)
 
 RUN = [sys.executable, "-m", "btblab.cli"]
 
@@ -37,7 +37,7 @@ def workdir(tmp_path):
 
 def small_trace(workdir):
     spec = GeneratorSpec(static_branches=50, records=500, seed=1)
-    write_trace(workdir / "ws.btbt", generate(spec))
+    save_trace(workdir / "ws.btbt", generate(spec))
     return "ws.btbt"
 
 
@@ -45,7 +45,7 @@ class TestGenTrace:
     def test_record_count_contract(self, workdir):
         res = cli(gen_args("ws.btbt", records=5000), workdir)
         assert res.returncode == 0, res.stderr
-        trace = read_trace(workdir / "ws.btbt")
+        trace = load_trace(workdir / "ws.btbt")
         assert len(trace.records) == 5000
         assert (workdir / "ws.btbt.manifest.json").exists()
 
@@ -203,13 +203,13 @@ class TestCompare:
                    "ws.btbt"], workdir)
         assert res.returncode == 1
 
-    def test_thread_cap_env(self, workdir):
+    def test_minimal_environment(self, workdir):
         cli(gen_args("ws.btbt", branches=100, records=1000), workdir)
         res = subprocess.run(
             RUN + ["compare", "--models", "conv,btbx", "--budget-kb", "0.9",
                    "ws.btbt"],
             cwd=workdir, capture_output=True, text=True,
-            env={"PATH": "/usr/bin:/bin", "BTBLAB_THREADS": "1",
+            env={"PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1",
                  "PYTHONPATH": os.environ["PYTHONPATH"]})
         assert res.returncode == 0, res.stderr
 
@@ -226,7 +226,7 @@ def churn_trace(path):
     spec = GeneratorSpec(static_branches=200, records=2000, pattern="uniform",
                          seed=3, width_buckets=((0, 6, 0.5), (7, 20, 0.3),
                                                 (21, 30, 0.2)))
-    write_trace(path, generate(spec))
+    save_trace(path, generate(spec))
     return str(path)
 
 
@@ -283,11 +283,11 @@ class TestFuzzedInput:
                                                      cut, tail):
         spec = GeneratorSpec(static_branches=4, records=6, seed=1)
         clean = fuzz_dir / "clean.btbt"
-        write_trace(clean, generate(spec))
+        save_trace(clean, generate(spec))
         path = fuzz_dir / "fuzzed.btbt"
         path.write_bytes(_mutated(clean.read_bytes(), edits, cut, tail))
         try:
-            read_trace(path)
+            load_trace(path)
             parses = True
         except TraceFormatError:
             parses = False

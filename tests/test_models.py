@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from conftest import rec, taken_branch_trace
 from btblab.core import ALIGNED4, BYTE, BranchKind, xor_fold
 from btblab.models import ConfigError, build_model
-from btblab.models.base import InvariantError, LruState, SetArray
+from btblab.models.base import InvariantError, SetArray
 from btblab.models.btbx import BtbX
 from btblab.models.conv import ConvBtb
 from btblab.models.paged import PdedeBtb, RBtb
@@ -139,7 +140,7 @@ def full_set(touches):
     for way in range(8):
         assert table.fill(0, way) == (way, False)
     for way in touches:
-        table.lru[0].touch(way)
+        table.touch(0, way)
     return table
 
 
@@ -169,22 +170,29 @@ class TestRestrictedLru:
     @pytest.mark.parametrize("ways", [1, 2, 4, 8, 16])
     def test_oldest_matches_recency_list(self, ways):
         rng = random.Random(ways)
-        lru = LruState(ways)
-        order = list(range(ways))  # oldest first, as counter LRU starts
-        for _ in range(400):
+        table = SetArray(1, ways)
+        for way in range(ways):
+            table.fill(0, way)
+        order = list(range(ways))  # oldest first: the ways were filled in order
+        for tag in range(ways, ways + 400):
             way = rng.randrange(ways)
-            lru.touch(way)
+            table.touch(0, way)
             order.remove(way)
             order.append(way)
+            # The set stays full, so a fill evicts the oldest eligible way.
             first = rng.randrange(ways)
-            assert lru.oldest(first) == min(range(first, ways), key=order.index)
-        lru.check()
+            way, victim_valid = table.fill(0, tag, first)
+            assert victim_valid
+            assert way == min(range(first, ways), key=order.index)
+            order.remove(way)
+            order.append(way)
+        table.check()
 
     def test_check_rejects_repeated_stamp(self):
-        lru = LruState(4)
-        lru.stamps[1] = lru.stamps[2]
-        with pytest.raises(InvariantError):
-            lru.check()
+        table = SetArray(1, 4)
+        table.stamps[0][1] = table.stamps[0][2]
+        with pytest.raises(InvariantError, match="stamps"):
+            table.check()
 
 
 class TestLocateMemo:
@@ -431,6 +439,25 @@ class TestRBtb:
         pred = m.lookup(0x1000)
         assert pred is None  # not a reconstructed hybrid of the two pages
 
+    def test_page_victim_order_matches_recency_list(self):
+        # Every commit is a fresh pc, so each one allocates and touches its
+        # target's page; a page already resident becomes the most recent.
+        m = RBtb(main_entries=4096, page_entries=6)
+        rng = random.Random(12)
+        order = []  # resident pages, least recently used first
+        for i in range(3000):
+            page = 0x100 + rng.randrange(10)
+            record = rec(0x100000 + 4 * i, (page << 12) | 0x40)
+            assert m.commit_update(record).kind == "alloc"
+            if page in order:
+                order.remove(page)
+            elif len(order) == 6:
+                del order[0]
+            order.append(page)
+            assert set(m._pt_map) == set(order)
+            assert m.lookup(record.pc).target == record.target
+        m.check_invariants()
+
 
 class TestPdede:
     def test_same_page_lookup_skips_page_table(self):
@@ -563,6 +590,50 @@ class TestConservationAndDeterminism:
                     assert pred.target == committed[r.pc], model.name
                 model.commit_update(r)
                 committed[r.pc] = r.target
+
+
+# SHA-256 of each model's per-record stream on a uniform churn trace: the
+# lookup's source ("m" for a miss), then, for a taken record, the commit's
+# UpdateOutcome.event().  Recorded from the implementation that kept recency
+# in per-set objects; a change in any victim choice or recency order shows.
+EVENT_DIGESTS = {
+    ("conv", 0.90625): "1356974e2c2d1d2e10f32d91fe5550bdc85fc98d3a2dd6f2431f5db255210af6",
+    ("rbtb", 0.90625): "a1626578a928502b63c06e600ef19f9e8ca97061a0b0c5f809d5c8175e844f4c",
+    ("pdede", 0.90625): "1b5900340c9cc2da0dc7ab127a0faf3e0524bc7a4c21ba6c53e044d699853328",
+    ("btbx", 0.90625): "eb83ecc1d9689e44fd9d56c777333957b318def1d7c718de753f4b501eaca6d3",
+    ("conv", 14.5): "b3148ee449ec1227c599f2c7f4cef35a59d739aedb2fc548c810759a922f530e",
+    ("rbtb", 14.5): "3247be4d5f62714d1d9765020e97fd958d04372751d5f3fe609364d728820085",
+    ("pdede", 14.5): "4afbd739c30ca07156717ab82faec826500ea343230a5693ffb9052748328e99",
+    ("btbx", 14.5): "723b0b9d1f8ebd69c3f6d42165410cb1a1534f5f81d29989ff929010cac5c499",
+    ("conv", 58.0): "fc647df94aa124d22523ce11251fed36cb2adc71781955d4ed505a8c5340af0b",
+    ("rbtb", 58.0): "bf5c7fbeae5da55826edb5fd6dd7dd34c685cd37d44e810b20a74f0e87f034a4",
+    ("pdede", 58.0): "28fe33c80a09247b81caae0460e96f0afbcb18fcd347c3269b0fb4acaa9e5451",
+    ("btbx", 58.0): "972e5546ab0bd54fc8943c8049b09d7220598b104505913f00872f4a0e51782c",
+}
+
+
+@pytest.fixture(scope="module")
+def churn_records():
+    # 3000 branches overflow every main table at 0.906 KB and rbtb's
+    # 2048-slot page table at 58 KB.
+    spec = GeneratorSpec(static_branches=3000, records=20_000, pattern="uniform",
+                         seed=3, width_buckets=((0, 6, 0.5), (7, 20, 0.3),
+                                                (21, 30, 0.2)))
+    return list(gen_records(spec))
+
+
+class TestEventDigests:
+    @pytest.mark.parametrize("name, budget_kb", list(EVENT_DIGESTS))
+    def test_event_stream_matches_pinned_digest(self, churn_records, name,
+                                                budget_kb):
+        model = build_model(name, budget_kb=budget_kb)
+        digest = hashlib.sha256()
+        for r in churn_records:
+            pred = model.lookup(r.pc)
+            digest.update(b"m\n" if pred is None else pred.source.encode() + b"\n")
+            if r.taken:
+                digest.update(model.commit_update(r).event().encode() + b"\n")
+        assert digest.hexdigest() == EVENT_DIGESTS[name, budget_kb]
 
 
 class TestFactory:

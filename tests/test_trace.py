@@ -18,9 +18,8 @@ from btblab import trace as btrace
 from btblab.core import BranchKind
 from btblab.trace import (RECORD_BYTES, GeneratorSpec, GeneratorSpecError,
                           TraceFormatError, build_static_branches, gen_records,
-                          generate, iter_records, load_trace, read_trace,
-                          read_trace_jsonl, save_trace, write_records,
-                          write_trace, write_trace_jsonl)
+                          generate, iter_records, load_trace, save_trace,
+                          write_records)
 
 
 @pytest.fixture
@@ -31,31 +30,31 @@ def small_trace():
 class TestBinaryFormat:
     def test_round_trip(self, small_trace, tmp_path):
         path = tmp_path / "t.btbt"
-        write_trace(path, small_trace)
-        back = read_trace(path)
+        save_trace(path, small_trace)
+        back = load_trace(path)
         assert back.header == small_trace.header
         assert back.records == small_trace.records
 
     def test_size_matches_count(self, small_trace, tmp_path):
         path = tmp_path / "t.btbt"
-        write_trace(path, small_trace)
+        save_trace(path, small_trace)
         assert path.stat().st_size == 16 + 24 * len(small_trace.records)
 
     def test_flipped_magic_byte(self, small_trace, tmp_path):
         path = tmp_path / "t.btbt"
-        write_trace(path, small_trace)
+        save_trace(path, small_trace)
         raw = bytearray(path.read_bytes())
         raw[0] ^= 0xFF
         path.write_bytes(raw)
         with pytest.raises(TraceFormatError, match="magic"):
-            read_trace(path)
+            load_trace(path)
 
     def test_truncated_record(self, small_trace, tmp_path):
         path = tmp_path / "t.btbt"
-        write_trace(path, small_trace)
+        save_trace(path, small_trace)
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(TraceFormatError) as err:
-            read_trace(path)
+            load_trace(path)
         assert err.value.record_index == len(small_trace.records) - 1
 
     def test_misaligned_pc_in_aligned_mode(self, tmp_path):
@@ -64,7 +63,7 @@ class TestBinaryFormat:
             fh.write(struct.pack("<4sBBHQ", b"BTBT", 1, 0, 0, 1))
             fh.write(struct.pack("<QQBBHI", 0x1001, 0x2000, 0, 1, 3, 0))
         with pytest.raises(TraceFormatError, match="alignment") as err:
-            read_trace(path)
+            load_trace(path)
         assert err.value.record_index == 0
 
     def test_bad_kind_code(self, tmp_path):
@@ -73,15 +72,15 @@ class TestBinaryFormat:
             fh.write(struct.pack("<4sBBHQ", b"BTBT", 1, 0, 0, 1))
             fh.write(struct.pack("<QQBBHI", 0x1000, 0x2000, 9, 1, 3, 0))
         with pytest.raises(TraceFormatError, match="kind"):
-            read_trace(path)
+            load_trace(path)
 
     def test_trailing_bytes_rejected(self, small_trace, tmp_path):
         path = tmp_path / "t.btbt"
-        write_trace(path, small_trace)
+        save_trace(path, small_trace)
         with open(path, "ab") as fh:
             fh.write(b"\x00" * 24)
         with pytest.raises(TraceFormatError, match="trailing"):
-            read_trace(path)
+            load_trace(path)
 
     def test_streaming_writer_patches_count(self, tmp_path):
         spec = GeneratorSpec(static_branches=10, records=321, seed=1)
@@ -95,7 +94,7 @@ class TestBinaryFormat:
     def test_unread_iterator_leaves_no_open_file(self, small_trace, tmp_path,
                                                  monkeypatch):
         path = tmp_path / "t.btbt"
-        write_trace(path, small_trace)
+        save_trace(path, small_trace)
         # A file closed by the collector warns from its finalizer, where an
         # error-level warning surfaces through sys.unraisablehook.
         unraisable = []
@@ -212,7 +211,7 @@ class TestDecoderFuzz:
         path = fuzz_dir / "any.btbt"
         path.write_bytes(data)
         try:
-            read_trace(path)
+            load_trace(path)
         except TraceFormatError:
             pass
 
@@ -235,8 +234,8 @@ class TestDecoderFuzz:
 class TestJsonlFormat:
     def test_round_trip(self, small_trace, tmp_path):
         path = tmp_path / "t.jsonl"
-        write_trace_jsonl(path, small_trace)
-        back = read_trace_jsonl(path)
+        save_trace(path, small_trace)
+        back = load_trace(path)
         assert back.records == small_trace.records
         assert back.header.isa_mode == small_trace.header.isa_mode
 
@@ -248,11 +247,11 @@ class TestJsonlFormat:
 
     def test_count_mismatch_detected(self, small_trace, tmp_path):
         path = tmp_path / "t.jsonl"
-        write_trace_jsonl(path, small_trace)
+        save_trace(path, small_trace)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")  # drop one record
         with pytest.raises(TraceFormatError, match="declares"):
-            read_trace_jsonl(path)
+            load_trace(path)
 
     @pytest.mark.parametrize("field, value", [
         ("taken", "false"), ("taken", 1), ("gap", 1.9), ("gap", True),
@@ -265,21 +264,21 @@ class TestJsonlFormat:
         path = tmp_path / "t.jsonl"
         path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
         with pytest.raises(TraceFormatError, match=field) as err:
-            read_trace_jsonl(path)
+            load_trace(path)
         assert err.value.record_index == 1
 
     def test_missing_header_object(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"pc": "0x1000"}\n')
         with pytest.raises(TraceFormatError, match="header"):
-            read_trace_jsonl(path)
+            load_trace(path)
 
     @pytest.mark.parametrize("head", ["[1, 2]", '"btbt"', "7", "null"])
     def test_non_object_header_rejected(self, tmp_path, head):
         path = tmp_path / "t.jsonl"
         path.write_text(head + "\n")
         with pytest.raises(TraceFormatError, match="header") as err:
-            read_trace_jsonl(path)
+            load_trace(path)
         assert err.value.record_index is None
 
     @pytest.mark.parametrize("mode", ["[]", "{}", "0", '"arm"'])
@@ -287,7 +286,7 @@ class TestJsonlFormat:
         path = tmp_path / "t.jsonl"
         path.write_text(f'{{"format": "btbt", "isa_mode": {mode}}}\n')
         with pytest.raises(TraceFormatError, match="unknown isa_mode"):
-            read_trace_jsonl(path)
+            load_trace(path)
 
     @pytest.mark.parametrize("header", [True, False])
     def test_nesting_too_deep_rejected(self, tmp_path, header):
@@ -296,7 +295,7 @@ class TestJsonlFormat:
         path = tmp_path / "t.jsonl"
         path.write_text(deep if header else head + deep)
         with pytest.raises(TraceFormatError, match="recursion") as err:
-            read_trace_jsonl(path)
+            load_trace(path)
         assert err.value.record_index == (None if header else 0)
 
     @pytest.mark.parametrize("record", [
@@ -311,14 +310,14 @@ class TestJsonlFormat:
         path.write_bytes(b'{"format": "btbt", "isa_mode": "aligned4"}\n'
                          + good + b"\n" + record + b"\n")
         with pytest.raises(TraceFormatError, match="UTF-8") as err:
-            read_trace_jsonl(path)
+            load_trace(path)
         assert err.value.record_index == 1
 
     def test_invalid_utf8_header_rejected(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_bytes(b'{"format": "btbt", "isa_mode": "aligned4", "x": "\xff"}\n')
         with pytest.raises(TraceFormatError, match="UTF-8") as err:
-            read_trace_jsonl(path)
+            load_trace(path)
         assert err.value.record_index is None
 
     def test_valid_utf8_beyond_ascii_accepted(self, tmp_path):
@@ -326,7 +325,7 @@ class TestJsonlFormat:
         path.write_text('{"format": "btbt", "isa_mode": "aligned4", "x": "é€😀"}\n'
                         '{"pc": "0x1000", "target": "0x2000", "kind": "cond", '
                         '"taken": true, "gap": 3, "note": "ü"}\n', encoding="utf-8")
-        assert len(read_trace_jsonl(path).records) == 1
+        assert len(load_trace(path).records) == 1
 
     @pytest.mark.parametrize("count", ["true", "false", "1.0", "-1", '"1"',
                                        "null", "[1]"])
@@ -337,7 +336,7 @@ class TestJsonlFormat:
                         '{"pc": "0x1000", "target": "0x2000", "kind": "cond", '
                         '"taken": true, "gap": 3}\n')
         with pytest.raises(TraceFormatError, match="record_count") as err:
-            read_trace_jsonl(path)
+            load_trace(path)
         assert err.value.record_index is None
 
     @pytest.mark.parametrize("line", ["[1, 2]", '"0x1000"', "3", "null"])
@@ -346,7 +345,7 @@ class TestJsonlFormat:
         path = tmp_path / "t.jsonl"
         path.write_text(json.dumps(head) + "\n" + line + "\n")
         with pytest.raises(TraceFormatError, match="not a JSON object") as err:
-            read_trace_jsonl(path)
+            load_trace(path)
         assert err.value.record_index == 0
 
 
@@ -383,10 +382,11 @@ class TestJsonlFuzz:
         path = fuzz_dir / "any.jsonl"
         path.write_text(text, encoding="utf-8")
         try:
-            trace = read_trace_jsonl(path)
+            header, records = iter_records(path)
+            records = list(records)
         except TraceFormatError:
             return
-        assert len(trace.records) == trace.header.record_count
+        assert header.record_count in (None, len(records))
 
     @given(data=st.one_of(
         st.binary(max_size=200),
@@ -401,10 +401,11 @@ class TestJsonlFuzz:
         path = fuzz_dir / "any.jsonl"
         path.write_bytes(data)
         try:
-            trace = read_trace_jsonl(path)
+            header, records = iter_records(path)
+            records = list(records)
         except TraceFormatError:
             return
-        assert len(trace.records) == trace.header.record_count
+        assert header.record_count in (None, len(records))
 
 
 def _edited(blob, edits):
@@ -419,8 +420,8 @@ class TestGenerator:
     def test_deterministic_bytes(self, tmp_path):
         spec = GeneratorSpec(static_branches=50, records=2000, seed=7)
         a, b = tmp_path / "a.btbt", tmp_path / "b.btbt"
-        write_trace(a, generate(spec))
-        write_trace(b, generate(spec))
+        save_trace(a, generate(spec))
+        save_trace(b, generate(spec))
         assert a.read_bytes() == b.read_bytes()
 
     def test_distinct_seeds_differ(self):
@@ -649,20 +650,55 @@ class TestStreamingGenTrace:
         streamed, saved = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert write_records(streamed, 0, gen_records(spec),
                              count=spec.records) == 600
-        write_trace_jsonl(saved, generate(spec))
+        save_trace(saved, generate(spec))
         assert streamed.read_bytes() == saved.read_bytes()
-        assert read_trace_jsonl(streamed).records == generate(spec).records
+        assert load_trace(streamed).records == generate(spec).records
 
     def test_jsonl_without_count_gathers_records_first(self, tmp_path):
         spec = GeneratorSpec(static_branches=50, records=300, seed=2)
         path = tmp_path / "a.jsonl"
         assert write_records(path, 0, gen_records(spec)) == 300
-        assert read_trace_jsonl(path).header.record_count == 300
+        assert iter_records(path)[0].record_count == 300
 
     def test_jsonl_wrong_count_rejected(self, tmp_path):
         spec = GeneratorSpec(static_branches=50, records=300, seed=2)
         with pytest.raises(ValueError, match="declares 400"):
             write_records(tmp_path / "a.jsonl", 0, gen_records(spec), count=400)
+
+
+class TestJsonlStreaming:
+    def test_iter_records_reads_jsonl(self, small_trace, tmp_path):
+        path = tmp_path / "t.jsonl"
+        save_trace(path, small_trace)
+        header, records = iter_records(path)
+        assert header.record_count == len(small_trace.records)
+        assert list(records) == load_trace(path).records == small_trace.records
+
+    @pytest.mark.parametrize("declared", [2, 4])
+    def test_count_mismatch_raised_once_exhausted(self, small_trace, tmp_path,
+                                                  declared):
+        path = tmp_path / "t.jsonl"
+        write_records(path, 0, small_trace.records[:3], count=3)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0].replace('"record_count": 3',
+                                         f'"record_count": {declared}')
+                        + "".join(lines[1:]))
+        header, records = iter_records(path)
+        assert header.record_count == declared
+        assert [next(records) for _ in range(3)] == small_trace.records[:3]
+        with pytest.raises(TraceFormatError, match=f"declares {declared}"):
+            next(records)
+
+    def test_peak_memory_flat_in_record_count(self, tmp_path):
+        def consume(records):
+            spec = GeneratorSpec(static_branches=3000, records=records, seed=1)
+            path = tmp_path / f"{records}.jsonl"
+            write_records(path, 0, gen_records(spec), count=records)
+            return lambda: sum(1 for _ in iter_records(path)[1])
+
+        small = traced_peak(consume(20_000))
+        large = traced_peak(consume(200_000))
+        assert large - small < 256 * 1024, (small, large)
 
 
 class TestLargeTrace:
