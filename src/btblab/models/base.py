@@ -9,6 +9,7 @@ contents, driven by taken branches at commit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional
 
 from ..core import BranchKind, BranchRecord, InvariantError, xor_fold
@@ -26,6 +27,11 @@ class Prediction(NamedTuple):
     @property
     def from_ras(self) -> bool:
         return self.target is None
+
+
+# Builds a Prediction from a (target, kind, source) tuple in C, skipping the
+# generated Python __new__; the models build one on every write.
+new_prediction = partial(tuple.__new__, Prediction)
 
 
 @dataclass(slots=True, frozen=True)
@@ -58,14 +64,22 @@ def divisor_ways(entries: int, assoc: int) -> int:
 
 
 def outcome_table(structure: str, slots: int) -> dict:
-    """Every outcome a structure's commits can return, built once per model
-    and read as table[kind][slot][victim_valid].  Outcomes are frozen, so a
-    commit hands out one of these instead of allocating its own."""
-    return {kind: tuple((UpdateOutcome(kind, structure, slot, False),
-                         UpdateOutcome(kind, structure, slot, True))
-                        for slot in range(slots))
-            for kind in ("hit", "rewrite", "migrate", "alloc")}
+    """Every outcome a structure's commits can return, built once per model.
+    table["hit"][slot] and table["rewrite"][slot] never have a victim; the
+    "migrate" and "alloc" entries are read as table[kind][slot][victim_valid].
+    Outcomes are frozen, so a commit hands out one of these instead of
+    allocating its own."""
+    table = {kind: tuple(UpdateOutcome(kind, structure, slot)
+                         for slot in range(slots))
+             for kind in ("hit", "rewrite")}
+    for kind in ("migrate", "alloc"):
+        table[kind] = tuple((UpdateOutcome(kind, structure, slot, False),
+                             UpdateOutcome(kind, structure, slot, True))
+                            for slot in range(slots))
+    return table
 
+
+RETURN = BranchKind.RETURN  # a module global reads faster than an enum member
 
 INVALID = -1  # tag of an empty way: folded tags, page bits and regions are >= 0
 
@@ -80,10 +94,11 @@ class SetArray:
     the table, so the memo grows with the distinct lines seen, not with the
     number of lookups.
 
-    Recency is true LRU: `stamps[s][way]` is the clock value of the way's
-    last touch, so the least recently used way holds the smallest stamp.
-    One clock serves every set, which orders each set's stamps exactly as a
-    per-set clock or a permutation of recency counters would.
+    Recency is true LRU: a touch advances the clock and stamps the way with
+    it, so `stamps[s][way]` is the clock value of the way's last touch and
+    the least recently used way holds the smallest stamp.  One clock serves
+    every set, which orders each set's stamps exactly as a per-set clock or
+    a permutation of recency counters would.
 
     `changes` is a one-item list counting the fills into empty ways and the
     invalidations, the only writes that move a valid count.  A model shares
@@ -97,7 +112,7 @@ class SetArray:
         self.sets, self.ways, self.tag_bits = sets, ways, tag_bits
         self.tags = [[INVALID] * ways for _ in range(sets)]
         self.stamps = [list(range(ways)) for _ in range(sets)]
-        self.clock = ways
+        self.clock = ways - 1  # the last stamp handed out
         self.way_valid = [0] * ways
         self.memo = {}  # line -> (set, tag)
         self.changes = [0]
@@ -121,9 +136,9 @@ class SetArray:
         return row.index(tag) if tag in row else None
 
     def touch(self, s: int, way: int) -> None:
-        """Make a way the most recently used of its set."""
-        self.stamps[s][way] = self.clock
-        self.clock += 1
+        """Make a way the most recently used of its set.  The models' main
+        arrays do the same inline on their per-record paths."""
+        self.stamps[s][way] = self.clock = self.clock + 1
 
     def fill(self, s: int, tag: int, first: int = 0):
         """Write tag into the lowest-index empty way at or after `first`,
@@ -134,17 +149,16 @@ class SetArray:
             raise InvariantError(f"no eligible way at or after way {first}")
         row = self.tags[s]
         stamps = self.stamps[s]
-        if INVALID in row[first:]:
+        if INVALID in (row[first:] if first else row):
             way = row.index(INVALID, first)
             self.way_valid[way] += 1
             self.changes[0] += 1
             victim_valid = False
         else:
-            way = stamps.index(min(stamps[first:]), first)
+            way = stamps.index(min(stamps[first:] if first else stamps), first)
             victim_valid = True
         row[way] = tag
-        stamps[way] = self.clock
-        self.clock += 1
+        stamps[way] = self.clock = self.clock + 1
         return way, victim_valid
 
     def invalidate(self, s: int, way: int) -> None:
@@ -180,9 +194,11 @@ class BtbModel:
     """Interface shared by the four organizations.
 
     Each organization keeps its main array in `self._main`, a `SetArray`.
-    `lookup` probes it through `_lookup_probe`, which keeps the result, and
-    `commit_update` through `_main_probe`, which reuses it for the same
-    branch, so a record's main-array probe happens once.
+    `lookup` keeps its main-array probe, (set, tag, way or None), in
+    `_probed` and the pc it was for in `_probed_pc`; `commit_update` reuses
+    that probe when it is for the same pc and clears `_probed_pc` either
+    way, since a commit may change the array.  So a record's main-array
+    probe happens once.
 
     `changes` is the model's change counter, a one-item list shared by all
     its tables: whenever a count in `occupancy_items()` may have moved, it
@@ -191,23 +207,7 @@ class BtbModel:
 
     name = "?"
     changes = None  # set by each model to its main array's counter
-    _last_probe = None  # (pc, (set, tag, way)) of the last lookup
-
-    def _lookup_probe(self, pc: int):
-        """(set, tag, way or None) of pc in the main array."""
-        probe = self._main.locate(pc >> self.isa.align_shift)
-        self._last_probe = (pc, probe)
-        return probe
-
-    def _main_probe(self, pc: int):
-        """(set, tag, way or None) of pc in the main array.  Reuses the last
-        lookup's probe when it was for this pc: only commits change the
-        array, and each commit consumes the stored probe."""
-        last = self._last_probe
-        self._last_probe = None
-        if last is not None and last[0] == pc:
-            return last[1]
-        return self._main.locate(pc >> self.isa.align_shift)
+    _probed_pc = None  # pc of the last lookup's probe; None once a commit ran
 
     def lookup(self, pc: int) -> Optional[Prediction]:
         raise NotImplementedError

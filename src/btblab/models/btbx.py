@@ -18,11 +18,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Optional
 
-from ..core import (ALIGNED4, BranchKind, BranchRecord, IsaProfile,
-                    required_offset_width)
+from ..core import ALIGNED4, BranchKind, BranchRecord, IsaProfile
 from ..storage import BtbxGeometry
-from .base import (BtbModel, InvariantError, Prediction, SetArray,
-                   UpdateOutcome, outcome_table, way_sources)
+from .base import (RETURN, BtbModel, InvariantError, Prediction, SetArray,
+                   UpdateOutcome, new_prediction, outcome_table, way_sources)
 
 XC_TAG_BITS = 15
 
@@ -42,8 +41,11 @@ class BtbX(BtbModel):
         self.widths = geometry.way_widths
         self.xc_entries = n = geometry.xc_entries
         self._sources = way_sources(ways)
-        self._out = outcome_table("main", ways)
+        self._out = out = outcome_table("main", ways)
+        self._hit, self._rewrite = out["hit"], out["rewrite"]
         self._xc_out = outcome_table("xc", n)
+        self._shift = isa.align_shift
+        self._caps = (sets,) * ways  # every way holds one entry per set
         self._main = SetArray(sets, ways, geometry.tag_bits)
         self._offset = [[0] * ways for _ in range(sets)]
         self._req_width = [[0] * ways for _ in range(sets)]
@@ -58,20 +60,17 @@ class BtbX(BtbModel):
     # -- address plumbing ---------------------------------------------------
 
     def _decode(self, pc: int, way: int, offset_bits: int) -> int:
-        n = self.widths[way] + self.isa.align_shift
-        return (pc & ~((1 << n) - 1)) | (offset_bits << self.isa.align_shift)
-
-    def _offset_field(self, target: int, way: int) -> int:
-        return (target >> self.isa.align_shift) & ((1 << self.widths[way]) - 1)
+        n = self.widths[way] + self._shift
+        return (pc & ~((1 << n) - 1)) | (offset_bits << self._shift)
 
     def _predict(self, pc: int, s: int, way: int, kind: BranchKind) -> Prediction:
-        target = (None if kind is BranchKind.RETURN
+        target = (None if kind is RETURN
                   else self._decode(pc, way, self._offset[s][way]))
-        return Prediction(target, kind, self._sources[way])
+        return new_prediction((target, kind, self._sources[way]))
 
     def _write(self, pc: int, s: int, way: int, kind: BranchKind,
                target: int, req: int) -> None:
-        self._offset[s][way] = self._offset_field(target, way)
+        self._offset[s][way] = (target >> self._shift) & ((1 << self.widths[way]) - 1)
         self._req_width[s][way] = req
         self._owner[s][way] = pc
         self._pred[s][way] = self._predict(pc, s, way, kind)
@@ -79,79 +78,81 @@ class BtbX(BtbModel):
     # -- model interface ----------------------------------------------------
 
     def lookup(self, pc: int) -> Optional[Prediction]:
-        s, _, way = self._lookup_probe(pc)
+        main = self._main
+        self._probed_pc = pc
+        self._probed = s, _, way = main.locate(pc >> self._shift)
         if way is not None:
             # All ways and the companion are probed in parallel; a main-array
             # hit wins over a simultaneous companion hit.
-            self._main.touch(s, way)
+            main.stamps[s][way] = main.clock = main.clock + 1
             if self._owner[s][way] == pc:
                 return self._pred[s][way]
             return self._predict(pc, s, way, self._pred[s][way].kind)
-        slot, _, hit = self._xc.locate(pc >> self.isa.align_shift)
+        slot, _, hit = self._xc.locate(pc >> self._shift)
         if hit is not None:
             return self._xc_pred[slot]
         return None
 
-    def _required_width(self, record: BranchRecord) -> int:
-        if record.kind is BranchKind.RETURN:
-            return 0
-        return required_offset_width(record.pc, record.target, self.isa)
-
     def commit_update(self, record: BranchRecord) -> UpdateOutcome:
+        main = self._main
         pc, target, kind = record.pc, record.target, record.kind
-        s, tag, way = self._main_probe(pc)
+        s, tag, way = (self._probed if pc == self._probed_pc
+                       else main.locate(pc >> self._shift))
+        self._probed_pc = None
         if way is not None:
-            self._main.touch(s, way)
+            main.stamps[s][way] = main.clock = main.clock + 1
             stored = self._pred[s][way]
-            if kind is BranchKind.RETURN:
-                if stored.kind is BranchKind.RETURN:
-                    return self._out["hit"][way][False]
+            if kind is RETURN:
+                if stored.kind is RETURN:
+                    return self._hit[way]
                 self._write(pc, s, way, kind, target, 0)
-                return self._out["rewrite"][way][False]
+                return self._rewrite[way]
             if stored.kind == kind:
                 decoded = (stored.target if self._owner[s][way] == pc
                            else self._decode(pc, way, self._offset[s][way]))
                 if decoded == target:
-                    return self._out["hit"][way][False]
-            req = required_offset_width(pc, target, self.isa)
+                    return self._hit[way]
+            n = (pc ^ target).bit_length()  # required_offset_width, inlined
+            req = n - self._shift if n else 0
             if req <= self.widths[way]:
                 # Target changed but still fits this way: refresh in place.
                 self._write(pc, s, way, kind, target, req)
-                return self._out["rewrite"][way][False]
+                return self._rewrite[way]
             # Outgrew its way: drop the entry and re-allocate.
-            self._main.invalidate(s, way)
+            main.invalidate(s, way)
             return self._allocate(record, s, tag, req, "migrate")
-        slot, _, hit = self._xc.locate(pc >> self.isa.align_shift)
+        # Not in the main array; a return stores no offset bits.
+        n = 0 if kind is RETURN else (pc ^ target).bit_length()
+        req = n - self._shift if n else 0
+        slot, _, hit = self._xc.locate(pc >> self._shift)
         if hit is not None:
             stored = self._xc_pred[slot]
             if stored.kind == kind and stored.target == target:
-                return self._xc_out["hit"][slot][False]
-            req = self._required_width(record)
+                return self._xc_out["hit"][slot]
             if req <= self.widths[-1]:
                 # Shrunk enough for the main array; the companion copy dies
                 # so a branch never lives in both structures for long.
                 self._xc.invalidate(slot, 0)
                 return self._allocate(record, s, tag, req, "migrate")
-            self._xc_pred[slot] = Prediction(target, kind, "xc")
-            return self._xc_out["rewrite"][slot][False]
-        return self._allocate(record, s, tag, self._required_width(record), "alloc")
+            self._xc_pred[slot] = new_prediction((target, kind, "xc"))
+            return self._xc_out["rewrite"][slot]
+        return self._allocate(record, s, tag, req, "alloc")
 
     def _allocate(self, record: BranchRecord, s: int, tag: int, req: int,
                   outcome: str) -> UpdateOutcome:
         # Way widths never decrease, so the ways wide enough are a suffix.
         first = bisect_left(self.widths, req)
         if first == self.ways:
-            slot, xtag, _ = self._xc.locate(record.pc >> self.isa.align_shift)
+            slot, xtag, _ = self._xc.locate(record.pc >> self._shift)
             _, victim_valid = self._xc.fill(slot, xtag)
-            self._xc_pred[slot] = Prediction(record.target, record.kind, "xc")
+            self._xc_pred[slot] = new_prediction((record.target, record.kind, "xc"))
             return self._xc_out[outcome][slot][victim_valid]
         way, victim_valid = self._main.fill(s, tag, first)
         self._write(record.pc, s, way, record.kind, record.target, req)
         return self._out[outcome][way][victim_valid]
 
     def occupancy_items(self):
-        items = [(name, valid, self.sets)
-                 for name, valid in zip(self._sources, self._main.way_valid)]
+        items = list(zip(self._sources, self._main.way_valid, self._caps))
         items.append(("xc", self._xc.way_valid[0], self.xc_entries))
         return items
 

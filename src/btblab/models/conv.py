@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core import ALIGNED4, BranchKind, BranchRecord, IsaProfile
-from .base import (BtbModel, InvariantError, Prediction, SetArray,
-                   UpdateOutcome, divisor_ways, outcome_table, way_sources)
+from ..core import ALIGNED4, BranchRecord, IsaProfile
+from .base import (RETURN, BtbModel, InvariantError, Prediction, SetArray,
+                   UpdateOutcome, divisor_ways, new_prediction, outcome_table,
+                   way_sources)
 
 
 class ConvBtb(BtbModel):
@@ -30,7 +31,9 @@ class ConvBtb(BtbModel):
         self.sets = sets = entries // ways
         self.entries = entries
         self._sources = way_sources(ways)
-        self._out = outcome_table("main", ways)
+        out = outcome_table("main", ways)
+        self._hit, self._rewrite, self._alloc = out["hit"], out["rewrite"], out["alloc"]
+        self._shift = isa.align_shift
         self._main = SetArray(sets, ways, tag_bits)
         self.changes = self._main.changes
         # A full target does not depend on the pc, so an entry's payload is
@@ -38,27 +41,32 @@ class ConvBtb(BtbModel):
         self._pred = [[None] * ways for _ in range(sets)]
 
     def lookup(self, pc: int) -> Optional[Prediction]:
-        s, _, way = self._lookup_probe(pc)
+        main = self._main
+        self._probed_pc = pc
+        self._probed = s, _, way = main.locate(pc >> self._shift)
         if way is None:
             return None
-        self._main.touch(s, way)
+        main.stamps[s][way] = main.clock = main.clock + 1
         return self._pred[s][way]
 
     def commit_update(self, record: BranchRecord) -> UpdateOutcome:
-        s, tag, way = self._main_probe(record.pc)
-        kind = record.kind
+        main = self._main
+        pc, kind = record.pc, record.kind
+        s, tag, way = (self._probed if pc == self._probed_pc
+                       else main.locate(pc >> self._shift))
+        self._probed_pc = None
         if way is not None:
-            self._main.touch(s, way)
+            main.stamps[s][way] = main.clock = main.clock + 1
             pred = self._pred[s][way]
-            if pred.kind == kind and (kind is BranchKind.RETURN
+            if pred.kind == kind and (kind is RETURN
                                       or pred.target == record.target):
-                return self._out["hit"][way][False]
-            outcome = self._out["rewrite"][way][False]
+                return self._hit[way]
+            outcome = self._rewrite[way]
         else:
-            way, victim_valid = self._main.fill(s, tag)
-            outcome = self._out["alloc"][way][victim_valid]
-        target = None if kind is BranchKind.RETURN else record.target
-        self._pred[s][way] = Prediction(target, kind, self._sources[way])
+            way, victim_valid = main.fill(s, tag)
+            outcome = self._alloc[way][victim_valid]
+        target = None if kind is RETURN else record.target
+        self._pred[s][way] = new_prediction((target, kind, self._sources[way]))
         return outcome
 
     def occupancy_items(self):
@@ -69,5 +77,5 @@ class ConvBtb(BtbModel):
         for s, way in self._main.occupied():
             pred = self._pred[s][way]
             if (pred.source != self._sources[way]
-                    or (pred.target is None) != (pred.kind is BranchKind.RETURN)):
+                    or (pred.target is None) != (pred.kind is RETURN)):
                 raise InvariantError(f"set {s} way {way}: bad prediction {pred}")

@@ -15,11 +15,13 @@ need neither pointer.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Optional
 
-from ..core import ALIGNED4, BranchKind, BranchRecord, IsaProfile, xor_fold
-from .base import (INVALID, BtbModel, InvariantError, Prediction, SetArray,
-                   UpdateOutcome, divisor_ways, outcome_table, way_sources)
+from ..core import ALIGNED4, BranchRecord, IsaProfile, xor_fold
+from .base import (INVALID, RETURN, BtbModel, InvariantError, Prediction,
+                   SetArray, UpdateOutcome, divisor_ways, new_prediction,
+                   outcome_table, way_sources)
 
 PAGE_SHIFT = 12
 NO_PAGE = -1  # page_ptr sentinel for entries that need no page (returns)
@@ -46,7 +48,9 @@ class RBtb(BtbModel):
         self.main_entries = main_entries
         self.page_entries = page_entries
         self._sources = way_sources(ways)
-        self._out = outcome_table("main", ways)
+        out = outcome_table("main", ways)
+        self._hit, self._rewrite, self._alloc = out["hit"], out["rewrite"], out["alloc"]
+        self._shift = isa.align_shift
         self._main = SetArray(sets, ways, tag_bits)
         self.changes = self._main.changes
         self._in_off = [[0] * ways for _ in range(sets)]
@@ -55,31 +59,13 @@ class RBtb(BtbModel):
         # What an entry predicts while its page pointer holds; its target is
         # absolute, so it does not depend on the lookup pc.
         self._pred = [[None] * ways for _ in range(sets)]
-        # The page table is searched through a dict, which beats a list
-        # search over its hundreds of slots.  The dict's insertion order is
-        # also the table's true-LRU order, least recently used first: a hit
-        # moves its page to the end.
+        # The page table is searched through a map, which beats a list
+        # search over its hundreds of slots.  The map's order is also the
+        # table's true-LRU order, least recently used first: a hit moves its
+        # page to the end and an eviction pops the front.
         self._pt_page = [INVALID] * page_entries
         self._pt_gen = [0] * page_entries
-        self._pt_map = {}  # page number -> slot, the associative-search result
-
-    def _ensure_page(self, page: int):
-        """Find or allocate the slot for a page number (associative search);
-        eviction bumps the slot generation, orphaning old dependents."""
-        pt_map = self._pt_map
-        slot = pt_map.pop(page, None)
-        if slot is not None:
-            pt_map[page] = slot
-            return slot, self._pt_gen[slot]
-        if len(pt_map) < self.page_entries:
-            slot = len(pt_map)  # slots fill in order and are never emptied
-            self.changes[0] += 1
-        else:
-            slot = pt_map.pop(next(iter(pt_map)))
-        self._pt_gen[slot] += 1
-        self._pt_page[slot] = page
-        pt_map[page] = slot
-        return slot, self._pt_gen[slot]
+        self._pt_map = OrderedDict()  # page number -> slot
 
     def _live(self, s: int, way: int) -> bool:
         """Whether an entry needs no page (a return) or its page pointer's
@@ -89,40 +75,64 @@ class RBtb(BtbModel):
         return ptr == NO_PAGE or self._pt_gen[ptr] == self._page_gen[s][way]
 
     def lookup(self, pc: int) -> Optional[Prediction]:
-        s, _, way = self._lookup_probe(pc)
-        if way is None or not self._live(s, way):
+        main = self._main
+        self._probed_pc = pc
+        self._probed = s, _, way = main.locate(pc >> self._shift)
+        if way is None:
+            return None
+        ptr = self._page_ptr[s][way]
+        if ptr != NO_PAGE and self._pt_gen[ptr] != self._page_gen[s][way]:
             return None  # dangling page pointer: miss, never a wrong target
-        self._main.touch(s, way)
+        main.stamps[s][way] = main.clock = main.clock + 1
         return self._pred[s][way]
 
-    def _write(self, s: int, way: int, record: BranchRecord):
-        target = record.target
-        if record.kind is BranchKind.RETURN:
+    def commit_update(self, record: BranchRecord) -> UpdateOutcome:
+        main = self._main
+        pc, kind, target = record.pc, record.kind, record.target
+        s, tag, way = (self._probed if pc == self._probed_pc
+                       else main.locate(pc >> self._shift))
+        self._probed_pc = None
+        if way is not None:
+            main.stamps[s][way] = main.clock = main.clock + 1
+            # A hit needs the same kind and, for a non-return, the same
+            # target through a page pointer that still holds.
+            pred = self._pred[s][way]
+            if pred.kind == kind and (
+                    kind is RETURN
+                    or (pred.target == target and self._pt_gen[self._page_ptr[s][way]]
+                        == self._page_gen[s][way])):
+                return self._hit[way]
+            outcome = self._rewrite[way]
+        else:
+            way, victim_valid = main.fill(s, tag)
+            outcome = self._alloc[way][victim_valid]
+        if kind is RETURN:
             target = None
             self._in_off[s][way] = 0
             self._page_ptr[s][way] = NO_PAGE
             self._page_gen[s][way] = 0
         else:
-            slot, gen = self._ensure_page(target >> self.page_shift)
+            # Find or allocate the target page's slot (associative search);
+            # eviction bumps the slot generation, orphaning old dependents.
+            page = target >> self.page_shift
+            pt_map = self._pt_map
+            slot = pt_map.get(page)
+            if slot is not None:
+                pt_map.move_to_end(page)
+            else:
+                if len(pt_map) < self.page_entries:
+                    slot = len(pt_map)  # slots fill in order, never emptied
+                    self.changes[0] += 1
+                else:
+                    slot = pt_map.popitem(last=False)[1]
+                self._pt_gen[slot] += 1
+                self._pt_page[slot] = page
+                pt_map[page] = slot
             self._in_off[s][way] = target & ((1 << self.page_shift) - 1)
             self._page_ptr[s][way] = slot
-            self._page_gen[s][way] = gen
-        self._pred[s][way] = Prediction(target, record.kind, self._sources[way])
-
-    def commit_update(self, record: BranchRecord) -> UpdateOutcome:
-        s, tag, way = self._main_probe(record.pc)
-        if way is not None:
-            self._main.touch(s, way)
-            pred = self._pred[s][way]
-            if pred.kind == record.kind and (
-                    record.kind is BranchKind.RETURN
-                    or (pred.target == record.target and self._live(s, way))):
-                return self._out["hit"][way][False]
-            self._write(s, way, record)
-            return self._out["rewrite"][way][False]
-        way, victim_valid = self._main.fill(s, tag)
-        self._write(s, way, record)
-        return self._out["alloc"][way][victim_valid]
+            self._page_gen[s][way] = self._pt_gen[slot]
+        self._pred[s][way] = new_prediction((target, kind, self._sources[way]))
+        return outcome
 
     def occupancy_items(self):
         return [("main", self._main.valid(), self.main_entries),
@@ -141,7 +151,7 @@ class RBtb(BtbModel):
                       (self._pt_page[ptr] << self.page_shift) | self._in_off[s][way])
             pred = self._pred[s][way]
             if (pred.target != target or pred.source != self._sources[way]
-                    or (pred.kind is BranchKind.RETURN) != (ptr == NO_PAGE)):
+                    or (pred.kind is RETURN) != (ptr == NO_PAGE)):
                 raise InvariantError(f"set {s} way {way}: stored prediction "
                                      f"{pred} differs from its payload")
 
@@ -179,7 +189,9 @@ class PdedeBtb(BtbModel):
         self.page_entries = ps * pa
         self.region_entries = region_entries
         self._sources = way_sources(ways)
-        self._out = outcome_table("main", ways)
+        self._out = out = outcome_table("main", ways)
+        self._hit, self._rewrite = out["hit"], out["rewrite"]
+        self._shift = isa.align_shift
         self._main = SetArray(sets, ways, tag_bits)
         self._same = [[True] * ways for _ in range(sets)]
         self._in_off = [[0] * ways for _ in range(sets)]
@@ -263,29 +275,29 @@ class PdedeBtb(BtbModel):
         """What a same-page or return entry predicts for pc: page bits come
         straight from the pc, with no side-table access."""
         kind = self._pred[s][way].kind
-        target = (None if kind is BranchKind.RETURN else
+        target = (None if kind is RETURN else
                   ((pc >> self.page_shift) << self.page_shift) | self._in_off[s][way])
-        return Prediction(target, kind, self._sources[way])
+        return new_prediction((target, kind, self._sources[way]))
 
     def lookup(self, pc: int) -> Optional[Prediction]:
-        s, _, way = self._lookup_probe(pc)
+        main = self._main
+        self._probed_pc = pc
+        self._probed = s, _, way = main.locate(pc >> self._shift)
         if way is None:
             return None
-        if self._same[s][way]:
-            self._main.touch(s, way)
-            if self._owner[s][way] == pc:
-                return self._pred[s][way]
-            return self._same_page_prediction(pc, s, way)
-        if not self._live(s, way):
+        same = self._same[s][way]
+        if not same and not self._live(s, way):
             return None  # stale page or region link: miss, never a wrong target
-        self._main.touch(s, way)
+        main.stamps[s][way] = main.clock = main.clock + 1
+        if same and self._owner[s][way] != pc:
+            return self._same_page_prediction(pc, s, way)
         return self._pred[s][way]
 
     def _write(self, s: int, way: int, record: BranchRecord, same: bool):
         if same is False and way < self.reserved_ways:
             raise InvariantError(f"different-page entry written to reserved way {way}")
         target = record.target
-        if record.kind is BranchKind.RETURN:
+        if record.kind is RETURN:
             target = None
             self._same[s][way] = True
             self._in_off[s][way] = 0
@@ -300,38 +312,34 @@ class PdedeBtb(BtbModel):
                 self._page_ptr[s][way] = ptr
                 self._page_gen[s][way] = gen
         self._owner[s][way] = record.pc
-        self._pred[s][way] = Prediction(target, record.kind, self._sources[way])
+        self._pred[s][way] = new_prediction((target, record.kind, self._sources[way]))
 
     def commit_update(self, record: BranchRecord) -> UpdateOutcome:
-        pc, target = record.pc, record.target
-        same = (record.kind is BranchKind.RETURN
+        main = self._main
+        pc, kind, target = record.pc, record.kind, record.target
+        same = (kind is RETURN
                 or (pc >> self.page_shift) == (target >> self.page_shift))
-        s, tag, way = self._main_probe(pc)
-        if way is not None:
-            if not same and way < self.reserved_ways:
-                # Target moved off-page but a reserved way cannot hold the
-                # pointer: drop the entry and re-allocate in a general way.
-                self._main.invalidate(s, way)
-                return self._allocate(record, s, tag, same, "migrate")
-            self._main.touch(s, way)
-            if self._entry_matches(s, way, record, same):
-                return self._out["hit"][way][False]
-            self._write(s, way, record, same)
-            return self._out["rewrite"][way][False]
-        return self._allocate(record, s, tag, same, "alloc")
-
-    def _entry_matches(self, s: int, way: int, record: BranchRecord,
-                       same: bool) -> bool:
+        s, tag, way = (self._probed if pc == self._probed_pc
+                       else main.locate(pc >> self._shift))
+        self._probed_pc = None
+        if way is None:
+            return self._allocate(record, s, tag, same, "alloc")
+        if not same and way < self.reserved_ways:
+            # Target moved off-page but a reserved way cannot hold the
+            # pointer: drop the entry and re-allocate in a general way.
+            main.invalidate(s, way)
+            return self._allocate(record, s, tag, same, "migrate")
+        main.stamps[s][way] = main.clock = main.clock + 1
+        # A hit needs the same kind and, for a non-return, the same page
+        # handling and the same in-page offset (same page) or target.
         pred = self._pred[s][way]
-        if pred.kind != record.kind:
-            return False
-        if record.kind is BranchKind.RETURN:
-            return True
-        if self._same[s][way] != same:
-            return False
-        if same:
-            return self._in_off[s][way] == record.target & ((1 << self.page_shift) - 1)
-        return pred.target == record.target and self._live(s, way)
+        if pred.kind == kind and (kind is RETURN or (
+                self._same[s][way] == same
+                and (self._in_off[s][way] == target & ((1 << self.page_shift) - 1)
+                     if same else pred.target == target and self._live(s, way)))):
+            return self._hit[way]
+        self._write(s, way, record, same)
+        return self._rewrite[way]
 
     def _allocate(self, record: BranchRecord, s: int, tag: int, same: bool,
                   outcome: str) -> UpdateOutcome:

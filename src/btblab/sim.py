@@ -15,6 +15,7 @@ for itself plus `gap` preceding non-branch instructions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import (ALIGNED4, CALL_BYTES, CALL_KINDS, BranchKind, BranchRecord,
@@ -111,29 +112,44 @@ def run(model: BtbModel, trace: Union[TraceFile, Sequence[BranchRecord]],
     hits: Dict[str, int] = {}
     instructions = taken = misses = wrong = underflows = ras_mispredicts = 0
 
-    for i, rec in enumerate(records):
-        measured = warmup <= i < end
-        if measured and i == warmup:
-            occupancy = _OccupancyArea(model, i)
+    def replay(records):
+        """The warmup and the tail: the same lookups, commits, checks and
+        RAS traffic as the measured window, without counting."""
+        for rec in records:
+            lookup(rec.pc)
+            if not rec.taken:
+                continue
+            commit(rec)
+            if check is not None:
+                check()
+            kind = rec.kind
+            if kind in CALL_KINDS:
+                ras.push(rec.pc + CALL_BYTES)
+            elif kind is RETURN:
+                ras.pop()
+
+    it = iter(records)
+    replay(islice(it, warmup))
+    if end > warmup:
+        occupancy = _OccupancyArea(model, warmup)
+    for i, rec in enumerate(islice(it, end - warmup), warmup):
         pred = lookup(rec.pc)
-        if measured:
-            instructions += rec.gap + 1
+        instructions += rec.gap + 1
         if not rec.taken:
             continue
         kind = rec.kind
-        if measured:
-            taken += 1
-            if pred is None:
-                misses += 1
-            elif (pred.kind is RETURN if kind is RETURN
-                  else pred.target == rec.target):
-                source = pred.source
-                hits[source] = hits.get(source, 0) + 1
-            else:
-                misses += 1
-                wrong += 1
+        taken += 1
+        if pred is None:
+            misses += 1
+        elif (pred.kind is RETURN if kind is RETURN
+              else pred.target == rec.target):
+            source = pred.source
+            hits[source] = hits.get(source, 0) + 1
+        else:
+            misses += 1
+            wrong += 1
         commit(rec)
-        if measured and changes[0] != occupancy.seen:
+        if changes[0] != occupancy.seen:
             occupancy.change(i)
         if check is not None:
             check()
@@ -141,11 +157,11 @@ def run(model: BtbModel, trace: Union[TraceFile, Sequence[BranchRecord]],
             ras.push(rec.pc + CALL_BYTES)
         elif kind is RETURN:
             popped = ras.pop()
-            if measured:
-                if popped is None:
-                    underflows += 1
-                elif popped != rec.target:
-                    ras_mispredicts += 1
+            if popped is None:
+                underflows += 1
+            elif popped != rec.target:
+                ras_mispredicts += 1
+    replay(it)
 
     metrics = Metrics(instructions=instructions, taken_branches=taken,
                       taken_btb_misses=misses, hits_by_source=hits,

@@ -4,9 +4,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-# The CLI tests run `python -m btblab.cli` with cwd=tmp_path; an absolute
-# src/ on PYTHONPATH lets those children import btblab from a plain checkout.
+# An absolute src/ on sys.path lets the tests import btblab from a plain
+# checkout, and on PYTHONPATH it lets the CLI tests' `python -m btblab.cli`
+# children, which run with cwd=tmp_path, do the same.
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 

@@ -335,6 +335,27 @@ class TestProbeReuse:
         m.check_invariants()
 
     @pytest.mark.parametrize("index", range(4))
+    def test_commit_after_looked_up_way_was_evicted_allocates(self, index):
+        m = churn_models()[index]
+        ways = m._main.ways
+        # pcs 4 * sets apart share a set; a self-target fits every way.
+        pcs = [0x1000 + 4 * m.sets * k for k in range(2 * ways)]
+        a = pcs[0]
+        for pc in pcs[:ways]:
+            m.commit_update(rec(pc, pc))  # the set is full, a its oldest
+        looked_up = m.lookup(a)  # finds a's way and makes a the newest
+        for pc in pcs[ways:]:
+            outcome = m.commit_update(rec(pc, pc))
+        # The last of `ways` fresh branches evicted a's way.
+        assert outcome.kind == "alloc" and outcome.victim_valid
+        assert looked_up.source == f"way{outcome.way}"
+        # a's probe from its lookup is stale: a must allocate, not hit or
+        # rewrite the entry that now holds that way.
+        assert m.commit_update(rec(a, a)).kind == "alloc"
+        assert m.lookup(pcs[-1]).target == pcs[-1]  # that entry is intact
+        m.check_invariants()
+
+    @pytest.mark.parametrize("index", range(4))
     def test_random_interleaving_matches_fresh_probes(self, index):
         rng = random.Random(index)
         spec = GeneratorSpec(static_branches=120, records=3000,
@@ -347,10 +368,12 @@ class TestProbeReuse:
         def step(model, op, r, forget):
             if op == "lookup":
                 pred = model.lookup(r.pc)
+                # The stash that `forget` clears is the one lookup fills.
+                assert model._probed_pc == r.pc
                 return None if pred is None else (pred.target, pred.kind,
                                                   pred.source)
             if forget:
-                model._last_probe = None
+                model._probed_pc = None
             return model.commit_update(r)
 
         for _ in range(4000):
@@ -634,6 +657,48 @@ class TestEventDigests:
             if r.taken:
                 digest.update(model.commit_update(r).event().encode() + b"\n")
         assert digest.hexdigest() == EVENT_DIGESTS[name, budget_kb]
+
+
+# The same stream under the byte-granular profile at its 0.93, 14.9 and
+# 59.5 KB presets, where way widths, tag widths and geometry all differ from
+# aligned4.  Recorded from the implementation whose models probed through
+# BtbModel._lookup_probe and _main_probe.
+BYTE_EVENT_DIGESTS = {
+    ("conv", 0.9296875): "5110299b64fe970a03c48c2e3614365bf311bce4d2e36920c818cbdd49497043",
+    ("rbtb", 0.9296875): "849c57cd50674f61e1c95ae3d00b8970cbd85443da0c2c4cb6597e90a2b3d77a",
+    ("pdede", 0.9296875): "2774d0727325648bb708a9e83e29b25ba0c540ade547042183ac5802946a69f4",
+    ("btbx", 0.9296875): "09c43a6f2cae667cf36bfbfe8e06fae66b32819ef91b1755ca0b0e5a7232c0f1",
+    ("conv", 14.875): "6c899e6034d87bb3a4e3aa8f5b56a38c4a54c6385f6e9390407c28ecd3d63494",
+    ("rbtb", 14.875): "e117af1b82b3929461d86f7d1b8729f212434354d752be85324ace43fbc31ec9",
+    ("pdede", 14.875): "f6f31b55f7a4c670f27374d195ed03af9bb71e4fe218919fd307936bd3b1db6a",
+    ("btbx", 14.875): "da4bdd7416092dd09d3bf32614cc76ce6da0a0638461c7f2c8d850f4c790dc20",
+    ("conv", 59.5): "23ed0f3e54f24ab13148333af52612a33c2c586e1aed78f8bb0cf4fcc26bd113",
+    ("rbtb", 59.5): "8c90db9bc555d2cc5ed665c6ebf20b8d2fafa2bc5e764fbc9bf7443dc7fa73b0",
+    ("pdede", 59.5): "c12834c68e9f9f766fd8dc2a4c4cded9ace0564db7c79c73b31e599f20389788",
+    ("btbx", 59.5): "9e2a85141d277742da7eaf148d217558d7bcc6b4438f078e9e43890550fe4f41",
+}
+
+
+@pytest.fixture(scope="module")
+def byte_churn_records():
+    spec = GeneratorSpec(static_branches=3000, records=20_000, pattern="uniform",
+                         seed=3, width_buckets=((0, 6, 0.5), (7, 20, 0.3),
+                                                (21, 30, 0.2)), isa_mode=1)
+    return list(gen_records(spec))
+
+
+class TestByteEventDigests:
+    @pytest.mark.parametrize("name, budget_kb", list(BYTE_EVENT_DIGESTS))
+    def test_event_stream_matches_pinned_digest(self, byte_churn_records,
+                                                name, budget_kb):
+        model = build_model(name, budget_kb=budget_kb, isa=BYTE)
+        digest = hashlib.sha256()
+        for r in byte_churn_records:
+            pred = model.lookup(r.pc)
+            digest.update(b"m\n" if pred is None else pred.source.encode() + b"\n")
+            if r.taken:
+                digest.update(model.commit_update(r).event().encode() + b"\n")
+        assert digest.hexdigest() == BYTE_EVENT_DIGESTS[name, budget_kb]
 
 
 class TestFactory:

@@ -105,6 +105,30 @@ class TestRun:
         assert metrics.ras_mispredicts == 5
         assert metrics.taken_btb_misses == 2  # one cold miss per pc, no more
 
+    def test_ras_carries_over_from_warmup(self):
+        call = rec(0x1000, 0x5000, BranchKind.CALL)
+        ret = rec(0x5008, 0x1004, BranchKind.RETURN)
+        metrics = run(ConvBtb(entries=64), [call, ret], SimConfig(warmup_records=1))
+        assert metrics.ras_underflows == 0 and metrics.ras_mispredicts == 0
+
+    def test_invariants_checked_in_warmup_window_and_tail(self):
+        class CountingConv(ConvBtb):
+            checks = 0
+
+            def check_invariants(self):
+                self.checks += 1
+                super().check_invariants()
+
+        spec = GeneratorSpec(static_branches=50, records=400,
+                             pattern="uniform", seed=4, taken_rate=0.7)
+        records = list(gen_records(spec))
+        model = CountingConv(entries=32)
+        metrics = run(model, records, SimConfig(warmup_records=100,
+                                                measure_records=200, debug=True))
+        assert metrics.measured_records == 200  # 100 tail records follow
+        assert 0 < metrics.taken_branches < sum(r.taken for r in records)
+        assert model.checks == sum(r.taken for r in records)
+
     def test_isa_mode_mismatch_rejected(self):
         trace = TraceFile(TraceHeader(isa_mode=1, record_count=0), [])
         with pytest.raises(ValueError, match="isa_mode"):
