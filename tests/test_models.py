@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import rec, taken_branch_trace
-from btblab.core import ALIGNED4, BYTE, BranchKind, xor_fold
+from btblab.core import ALIGNED4, BYTE, MODEL_NAMES, BranchKind, xor_fold
 from btblab.models import ConfigError, build_model
 from btblab.models.base import InvariantError, SetArray
 from btblab.models.btbx import BtbX
@@ -740,3 +740,53 @@ class TestFactory:
             build_model("btbx", budget_kb=14.5, sets=64)
         with pytest.raises(ConfigError):
             build_model("btbx")
+
+
+def geometry_of(model):
+    """Every sizing a build resolves to: each table's sets, ways and tag
+    width, and each occupancy structure's capacity."""
+    tables = [model._main] + [getattr(model, a) for a in ("_pt", "_rt", "_xc")
+                              if hasattr(model, a)]
+    return (model.name, [(t.sets, t.ways, t.tag_bits) for t in tables],
+            [(name, cap) for name, _, cap in model.occupancy_items()])
+
+
+def geometry_digest(builds) -> str:
+    return hashlib.sha256(repr([geometry_of(m) for m in builds]).encode()).hexdigest()
+
+
+# Recorded before the models shared one constructor and pdede's split moved
+# into the budget preset table; a sizing change of any build fails these.
+GEOMETRY_DIGESTS = {
+    "presets": "fcd928c40a810138fb7d255d523d850420c1e08ec2e870bf504da88726e182e0",
+    "sets": "209cdf89f59eebec297b35247a39544504e211577f6e8e4d70b5d49789cd9887",
+}
+CAPACITY_CSV_DIGESTS = {
+    ("aligned4", None): "f463cd9aba878e106e4197ff6377de785f65cc48c4997c5480a168a2e40f0a32",
+    ("byte", None): "b4791feac86f244ba990e5704f259309f7f22dbb57301f6fbe3b7bd15fb1675d",
+    ("aligned4", (5, 0.5, 100)): "099d73c96dfed9eed04bd20ddca51bbc6b8ca09cdc6c924d6928f086e5903789",
+    ("byte", (5, 0.5, 100)): "099d73c96dfed9eed04bd20ddca51bbc6b8ca09cdc6c924d6928f086e5903789",
+}
+
+
+class TestGeometryPin:
+    def test_preset_builds(self):
+        builds = [build_model(name, budget_kb=kb, isa=isa)
+                  for isa in (ALIGNED4, BYTE)
+                  for kb in storage.standard_budgets_kb(isa)
+                  for name in MODEL_NAMES]
+        assert len(builds) == 56
+        assert geometry_digest(builds) == GEOMETRY_DIGESTS["presets"]
+
+    def test_sets_builds(self):
+        builds = [build_model(name, sets=sets, isa=isa)
+                  for isa in (ALIGNED4, BYTE) for sets in (8, 32, 512)
+                  for name in ("conv", "btbx")]
+        assert geometry_digest(builds) == GEOMETRY_DIGESTS["sets"]
+
+    @pytest.mark.parametrize("mode, budgets", list(CAPACITY_CSV_DIGESTS))
+    def test_capacity_csv(self, mode, budgets):
+        isa = {"aligned4": ALIGNED4, "byte": BYTE}[mode]
+        text = storage.capacity_table_csv(storage.capacity_table(budgets, isa))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == CAPACITY_CSV_DIGESTS[mode, budgets]
