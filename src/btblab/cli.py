@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -153,7 +154,7 @@ def cmd_analyze_offsets(args) -> int:
 
 def cmd_capacity_table(args) -> int:
     import logging  # for the extrapolated-budget warning
-    from .storage import capacity_table, capacity_table_csv
+    from .storage import BITS_PER_KB, capacity_table, capacity_table_csv
     logging.basicConfig(level=logging.WARNING, format="btblab: %(message)s")
     budgets = None
     if args.budgets:
@@ -161,6 +162,10 @@ def cmd_capacity_table(args) -> int:
             budgets = [float(b) for b in args.budgets.split(",")]
         except ValueError:
             raise UsageError(f"bad budget list {args.budgets!r}") from None
+        for budget in budgets:
+            if not 1 <= budget * BITS_PER_KB < math.inf:
+                raise UsageError(f"budget {budget:g} KB is not a finite size "
+                                 "of at least one bit")
     isa = profile_for_mode(_ISA_MODES[args.isa])
     rows = capacity_table(budgets, isa)
     _write_text(args.output, capacity_table_csv(rows))

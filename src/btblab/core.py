@@ -43,10 +43,6 @@ class BranchKind(IntEnum):
     def always_taken(self) -> bool:
         return self is not BranchKind.CONDITIONAL
 
-    @property
-    def is_call(self) -> bool:
-        return self in CALL_KINDS
-
 
 CALL_KINDS = frozenset((BranchKind.CALL, BranchKind.INDIRECT_CALL))
 
@@ -202,6 +198,8 @@ def xor_fold(value: int, bits: int) -> int:
 # A call's return address is its pc plus this many bytes in both ISA modes.
 CALL_BYTES = 4
 
+RAS_CAPACITY = 64  # return-address-stack entries of the simulated front end
+
 
 class ReturnAddressStack:
     """Fixed-capacity LIFO of return addresses.
@@ -211,7 +209,7 @@ class ReturnAddressStack:
     and report the event.
     """
 
-    def __init__(self, capacity: int = 64):
+    def __init__(self, capacity: int = RAS_CAPACITY):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity

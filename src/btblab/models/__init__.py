@@ -12,8 +12,6 @@ from .btbx import BtbX
 from .conv import ConvBtb
 from .paged import PdedeBtb, RBtb
 
-RBTB_PAGE_ENTRY_BITS = 37  # valid + full 36-bit page number
-
 
 def _match_preset(budget_kb: float, isa: IsaProfile) -> storage.BudgetPreset:
     preset = storage.match_preset(budget_kb, isa)
@@ -62,19 +60,12 @@ def build_model(name: str, budget_kb: Optional[float] = None,
     if sets is not None:
         raise ConfigError(f"model {name!r} is sized by --budget-kb, not --sets")
     preset = _match_preset(budget_kb, isa)
-    row = storage.STANDARD_PRESETS.index(preset)
-    pp = storage.PDEDE_PRESETS[row]
+    pp = preset.pdede
     if name == "pdede":
-        return PdedeBtb(pp.main_entries, pp.page_entries, pp.region_entries,
+        return PdedeBtb(pp.branch_capacity, pp.page_entries, pp.region_entries,
                         isa=isa)
-    # rbtb: same page-table size as the pdede preset, fully associative;
-    # the remaining bits buy pointer-carrying main entries.
-    budget_bits = preset.total_bits(isa)
-    page_bits = pp.page_entries * RBTB_PAGE_ENTRY_BITS
-    entry_bits = (18 + (12 - isa.align_shift)
-                  + max(1, (pp.page_entries - 1).bit_length()))
-    main_entries = (budget_bits - page_bits) // entry_bits
-    return RBtb(main_entries, pp.page_entries, isa=isa)
+    return RBtb(storage.rbtb_main_entries(preset, isa), pp.page_entries,
+                isa=isa)
 
 
 __all__ = [

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Optional
 
-from ..core import BranchKind, BranchRecord, InvariantError, xor_fold
+from ..core import BranchKind, BranchRecord, InvariantError, IsaProfile, xor_fold
 
 
 class Prediction(NamedTuple):
@@ -23,10 +23,6 @@ class Prediction(NamedTuple):
     target: Optional[int]
     kind: BranchKind
     source: str
-
-    @property
-    def from_ras(self) -> bool:
-        return self.target is None
 
 
 # Builds a Prediction from a (target, kind, source) tuple in C, skipping the
@@ -52,14 +48,12 @@ class UpdateOutcome:
         return f"{self.kind}:{self.structure}:{way}"
 
 
-def way_sources(ways: int) -> tuple:
-    """Prediction sources "way0", "way1", ..., built once per model."""
-    return tuple(f"way{w}" for w in range(ways))
+ASSOC = 8  # nominal ways of every main array
 
 
-def divisor_ways(entries: int, assoc: int) -> int:
-    """The largest associativity, at most `assoc`, that divides `entries`."""
-    return next(a for a in range(min(assoc, entries), 0, -1)
+def divisor_ways(entries: int) -> int:
+    """The largest associativity, at most ASSOC, that divides `entries`."""
+    return next(a for a in range(min(ASSOC, entries), 0, -1)
                 if entries % a == 0)
 
 
@@ -191,9 +185,14 @@ class SetArray:
 
 
 class BtbModel:
-    """Interface shared by the four organizations.
+    """Interface and main-array skeleton shared by the four organizations.
 
-    Each organization keeps its main array in `self._main`, a `SetArray`.
+    The constructor builds what every organization has: a main array of
+    `sets` x `ways` in `self._main`, the prediction sources "way0", "way1",
+    ..., the main array's outcome table, and one stored prediction per way
+    in `self._pred`.  An organization adds its sizing rule, its other
+    payload lists (see `_grid`) and its placement policy.
+
     `lookup` keeps its main-array probe, (set, tag, way or None), in
     `_probed` and the pc it was for in `_probed_pc`; `commit_update` reuses
     that probe when it is for the same pc and clears `_probed_pc` either
@@ -206,8 +205,22 @@ class BtbModel:
     """
 
     name = "?"
-    changes = None  # set by each model to its main array's counter
     _probed_pc = None  # pc of the last lookup's probe; None once a commit ran
+
+    def __init__(self, sets: int, ways: int, tag_bits: int, isa: IsaProfile):
+        self.isa = isa
+        self.sets, self.ways = sets, ways
+        self._shift = isa.align_shift
+        self._main = SetArray(sets, ways, tag_bits)
+        self.changes = self._main.changes
+        self._sources = tuple(f"way{w}" for w in range(ways))
+        self._out = out = outcome_table("main", ways)
+        self._hit, self._rewrite, self._alloc = out["hit"], out["rewrite"], out["alloc"]
+        self._pred = self._grid(None)
+
+    def _grid(self, value) -> list:
+        """A payload list: `value` in every way of every main set."""
+        return [[value] * self.ways for _ in range(self.sets)]
 
     def lookup(self, pc: int) -> Optional[Prediction]:
         raise NotImplementedError

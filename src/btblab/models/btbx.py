@@ -21,7 +21,7 @@ from typing import Optional
 from ..core import ALIGNED4, BranchKind, BranchRecord, IsaProfile
 from ..storage import BtbxGeometry
 from .base import (RETURN, BtbModel, InvariantError, Prediction, SetArray,
-                   UpdateOutcome, new_prediction, outcome_table, way_sources)
+                   UpdateOutcome, new_prediction, outcome_table)
 
 XC_TAG_BITS = 15
 
@@ -34,27 +34,20 @@ class BtbX(BtbModel):
             # Widths are tuned per address granularity; mixing them up is
             # almost certainly a configuration mistake.
             raise ValueError("geometry way widths do not match ISA mode")
+        super().__init__(geometry.sets, geometry.ways, geometry.tag_bits, isa)
         self.geometry = geometry
-        self.isa = isa
-        self.sets = sets = geometry.sets
-        self.ways = ways = geometry.ways
         self.widths = geometry.way_widths
         self.xc_entries = n = geometry.xc_entries
-        self._sources = way_sources(ways)
-        self._out = out = outcome_table("main", ways)
-        self._hit, self._rewrite = out["hit"], out["rewrite"]
         self._xc_out = outcome_table("xc", n)
-        self._shift = isa.align_shift
-        self._caps = (sets,) * ways  # every way holds one entry per set
-        self._main = SetArray(sets, ways, geometry.tag_bits)
-        self._offset = [[0] * ways for _ in range(sets)]
-        self._req_width = [[0] * ways for _ in range(sets)]
-        # The prediction an entry decodes to for the pc that wrote it, and
-        # that pc; another pc with the same set and tag decodes its own.
-        self._pred = [[None] * ways for _ in range(sets)]
-        self._owner = [[None] * ways for _ in range(sets)]
+        self._caps = (self.sets,) * self.ways  # every way holds one entry per set
+        self._offset = self._grid(0)
+        self._req_width = self._grid(0)
+        # `_pred` holds the prediction an entry decodes to for the pc that
+        # wrote it, and `_owner` that pc; another pc with the same set and
+        # tag decodes its own.
+        self._owner = self._grid(None)
         self._xc = SetArray(n, 1, XC_TAG_BITS)  # direct-mapped: one way
-        self.changes = self._xc.changes = self._main.changes
+        self._xc.changes = self.changes
         self._xc_pred = [None] * n  # full targets: the same for every pc
 
     # -- address plumbing ---------------------------------------------------

@@ -5,9 +5,9 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core import ALIGNED4, BranchRecord, IsaProfile
-from .base import (RETURN, BtbModel, InvariantError, Prediction, SetArray,
-                   UpdateOutcome, divisor_ways, new_prediction, outcome_table,
-                   way_sources)
+from ..storage import TAG_BITS
+from .base import (RETURN, BtbModel, InvariantError, Prediction,
+                   UpdateOutcome, divisor_ways, new_prediction)
 
 
 class ConvBtb(BtbModel):
@@ -18,27 +18,20 @@ class ConvBtb(BtbModel):
     to the largest associativity that divides it (e.g. 116 entries -> 4-way
     over 29 sets) and indexes sets by modulo, which also covers
     non-power-of-two set counts.
+
+    A full target does not depend on the pc, so an entry's only payload is
+    the prediction its hits return.
     """
 
     name = "conv"
 
-    def __init__(self, entries: int, assoc: int = 8,
-                 isa: IsaProfile = ALIGNED4, tag_bits: int = 12):
+    def __init__(self, entries: int, isa: IsaProfile = ALIGNED4,
+                 tag_bits: int = TAG_BITS):
         if entries < 1:
             raise ValueError(f"entries must be >= 1, got {entries}")
-        self.isa = isa
-        self.assoc = ways = divisor_ways(entries, assoc)
-        self.sets = sets = entries // ways
+        ways = divisor_ways(entries)
+        super().__init__(entries // ways, ways, tag_bits, isa)
         self.entries = entries
-        self._sources = way_sources(ways)
-        out = outcome_table("main", ways)
-        self._hit, self._rewrite, self._alloc = out["hit"], out["rewrite"], out["alloc"]
-        self._shift = isa.align_shift
-        self._main = SetArray(sets, ways, tag_bits)
-        self.changes = self._main.changes
-        # A full target does not depend on the pc, so an entry's payload is
-        # the prediction its hits return.
-        self._pred = [[None] * ways for _ in range(sets)]
 
     def lookup(self, pc: int) -> Optional[Prediction]:
         main = self._main

@@ -19,11 +19,11 @@ from collections import OrderedDict
 from typing import Optional
 
 from ..core import ALIGNED4, BranchRecord, IsaProfile, xor_fold
-from .base import (INVALID, RETURN, BtbModel, InvariantError, Prediction,
-                   SetArray, UpdateOutcome, divisor_ways, new_prediction,
-                   outcome_table, way_sources)
+from ..storage import PAGE_SHIFT, TAG_BITS
+from .base import (ASSOC, INVALID, RETURN, BtbModel, InvariantError,
+                   Prediction, SetArray, UpdateOutcome, divisor_ways,
+                   new_prediction)
 
-PAGE_SHIFT = 12
 NO_PAGE = -1  # page_ptr sentinel for entries that need no page (returns)
 
 
@@ -36,29 +36,20 @@ class RBtb(BtbModel):
 
     name = "rbtb"
 
-    def __init__(self, main_entries: int, page_entries: int, assoc: int = 8,
-                 isa: IsaProfile = ALIGNED4, tag_bits: int = 12,
-                 page_shift: int = PAGE_SHIFT):
+    def __init__(self, main_entries: int, page_entries: int,
+                 isa: IsaProfile = ALIGNED4):
         if main_entries < 1 or page_entries < 1:
             raise ValueError("main_entries and page_entries must be >= 1")
-        self.isa = isa
-        self.page_shift = page_shift
-        self.assoc = ways = divisor_ways(main_entries, assoc)
-        self.sets = sets = main_entries // ways
+        ways = divisor_ways(main_entries)
+        super().__init__(main_entries // ways, ways, TAG_BITS, isa)
+        self.page_shift = PAGE_SHIFT  # an instance attribute reads fastest
         self.main_entries = main_entries
         self.page_entries = page_entries
-        self._sources = way_sources(ways)
-        out = outcome_table("main", ways)
-        self._hit, self._rewrite, self._alloc = out["hit"], out["rewrite"], out["alloc"]
-        self._shift = isa.align_shift
-        self._main = SetArray(sets, ways, tag_bits)
-        self.changes = self._main.changes
-        self._in_off = [[0] * ways for _ in range(sets)]
-        self._page_ptr = [[NO_PAGE] * ways for _ in range(sets)]
-        self._page_gen = [[0] * ways for _ in range(sets)]
-        # What an entry predicts while its page pointer holds; its target is
-        # absolute, so it does not depend on the lookup pc.
-        self._pred = [[None] * ways for _ in range(sets)]
+        # `_pred` holds what an entry predicts while its page pointer holds;
+        # its target is absolute, so it does not depend on the lookup pc.
+        self._in_off = self._grid(0)
+        self._page_ptr = self._grid(NO_PAGE)
+        self._page_gen = self._grid(0)
         # The page table is searched through a map, which beats a list
         # search over its hundreds of slots.  The map's order is also the
         # table's true-LRU order, least recently used first: a hit moves its
@@ -172,36 +163,27 @@ class PdedeBtb(BtbModel):
     PAGE_ASSOC = 16
 
     def __init__(self, main_entries: int, page_entries: int,
-                 region_entries: int = 4, assoc: int = 8,
-                 isa: IsaProfile = ALIGNED4, tag_bits: int = 12,
-                 page_shift: int = PAGE_SHIFT, region_pages_log2: int = 8):
-        if main_entries < assoc:
-            raise ValueError(f"need at least {assoc} main entries")
-        self.isa = isa
-        self.page_shift = page_shift
-        self.region_pages_log2 = region_pages_log2
-        self.assoc = ways = assoc
-        self.reserved_ways = assoc // 2  # ways [0, reserved) are same-page only
-        self.sets = sets = main_entries // assoc
-        self.main_entries = sets * assoc
+                 region_entries: int = 4, isa: IsaProfile = ALIGNED4):
+        if main_entries < ASSOC:
+            raise ValueError(f"need at least {ASSOC} main entries")
+        super().__init__(main_entries // ASSOC, ASSOC, TAG_BITS, isa)
+        self.page_shift = PAGE_SHIFT  # an instance attribute reads fastest
+        self.region_pages_log2 = 8  # a region spans 256 pages
+        self.reserved_ways = ASSOC // 2  # ways [0, reserved) are same-page only
+        self.main_entries = self.sets * ASSOC
         self.page_assoc = pa = min(self.PAGE_ASSOC, page_entries)
         self.page_sets = ps = max(1, page_entries // pa)
         self.page_entries = ps * pa
         self.region_entries = region_entries
-        self._sources = way_sources(ways)
-        self._out = out = outcome_table("main", ways)
-        self._hit, self._rewrite = out["hit"], out["rewrite"]
-        self._shift = isa.align_shift
-        self._main = SetArray(sets, ways, tag_bits)
-        self._same = [[True] * ways for _ in range(sets)]
-        self._in_off = [[0] * ways for _ in range(sets)]
-        self._page_ptr = [[NO_PAGE] * ways for _ in range(sets)]
-        self._page_gen = [[0] * ways for _ in range(sets)]
-        # The prediction an entry rebuilds to for the pc that wrote it, and
-        # that pc.  A different-page target is absolute; a same-page one
-        # takes its page from the lookup pc, so another pc rebuilds its own.
-        self._pred = [[None] * ways for _ in range(sets)]
-        self._owner = [[None] * ways for _ in range(sets)]
+        self._same = self._grid(True)
+        self._in_off = self._grid(0)
+        self._page_ptr = self._grid(NO_PAGE)
+        self._page_gen = self._grid(0)
+        # `_pred` holds the prediction an entry rebuilds to for the pc that
+        # wrote it, and `_owner` that pc.  A different-page target is
+        # absolute; a same-page one takes its page from the lookup pc, so
+        # another pc rebuilds its own.
+        self._owner = self._grid(None)
         # Page slots are tagged by the page's low bits within its region; a
         # page pointer is set * page_assoc + way, which indexes the lists.
         self._pt = SetArray(ps, pa)
@@ -211,7 +193,7 @@ class PdedeBtb(BtbModel):
         # One set of region slots, tagged by region number.
         self._rt = SetArray(1, region_entries)
         self._rt_gen = [0] * region_entries
-        self.changes = self._pt.changes = self._rt.changes = self._main.changes
+        self._pt.changes = self._rt.changes = self.changes
 
     # -- side tables ----------------------------------------------------
     #
@@ -220,8 +202,6 @@ class PdedeBtb(BtbModel):
     # it points at holds an entry.
 
     def _page_set(self, page: int) -> int:
-        if self.page_sets == 1:
-            return 0
         return xor_fold(page, 30) % self.page_sets
 
     def _ensure_region(self, region: int):

@@ -31,7 +31,6 @@ class SimConfig:
     isa: IsaProfile = ALIGNED4
     warmup_records: Optional[int] = None   # None: 10% of the trace
     measure_records: Optional[int] = None  # None: everything after warmup
-    ras_capacity: int = 64
     debug: bool = False                    # verify model invariants per commit
 
     def __post_init__(self):
@@ -105,7 +104,7 @@ def run(model: BtbModel, trace: Union[TraceFile, Sequence[BranchRecord]],
     end = total if config.measure_records is None else min(
         total, warmup + config.measure_records)
 
-    ras = ReturnAddressStack(config.ras_capacity)
+    ras = ReturnAddressStack()
     lookup, commit, changes = model.lookup, model.commit_update, model.changes
     check = model.check_invariants if config.debug else None
     RETURN = BranchKind.RETURN
@@ -221,9 +220,6 @@ class OffsetHistogram:
 
     counts: Dict[int, int]
     total: int
-
-    def fraction(self, width: int) -> float:
-        return self.counts.get(width, 0) / self.total if self.total else 0.0
 
     def cumulative_at(self, width: int) -> float:
         if not self.total:

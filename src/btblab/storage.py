@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import decimal
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import ClassVar, Iterable, Optional
 
 from .core import IsaProfile, ALIGNED4
 
 BITS_PER_KB = 8192
 
+TAG_BITS = 12                      # main-array tag of every organization
 PER_ENTRY_OVERHEAD_BITS = 18       # valid 1 + tag 12 + type 2 + lru 3
 XC_ENTRY_BITS = 64                 # valid 1 + tag 15 + type 2 + target 46
+PAGE_SHIFT = 12                    # 4 KB pages for the paged organizations
+RBTB_PAGE_ENTRY_BITS = 37          # valid 1 + page number 36
 
 ALIGNED4_WAY_WIDTHS = (0, 4, 5, 7, 9, 11, 19, 25)   # sum 80
 BYTE_WAY_WIDTHS = (0, 5, 6, 7, 9, 12, 20, 27)       # sum 86
@@ -43,11 +46,7 @@ class BtbxGeometry:
 
     sets: int
     way_widths: tuple = ALIGNED4_WAY_WIDTHS
-    tag_bits: int = 12
-    type_bits: int = 2
-    valid_bits: int = 1
-    lru_bits: int = 3
-    xc_entry_bits: int = XC_ENTRY_BITS
+    tag_bits: ClassVar[int] = TAG_BITS
 
     def __post_init__(self):
         if not _is_pow2(self.sets):
@@ -68,12 +67,8 @@ class BtbxGeometry:
         return max(1, self.sets // 8)
 
     @property
-    def entry_overhead_bits(self) -> int:
-        return self.valid_bits + self.tag_bits + self.type_bits + self.lru_bits
-
-    @property
     def set_bits(self) -> int:
-        return self.ways * self.entry_overhead_bits + sum(self.way_widths)
+        return self.ways * PER_ENTRY_OVERHEAD_BITS + sum(self.way_widths)
 
     @property
     def branch_capacity(self) -> int:
@@ -85,15 +80,12 @@ class ConvGeometry:
     """Conventional BTB entry: full target plus the common overhead."""
 
     target_bits: int = 46
-    tag_bits: int = 12
-    type_bits: int = 2
-    valid_bits: int = 1
-    lru_bits: int = 3
+    tag_bits: int = TAG_BITS
 
     @property
     def entry_bits(self) -> int:
-        return (self.valid_bits + self.tag_bits + self.type_bits
-                + self.target_bits + self.lru_bits)
+        return (PER_ENTRY_OVERHEAD_BITS - TAG_BITS + self.tag_bits
+                + self.target_bits)
 
 
 def conv_geometry(isa: IsaProfile = ALIGNED4) -> ConvGeometry:
@@ -120,7 +112,7 @@ def geometry_for_isa(isa: IsaProfile, sets: int) -> BtbxGeometry:
 
 def btbx_total_bits(g: BtbxGeometry) -> int:
     """Total storage: all sets plus the direct-mapped companion."""
-    return g.sets * g.set_bits + g.xc_entries * g.xc_entry_bits
+    return g.sets * g.set_bits + g.xc_entries * XC_ENTRY_BITS
 
 
 def conv_capacity(budget_bits: int, g: Optional[ConvGeometry] = None) -> int:
@@ -155,13 +147,9 @@ class PdedePreset:
     page_btb_kb: float
     main_btb_kb: float
     avg_entry_bits: float
-    branch_capacity: int
+    branch_capacity: int  # the main-table entries
     page_entries: int
     region_entries: int = 4
-
-    @property
-    def main_entries(self) -> int:
-        return self.branch_capacity
 
     @property
     def page_ptr_bits(self) -> int:
@@ -170,10 +158,12 @@ class PdedePreset:
 
 @dataclass(frozen=True)
 class BudgetPreset:
-    """One canonical budget row: geometry, exact bits, display precision."""
+    """One canonical budget row: geometry, exact bits, display precision,
+    and the published page-dedup split at that budget."""
 
     sets: int
     kb_decimals: int
+    pdede: PdedePreset
 
     def geometry(self, isa: IsaProfile = ALIGNED4) -> BtbxGeometry:
         return geometry_for_isa(isa, self.sets)
@@ -190,28 +180,18 @@ class BudgetPreset:
         return text
 
 
-# The seven canonical budget points (256 .. 16K main entries).
+# The seven canonical budget points (256 .. 16K main entries).  The pdede
+# page table halves along with the main table; pointer width tracks
+# log2(page entries), which is why its average entry grows half a bit per
+# doubling.
 STANDARD_PRESETS = (
-    BudgetPreset(sets=32, kb_decimals=1),
-    BudgetPreset(sets=64, kb_decimals=1),
-    BudgetPreset(sets=128, kb_decimals=1),
-    BudgetPreset(sets=256, kb_decimals=2),
-    BudgetPreset(sets=512, kb_decimals=1),
-    BudgetPreset(sets=1024, kb_decimals=0),
-    BudgetPreset(sets=2048, kb_decimals=0),
-)
-
-# Page-dedup presets keyed by the same canonical budgets.  Page table halves
-# along with the main table; pointer width tracks log2(page entries), which
-# is why the average entry grows half a bit per doubling.
-PDEDE_PRESETS = (
-    PdedePreset(0.90625, 0.078, 0.817, 32.0, 210, 32),
-    PdedePreset(1.8125, 0.156, 1.645, 32.5, 415, 64),
-    PdedePreset(3.625, 0.312, 3.3, 33.0, 820, 128),
-    PdedePreset(7.25, 0.625, 6.6, 33.5, 1617, 256),
-    PdedePreset(14.5, 1.25, 13.2, 34.0, 3190, 512),
-    PdedePreset(29.0, 2.5, 26.5, 34.5, 6292, 1024),
-    PdedePreset(58.0, 5.0, 53.0, 35.0, 12405, 2048),
+    BudgetPreset(32, 1, PdedePreset(0.90625, 0.078, 0.817, 32.0, 210, 32)),
+    BudgetPreset(64, 1, PdedePreset(1.8125, 0.156, 1.645, 32.5, 415, 64)),
+    BudgetPreset(128, 1, PdedePreset(3.625, 0.312, 3.3, 33.0, 820, 128)),
+    BudgetPreset(256, 2, PdedePreset(7.25, 0.625, 6.6, 33.5, 1617, 256)),
+    BudgetPreset(512, 1, PdedePreset(14.5, 1.25, 13.2, 34.0, 3190, 512)),
+    BudgetPreset(1024, 0, PdedePreset(29.0, 2.5, 26.5, 34.5, 6292, 1024)),
+    BudgetPreset(2048, 0, PdedePreset(58.0, 5.0, 53.0, 35.0, 12405, 2048)),
 )
 
 BUDGET_MATCH_TOLERANCE_KB = 0.01
@@ -228,11 +208,16 @@ def match_preset(budget_kb: float, isa: IsaProfile = ALIGNED4) -> Optional[Budge
     return None
 
 
-def pdede_preset_for(budget_kb: float) -> Optional[PdedePreset]:
-    for preset in PDEDE_PRESETS:
-        if abs(preset.budget_kb - budget_kb) <= BUDGET_MATCH_TOLERANCE_KB:
-            return preset
-    return None
+def rbtb_main_entries(preset: BudgetPreset, isa: IsaProfile = ALIGNED4) -> int:
+    """Main entries of rbtb at a budget.  Its page table has as many slots
+    as the pdede preset's, each a full page number; the remaining bits buy
+    main entries of the common overhead, the in-page offset and a page
+    pointer."""
+    pdede = preset.pdede
+    entry_bits = (PER_ENTRY_OVERHEAD_BITS + PAGE_SHIFT - isa.align_shift
+                  + pdede.page_ptr_bits)
+    page_bits = pdede.page_entries * RBTB_PAGE_ENTRY_BITS
+    return (preset.total_bits(isa) - page_bits) // entry_bits
 
 
 def btbx_geometry_for_budget(budget_kb: float,
@@ -299,8 +284,7 @@ def capacity_table(budgets_kb: Optional[Iterable] = None,
             btbx = geometry.branch_capacity
             # page-dedup capacities were published for the aligned-mode
             # budgets only; byte-mode rows leave the column empty
-            pdede_preset = pdede_preset_for(preset.budget_kb(isa))
-            pdede = pdede_preset.branch_capacity if pdede_preset else None
+            pdede = preset.pdede.branch_capacity if isa.align_shift else None
             extrapolated = False
         else:
             bits = int(budget * BITS_PER_KB)

@@ -319,14 +319,14 @@ def _read_jsonl(path):
         mode = mode_names[name]
         yield TraceHeader(mode, declared)
         isa = profile_for_mode(mode)
-        found = 0
-        for index, line in enumerate(fh):
+        found = 0  # records read so far: the index of the next one
+        for line in fh:
             if not _utf8(line):
-                raise TraceFormatError("line is not valid UTF-8", index)
+                raise TraceFormatError("line is not valid UTF-8", found)
             if not line.strip():
                 continue
-            rec = _jsonl_record(line, index)
-            _validate_record(rec, isa, index)
+            rec = _jsonl_record(line, found)
+            _validate_record(rec, isa, found)
             found += 1
             yield rec
         if declared is not None and declared != found:

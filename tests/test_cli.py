@@ -351,9 +351,13 @@ class TestUsage:
          "--measure: must be >= 0"),
         (["compare", "--models", "conv", "--budget-kb", "0.9", "--warmup", "-5"],
          "--warmup: must be >= 0"),
+        *[(["capacity-table", f"--budgets={value}"], "at least one bit")
+          for value in ("inf", "-5", "0", "nan", "1e-9")],
     ])
     def test_bad_values_exit_1(self, workdir, args, message):
-        res = cli([*args, small_trace(workdir)], workdir)
+        # capacity-table reads no trace
+        trace = [] if args[0] == "capacity-table" else [small_trace(workdir)]
+        res = cli([*args, *trace], workdir)
         assert res.returncode == 1, res.stderr
         assert message in res.stderr
 

@@ -70,7 +70,7 @@ class TestBtbxLookup:
         m = BtbX(arm64_geometry(32))
         m.commit_update(rec(0x1000, 0x9000, BranchKind.RETURN))
         pred = m.lookup(0x1000)
-        assert pred.from_ras
+        assert pred.target is None
         assert pred.kind is BranchKind.RETURN
 
 
@@ -397,7 +397,7 @@ class TestConv:
 
     def test_lru_round_robin_thrash(self):
         # classic oracle: assoc+1 branches cycling through one set all miss
-        m = ConvBtb(entries=8, assoc=8)
+        m = ConvBtb(entries=8)
         assert m.sets == 1
         pairs = [(0x1000 + 4 * i, 0x2000) for i in range(9)]
         warm = taken_branch_trace(pairs)
@@ -411,7 +411,7 @@ class TestConv:
         assert hits == 0
 
     def test_working_set_within_capacity_all_hits(self):
-        m = ConvBtb(entries=8, assoc=8)
+        m = ConvBtb(entries=8)
         pairs = [(0x1000 + 4 * i, 0x2000) for i in range(8)]
         for r in taken_branch_trace(pairs):
             m.commit_update(r)
@@ -419,16 +419,16 @@ class TestConv:
 
     def test_published_entry_count_accepted(self):
         m = ConvBtb(entries=1856)
-        assert m.sets * m.assoc == 1856
+        assert m.sets * m.ways == 1856
 
     def test_awkward_entry_count_drops_associativity(self):
-        m = ConvBtb(entries=116, assoc=8)
-        assert m.assoc == 4 and m.sets == 29
+        m = ConvBtb(entries=116)
+        assert m.ways == 4 and m.sets == 29
 
     def test_return_entry_defers_to_ras(self):
         m = ConvBtb(entries=64)
         m.commit_update(rec(0x1000, 0x9000, BranchKind.RETURN))
-        assert m.lookup(0x1000).from_ras
+        assert m.lookup(0x1000).target is None
 
 
 class TestRBtb:
@@ -609,7 +609,7 @@ class TestConservationAndDeterminism:
             committed = {}
             for r in records:
                 pred = model.lookup(r.pc)
-                if pred is not None and not pred.from_ras and r.pc in committed:
+                if pred is not None and pred.target is not None and r.pc in committed:
                     assert pred.target == committed[r.pc], model.name
                 model.commit_update(r)
                 committed[r.pc] = r.target

@@ -4,7 +4,7 @@ import pytest
 
 from btblab.core import BYTE
 from btblab.storage import (ALIGNED4_WAY_WIDTHS, BtbxGeometry,
-                            ConvGeometry, GeometryError, PDEDE_PRESETS,
+                            ConvGeometry, GeometryError,
                             STANDARD_PRESETS, arm64_geometry,
                             btbx_geometry_for_budget,
                             btbx_total_bits, capacity_table,
@@ -139,7 +139,8 @@ class TestX86Mode:
         assert sum(ALIGNED4_WAY_WIDTHS) == 80
 
     def test_companion_entry_stays_64_bits(self):
-        assert x86_geometry().xc_entry_bits == 64
+        g = x86_geometry()
+        assert btbx_total_bits(g) - g.sets * g.set_bits == g.xc_entries * 64
 
     def test_capacity_ratio(self):
         for row in capacity_table(isa=BYTE):
@@ -151,12 +152,15 @@ class TestX86Mode:
         assert g.branch_capacity / conv == pytest.approx(2.18, abs=0.01)
 
 
+PDEDE_PRESETS = [p.pdede for p in STANDARD_PRESETS]
+
+
 class TestPdedePresets:
     def test_entry_arithmetic_consistent(self):
         # main entries stay within rounding of main_kb * 8192 / avg_entry_bits
         for p in PDEDE_PRESETS:
             derived = p.main_btb_kb * 8192 / p.avg_entry_bits
-            assert abs(p.main_entries - derived) / p.main_entries < 0.005
+            assert abs(p.branch_capacity - derived) / p.branch_capacity < 0.005
 
     def test_page_table_halves_with_budget(self):
         entries = [p.page_entries for p in PDEDE_PRESETS]

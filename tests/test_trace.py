@@ -15,7 +15,7 @@ from dealref import deal_reference
 from decoderef import read_binary_reference
 from btblab import cli
 from btblab import trace as btrace
-from btblab.core import BranchKind
+from btblab.core import CALL_KINDS, BranchKind
 from btblab.trace import (RECORD_BYTES, GeneratorSpec, GeneratorSpecError,
                           TraceFormatError, build_static_branches, gen_records,
                           generate, iter_records, load_trace, save_trace,
@@ -339,6 +339,34 @@ class TestJsonlFormat:
             load_trace(path)
         assert err.value.record_index is None
 
+    def test_blank_line_does_not_shift_the_record_index(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"format": "btbt", "isa_mode": "aligned4"}\n\n'
+                        '{"pc": "0x1000", "target": "0x2000", "kind": "cond", '
+                        '"taken": true, "gap": "x"}\n')
+        with pytest.raises(TraceFormatError, match="gap") as err:
+            load_trace(path)
+        assert err.value.record_index == 0
+
+    def test_same_defect_same_index_in_both_forms(self, tmp_path):
+        # records 0 and 1 are good, record 2 has a misaligned pc
+        pcs = (0x1000, 0x1004, 0x1001)
+        binary = tmp_path / "t.btbt"
+        with open(binary, "wb") as fh:
+            fh.write(struct.pack("<4sBBHQ", b"BTBT", 1, 0, 0, len(pcs)))
+            for pc in pcs:
+                fh.write(struct.pack("<QQBBHI", pc, 0x2000, 0, 1, 3, 0))
+        text = tmp_path / "t.jsonl"
+        text.write_text('{"format": "btbt", "isa_mode": "aligned4"}\n' + "".join(
+            f'\n{{"pc": "{pc:#x}", "target": "0x2000", "kind": "cond", '
+            f'"taken": true, "gap": 3}}\n\n' for pc in pcs))
+        indexes = []
+        for path in (binary, text):
+            with pytest.raises(TraceFormatError, match="alignment") as err:
+                load_trace(path)
+            indexes.append(err.value.record_index)
+        assert indexes == [2, 2]
+
     @pytest.mark.parametrize("line", ["[1, 2]", '"0x1000"', "3", "null"])
     def test_non_object_record_rejected(self, tmp_path, line):
         head = {"format": "btbt", "version": 1, "isa_mode": "aligned4"}
@@ -454,7 +482,7 @@ class TestGenerator:
         spec = GeneratorSpec(static_branches=200, records=5000, seed=3)
         calls = returns = 0
         for r in gen_records(spec):
-            if r.kind.is_call:
+            if r.kind in CALL_KINDS:
                 calls += 1
             elif r.kind is BranchKind.RETURN:
                 returns += 1
