@@ -15,8 +15,8 @@ _EXPORTS = {
              "encode_offset", "required_offset_width"),
     "models": ("BtbX", "ConvBtb", "PdedeBtb", "RBtb", "build_model"),
     "sim": ("Metrics", "SimConfig", "compare", "offset_histogram", "run"),
-    "storage": ("BtbxGeometry", "ConvGeometry", "btbx_total_bits",
-                "capacity_table", "conv_capacity", "x86_geometry"),
+    "storage": ("BtbxGeometry", "btbx_total_bits", "capacity_table",
+                "conv_capacity"),
     "trace": ("GeneratorSpec", "TraceFile", "generate", "load_trace",
               "save_trace"),
 }

@@ -22,8 +22,8 @@ import sys
 from typing import List, Optional
 
 from . import __version__
-from .core import (KINDS_BY_NAME, MODEL_NAMES, ConfigError, InvariantError,
-                   profile_for_mode)
+from .core import (KINDS_BY_NAME, MODEL_NAMES, PROFILES, ConfigError,
+                   InvariantError, profile_named)
 from .trace import (GeneratorSpec, GeneratorSpecError, TraceFormatError,
                     gen_records, load_trace, write_records)
 
@@ -32,7 +32,8 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-_ISA_MODES = {"aligned4": 0, "arm64": 0, "byte": 1, "x86": 1}
+_ISA_ALIASES = {"arm64": "aligned4", "x86": "byte"}
+_ISA_CHOICES = sorted([isa.name for isa in PROFILES] + list(_ISA_ALIASES))
 
 
 class UsageError(ValueError):
@@ -110,6 +111,11 @@ def _parse_kind_mix(text: str):
     return tuple(mix)
 
 
+def _isa(name: str):
+    """The ISA profile an --isa value names."""
+    return profile_named(_ISA_ALIASES.get(name, name))
+
+
 def _write_text(path: Optional[str], text: str) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -131,7 +137,7 @@ def cmd_gen_trace(args) -> int:
         pattern=args.pattern.replace("-", "_"),
         zipf_s=args.zipf_s,
         seed=args.seed,
-        isa_mode=_ISA_MODES[args.isa],
+        isa_mode=_isa(args.isa).mode,
     )
     spec.validate()
     written = write_records(args.output, spec.isa_mode, gen_records(spec),
@@ -166,8 +172,7 @@ def cmd_capacity_table(args) -> int:
             if not 1 <= budget * BITS_PER_KB < math.inf:
                 raise UsageError(f"budget {budget:g} KB is not a finite size "
                                  "of at least one bit")
-    isa = profile_for_mode(_ISA_MODES[args.isa])
-    rows = capacity_table(budgets, isa)
+    rows = capacity_table(budgets, _isa(args.isa))
     _write_text(args.output, capacity_table_csv(rows))
     if args.output:
         write_manifest(args.output, "capacity-table",
@@ -209,6 +214,9 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     from .sim import compare, compare_csv
     names = [m.strip() for m in args.models.split(",") if m.strip()]
+    if not names:
+        raise UsageError(f"--models names no model; choose from "
+                         f"{', '.join(MODEL_NAMES)}")
     for name in names:
         if name not in MODEL_NAMES:
             raise ConfigError(f"unknown model {name!r}; choose from "
@@ -252,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--taken-rate", type=float, default=0.9)
     p.add_argument("--gap-mean", type=int, default=9)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--isa", default="aligned4", choices=sorted(_ISA_MODES))
+    p.add_argument("--isa", default="aligned4", choices=_ISA_CHOICES)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen_trace)
 
@@ -265,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity-table",
                        help="branch capacity per organization and budget")
     p.add_argument("--budgets", help="comma-separated KB values (default: presets)")
-    p.add_argument("--isa", default="aligned4", choices=sorted(_ISA_MODES))
+    p.add_argument("--isa", default="aligned4", choices=_ISA_CHOICES)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_capacity_table)
 

@@ -57,65 +57,59 @@ KIND_NAMES = {
 KINDS_BY_NAME = {name: kind for kind, name in KIND_NAMES.items()}
 
 
+VA_BITS = 48  # virtual address width of both ISA profiles
+
+
 @dataclass(frozen=True)
 class IsaProfile:
     """Address-space shape a trace and all models agree on.
 
+    mode and name are its isa_mode in binary and in text traces.
     align_shift is log2 of the instruction alignment in bytes: 2 for a
     fixed-width 4-byte-aligned ISA, 0 for a variable-length (byte-aligned)
     one.  Aligned mode never stores the guaranteed-zero low bits of a
-    target, so the widest storable offset is va_bits - align_shift.
+    target, so the widest storable offset is VA_BITS - align_shift.
     """
 
-    va_bits: int = 48
-    align_shift: int = 2
-
-    def __post_init__(self):
-        if not 32 <= self.va_bits <= 64:
-            raise ValueError(f"va_bits {self.va_bits} outside [32, 64]")
-        if not 0 <= self.align_shift <= 2:
-            raise ValueError(f"align_shift {self.align_shift} outside [0, 2]")
+    mode: int
+    name: str
+    align_shift: int
 
     @property
     def max_stored_target_bits(self) -> int:
-        return self.va_bits - self.align_shift
+        return VA_BITS - self.align_shift
 
     def valid_address(self, value: int) -> bool:
-        if value < 0 or value >= (1 << self.va_bits):
+        if value < 0 or value >= (1 << VA_BITS):
             return False
         return value & ((1 << self.align_shift) - 1) == 0
 
     def check_address(self, value: int, what: str = "address") -> int:
         if not self.valid_address(value):
-            raise ValueError(f"{what} {value:#x} invalid for {self.va_bits}-bit "
+            raise ValueError(f"{what} {value:#x} invalid for {VA_BITS}-bit "
                              f"space with {1 << self.align_shift}-byte alignment")
         return value
 
 
-# Trace isa_mode codes: 0 = 4-byte aligned instructions, 1 = byte-aligned.
-ALIGNED4 = IsaProfile(va_bits=48, align_shift=2)
-BYTE = IsaProfile(va_bits=48, align_shift=0)
-
-_MODE_CODES = {0: ALIGNED4, 1: BYTE}
-_MODE_NAMES = {0: "aligned4", 1: "byte"}
+# The ISA profiles, indexed by their trace isa_mode code; what else differs
+# between them (way widths, tag widths, sizes) is derived from the profile.
+PROFILES = (IsaProfile(0, "aligned4", align_shift=2),
+            IsaProfile(1, "byte", align_shift=0))
+ALIGNED4, BYTE = PROFILES
 
 
 def profile_for_mode(mode: int) -> IsaProfile:
-    try:
-        return _MODE_CODES[mode]
-    except KeyError:
-        raise ValueError(f"unknown isa_mode code {mode}") from None
+    for isa in PROFILES:
+        if isa.mode == mode:
+            return isa
+    raise ValueError(f"unknown isa_mode code {mode!r}")
 
 
-def mode_for_profile(isa: IsaProfile) -> int:
-    for code, prof in _MODE_CODES.items():
-        if prof.align_shift == isa.align_shift:
-            return code
-    raise ValueError(f"no trace mode for align_shift {isa.align_shift}")
-
-
-def mode_name(mode: int) -> str:
-    return _MODE_NAMES[mode]
+def profile_named(name: str) -> IsaProfile:
+    for isa in PROFILES:
+        if isa.name == name:
+            return isa
+    raise ValueError(f"unknown isa_mode {name!r}")
 
 
 class OffsetEncoding(NamedTuple):

@@ -39,21 +39,20 @@ def build_model(name: str, budget_kb: Optional[float] = None,
     if name == "btbx":
         if sets is not None:
             try:
-                return BtbX(storage.geometry_for_isa(isa, sets), isa)
+                return BtbX(storage.BtbxGeometry(sets, isa), isa)
             except storage.GeometryError as exc:
                 raise ConfigError(str(exc)) from None
         return BtbX(_match_preset(budget_kb, isa).geometry(isa), isa)
 
     if name == "conv":
-        geometry = storage.conv_geometry(isa)
         if sets is not None:
             if sets < 1:
                 raise ConfigError(f"sets must be >= 1, got {sets}")
             entries = sets * 8
         else:
             preset = _match_preset(budget_kb, isa)
-            entries = storage.conv_capacity(preset.total_bits(isa), geometry)
-        return ConvBtb(entries, isa=isa, tag_bits=geometry.tag_bits)
+            entries = storage.conv_capacity(preset.total_bits(isa))
+        return ConvBtb(entries, isa)
 
     # The paged organizations are preset-driven; direct --sets sizing would
     # leave their side tables unspecified.

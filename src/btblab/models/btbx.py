@@ -30,10 +30,9 @@ class BtbX(BtbModel):
     name = "btbx"
 
     def __init__(self, geometry: BtbxGeometry, isa: IsaProfile = ALIGNED4):
-        if (isa.align_shift == 0) != (geometry.way_widths[-1] > 25):
-            # Widths are tuned per address granularity; mixing them up is
-            # almost certainly a configuration mistake.
-            raise ValueError("geometry way widths do not match ISA mode")
+        if geometry.isa != isa:
+            raise ValueError(f"geometry is sized for the {geometry.isa.name} "
+                             f"profile, the model runs {isa.name}")
         super().__init__(geometry.sets, geometry.ways, geometry.tag_bits, isa)
         self.geometry = geometry
         self.widths = geometry.way_widths
@@ -73,7 +72,8 @@ class BtbX(BtbModel):
     def lookup(self, pc: int) -> Optional[Prediction]:
         main = self._main
         self._probed_pc = pc
-        self._probed = s, _, way = main.locate(pc >> self._shift)
+        line = pc >> self._shift
+        self._probed = s, _, way = main.locate(line)
         if way is not None:
             # All ways and the companion are probed in parallel; a main-array
             # hit wins over a simultaneous companion hit.
@@ -81,7 +81,9 @@ class BtbX(BtbModel):
             if self._owner[s][way] == pc:
                 return self._pred[s][way]
             return self._predict(pc, s, way, self._pred[s][way].kind)
-        slot, _, hit = self._xc.locate(pc >> self._shift)
+        # Only a main-array miss probes the companion; the commit reuses
+        # this probe too when it reuses the main one and that missed.
+        self._xc_probed = slot, _, hit = self._xc.locate(line)
         if hit is not None:
             return self._xc_pred[slot]
         return None
@@ -89,8 +91,8 @@ class BtbX(BtbModel):
     def commit_update(self, record: BranchRecord) -> UpdateOutcome:
         main = self._main
         pc, target, kind = record.pc, record.target, record.kind
-        s, tag, way = (self._probed if pc == self._probed_pc
-                       else main.locate(pc >> self._shift))
+        reuse = pc == self._probed_pc
+        s, tag, way = self._probed if reuse else main.locate(pc >> self._shift)
         self._probed_pc = None
         if way is not None:
             main.stamps[s][way] = main.clock = main.clock + 1
@@ -117,7 +119,8 @@ class BtbX(BtbModel):
         # Not in the main array; a return stores no offset bits.
         n = 0 if kind is RETURN else (pc ^ target).bit_length()
         req = n - self._shift if n else 0
-        slot, _, hit = self._xc.locate(pc >> self._shift)
+        xc = self._xc_probed if reuse else self._xc.locate(pc >> self._shift)
+        slot, _, hit = xc
         if hit is not None:
             stored = self._xc_pred[slot]
             if stored.kind == kind and stored.target == target:
@@ -129,14 +132,16 @@ class BtbX(BtbModel):
                 return self._allocate(record, s, tag, req, "migrate")
             self._xc_pred[slot] = new_prediction((target, kind, "xc"))
             return self._xc_out["rewrite"][slot]
-        return self._allocate(record, s, tag, req, "alloc")
+        return self._allocate(record, s, tag, req, "alloc", xc)
 
     def _allocate(self, record: BranchRecord, s: int, tag: int, req: int,
-                  outcome: str) -> UpdateOutcome:
+                  outcome: str, xc=None) -> UpdateOutcome:
+        """Place a branch that is in neither structure; `xc` is its
+        companion probe, if there is one."""
         # Way widths never decrease, so the ways wide enough are a suffix.
         first = bisect_left(self.widths, req)
         if first == self.ways:
-            slot, xtag, _ = self._xc.locate(record.pc >> self._shift)
+            slot, xtag, _ = xc or self._xc.locate(record.pc >> self._shift)
             _, victim_valid = self._xc.fill(slot, xtag)
             self._xc_pred[slot] = new_prediction((record.target, record.kind, "xc"))
             return self._xc_out[outcome][slot][victim_valid]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core import ALIGNED4, BranchRecord, IsaProfile
-from ..storage import TAG_BITS
+from ..storage import conv_tag_bits
 from .base import (RETURN, BtbModel, InvariantError, Prediction,
                    UpdateOutcome, divisor_ways, new_prediction)
 
@@ -20,17 +20,17 @@ class ConvBtb(BtbModel):
     non-power-of-two set counts.
 
     A full target does not depend on the pc, so an entry's only payload is
-    the prediction its hits return.
+    the prediction its hits return.  The tag is as wide as the profile's
+    64-bit entry leaves room for (`storage.conv_tag_bits`).
     """
 
     name = "conv"
 
-    def __init__(self, entries: int, isa: IsaProfile = ALIGNED4,
-                 tag_bits: int = TAG_BITS):
+    def __init__(self, entries: int, isa: IsaProfile = ALIGNED4):
         if entries < 1:
             raise ValueError(f"entries must be >= 1, got {entries}")
         ways = divisor_ways(entries)
-        super().__init__(entries // ways, ways, tag_bits, isa)
+        super().__init__(entries // ways, ways, conv_tag_bits(isa), isa)
         self.entries = entries
 
     def lookup(self, pc: int) -> Optional[Prediction]:

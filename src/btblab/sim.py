@@ -19,8 +19,7 @@ from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import (ALIGNED4, CALL_BYTES, CALL_KINDS, BranchKind, BranchRecord,
-                   IsaProfile, ReturnAddressStack, mode_for_profile,
-                   required_offset_width)
+                   IsaProfile, ReturnAddressStack, required_offset_width)
 from .models import build_model
 from .models.base import BtbModel
 from .trace import TraceFile
@@ -86,10 +85,10 @@ class Metrics:
 def _records_of(trace: Union[TraceFile, Sequence[BranchRecord]],
                 config: SimConfig) -> Sequence[BranchRecord]:
     if isinstance(trace, TraceFile):
-        if trace.header.isa_mode != mode_for_profile(config.isa):
+        if trace.header.isa_mode != config.isa.mode:
             raise ValueError(
                 f"trace isa_mode {trace.header.isa_mode} does not match the "
-                f"configured profile (mode {mode_for_profile(config.isa)})")
+                f"configured profile (mode {config.isa.mode})")
         return trace.records
     return trace
 

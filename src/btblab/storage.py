@@ -17,7 +17,7 @@ import decimal
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Optional
 
-from .core import IsaProfile, ALIGNED4
+from .core import ALIGNED4, BYTE, IsaProfile
 
 BITS_PER_KB = 8192
 
@@ -27,8 +27,12 @@ XC_ENTRY_BITS = 64                 # valid 1 + tag 15 + type 2 + target 46
 PAGE_SHIFT = 12                    # 4 KB pages for the paged organizations
 RBTB_PAGE_ENTRY_BITS = 37          # valid 1 + page number 36
 
-ALIGNED4_WAY_WIDTHS = (0, 4, 5, 7, 9, 11, 19, 25)   # sum 80
-BYTE_WAY_WIDTHS = (0, 5, 6, 7, 9, 12, 20, 27)       # sum 86
+CONV_ENTRY_BITS = 64               # overhead 18 + target, tag trimmed to fit
+
+# The 8 non-decreasing BTB-X way widths of each ISA profile; byte mode's are
+# re-sized for byte-granular offsets, so its set costs 230 bits, not 224.
+WAY_WIDTHS = {ALIGNED4: (0, 4, 5, 7, 9, 11, 19, 25),   # sum 80
+              BYTE: (0, 5, 6, 7, 9, 12, 20, 27)}       # sum 86
 
 
 class GeometryError(ValueError):
@@ -42,19 +46,20 @@ def _is_pow2(n: int) -> bool:
 @dataclass(frozen=True)
 class BtbxGeometry:
     """Asymmetric-way BTB shape: 8 ways of fixed, non-decreasing offset widths
-    plus a tiny direct-mapped companion holding full targets."""
+    (the profile's `WAY_WIDTHS`) plus a tiny direct-mapped companion holding
+    full targets."""
 
     sets: int
-    way_widths: tuple = ALIGNED4_WAY_WIDTHS
+    isa: IsaProfile = ALIGNED4
     tag_bits: ClassVar[int] = TAG_BITS
 
     def __post_init__(self):
         if not _is_pow2(self.sets):
             raise GeometryError(f"sets must be a power of two, got {self.sets}")
-        if len(self.way_widths) != 8:
-            raise GeometryError("exactly 8 way widths required")
-        if any(b > a for a, b in zip(self.way_widths[1:], self.way_widths)):
-            raise GeometryError(f"way widths must be non-decreasing: {self.way_widths}")
+
+    @property
+    def way_widths(self) -> tuple:
+        return WAY_WIDTHS[self.isa]
 
     @property
     def ways(self) -> int:
@@ -75,39 +80,16 @@ class BtbxGeometry:
         return self.sets * self.ways + self.xc_entries
 
 
-@dataclass(frozen=True)
-class ConvGeometry:
-    """Conventional BTB entry: full target plus the common overhead."""
-
-    target_bits: int = 46
-    tag_bits: int = TAG_BITS
-
-    @property
-    def entry_bits(self) -> int:
-        return (PER_ENTRY_OVERHEAD_BITS - TAG_BITS + self.tag_bits
-                + self.target_bits)
-
-
-def conv_geometry(isa: IsaProfile = ALIGNED4) -> ConvGeometry:
-    # Byte-aligned mode needs the 48-bit target; the tag shrinks so the
-    # entry stays 64 bits.
-    target = isa.max_stored_target_bits
-    return ConvGeometry(target_bits=target, tag_bits=64 - 6 - target)
+def conv_tag_bits(isa: IsaProfile = ALIGNED4) -> int:
+    """Tag of a conventional entry: what its 64 bits leave besides the full
+    target and the rest of the overhead, so byte-aligned mode's 48-bit
+    target takes two tag bits (12 -> 10)."""
+    return (CONV_ENTRY_BITS - PER_ENTRY_OVERHEAD_BITS + TAG_BITS
+            - isa.max_stored_target_bits)
 
 
 def arm64_geometry(sets: int = 512) -> BtbxGeometry:
-    return BtbxGeometry(sets=sets, way_widths=ALIGNED4_WAY_WIDTHS)
-
-
-def x86_geometry(sets: int = 512) -> BtbxGeometry:
-    """Way widths re-sized for byte-granular offsets (set costs 230 bits)."""
-    return BtbxGeometry(sets=sets, way_widths=BYTE_WAY_WIDTHS)
-
-
-def geometry_for_isa(isa: IsaProfile, sets: int) -> BtbxGeometry:
-    if isa.align_shift == 0:
-        return x86_geometry(sets)
-    return arm64_geometry(sets)
+    return BtbxGeometry(sets)
 
 
 def btbx_total_bits(g: BtbxGeometry) -> int:
@@ -115,12 +97,11 @@ def btbx_total_bits(g: BtbxGeometry) -> int:
     return g.sets * g.set_bits + g.xc_entries * XC_ENTRY_BITS
 
 
-def conv_capacity(budget_bits: int, g: Optional[ConvGeometry] = None) -> int:
+def conv_capacity(budget_bits: int) -> int:
     """Whole entries a conventional BTB fits in the budget."""
     if budget_bits <= 0:
         raise ValueError(f"budget_bits must be positive, got {budget_bits}")
-    g = g or ConvGeometry()
-    return budget_bits // g.entry_bits
+    return budget_bits // CONV_ENTRY_BITS
 
 
 def kb(bits: int) -> float:
@@ -166,7 +147,7 @@ class BudgetPreset:
     pdede: PdedePreset
 
     def geometry(self, isa: IsaProfile = ALIGNED4) -> BtbxGeometry:
-        return geometry_for_isa(isa, self.sets)
+        return BtbxGeometry(self.sets, isa)
 
     def total_bits(self, isa: IsaProfile = ALIGNED4) -> int:
         return btbx_total_bits(self.geometry(isa))
@@ -230,7 +211,7 @@ def btbx_geometry_for_budget(budget_kb: float,
     best = None
     sets = 8
     while True:
-        g = geometry_for_isa(isa, sets)
+        g = BtbxGeometry(sets, isa)
         if btbx_total_bits(g) > budget_bits:
             break
         best = g
@@ -273,7 +254,6 @@ def capacity_table(budgets_kb: Optional[Iterable] = None,
     """
     if budgets_kb is None:
         budgets_kb = standard_budgets_kb(isa)
-    conv_g = conv_geometry(isa)
     rows = []
     for budget in budgets_kb:
         preset = match_preset(budget, isa)
@@ -284,7 +264,7 @@ def capacity_table(budgets_kb: Optional[Iterable] = None,
             btbx = geometry.branch_capacity
             # page-dedup capacities were published for the aligned-mode
             # budgets only; byte-mode rows leave the column empty
-            pdede = preset.pdede.branch_capacity if isa.align_shift else None
+            pdede = preset.pdede.branch_capacity if isa == ALIGNED4 else None
             extrapolated = False
         else:
             bits = int(budget * BITS_PER_KB)
@@ -303,7 +283,7 @@ def capacity_table(budgets_kb: Optional[Iterable] = None,
             budget_bits=bits,
             btbx=btbx,
             pdede=pdede,
-            conv=conv_capacity(bits, conv_g),
+            conv=conv_capacity(bits),
             extrapolated=extrapolated,
         ))
     return rows

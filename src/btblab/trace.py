@@ -34,9 +34,9 @@ from itertools import accumulate, cycle, islice
 from operator import add
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
-from .core import (CALL_BYTES, CALL_KINDS, BranchKind, BranchRecord,
-                   IsaProfile, KIND_NAMES, KINDS_BY_NAME, mode_name,
-                   profile_for_mode)
+from .core import (CALL_BYTES, CALL_KINDS, PROFILES, VA_BITS, BranchKind,
+                   BranchRecord, IsaProfile, KIND_NAMES, KINDS_BY_NAME,
+                   profile_for_mode, profile_named)
 
 MAGIC = b"BTBT"
 VERSION = 1
@@ -112,10 +112,10 @@ def write_records(path, isa_mode: int, records: Iterable[BranchRecord],
     afterwards when it is missing or wrong, while the text form needs it up
     front, so without it the records are gathered into a list first.
     """
-    profile_for_mode(isa_mode)
+    isa = profile_for_mode(isa_mode)
     if _is_text(path):
-        return _write_jsonl(path, isa_mode, records, count)
-    return _write_binary(path, isa_mode, records, count)
+        return _write_jsonl(path, isa, records, count)
+    return _write_binary(path, isa, records, count)
 
 
 def iter_records(path) -> Tuple[TraceHeader, Iterator[BranchRecord]]:
@@ -144,12 +144,12 @@ def save_trace(path, trace: TraceFile) -> None:
 
 # -- binary form -------------------------------------------------------------
 
-def _write_binary(path, isa_mode: int, records: Iterable[BranchRecord],
+def _write_binary(path, isa: IsaProfile, records: Iterable[BranchRecord],
                   count: Optional[int]) -> int:
     pack = _RECORD.pack
     written = 0
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, isa_mode, 0, count or 0))
+        fh.write(_HEADER.pack(MAGIC, VERSION, isa.mode, 0, count or 0))
         for chunk in _chunks(records):
             fh.write(b"".join([pack(r.pc, r.target, r.kind, r.taken, r.gap, 0)
                                for r in chunk]))
@@ -171,7 +171,7 @@ def read_header(fh) -> TraceHeader:
         raise TraceFormatError(f"unsupported version {version}")
     if reserved != 0:
         raise TraceFormatError(f"reserved field is {reserved}, expected 0")
-    if isa_mode not in (0, 1):
+    if isa_mode >= len(PROFILES):  # a u8, so never negative
         raise TraceFormatError(f"unknown isa_mode {isa_mode}")
     return TraceHeader(isa_mode=isa_mode, record_count=count)
 
@@ -191,8 +191,8 @@ def _read_binary(path):
         yield header
         isa = header.isa
         # Bits a valid pc or target leaves clear in its u64 field: those at
-        # and above va_bits, and the alignment bits.
-        bad_bits = (((1 << 64) - (1 << isa.va_bits))
+        # and above VA_BITS, and the alignment bits.
+        bad_bits = (((1 << 64) - (1 << VA_BITS))
                     | ((1 << isa.align_shift) - 1))
         count = header.record_count
         start = 0
@@ -232,7 +232,7 @@ def _checked_record(pc: int, target: int, kind: int, taken: int, gap: int,
 
 # -- text (JSON lines) form ---------------------------------------------------
 
-def _write_jsonl(path, isa_mode: int, records: Iterable[BranchRecord],
+def _write_jsonl(path, isa: IsaProfile, records: Iterable[BranchRecord],
                  count: Optional[int]) -> int:
     if count is None:
         records = list(records)
@@ -241,7 +241,7 @@ def _write_jsonl(path, isa_mode: int, records: Iterable[BranchRecord],
     written = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps({"format": "btbt", "version": VERSION,
-                        "isa_mode": mode_name(isa_mode),
+                        "isa_mode": isa.name,
                         "record_count": count}) + "\n")
         for chunk in _chunks(records):
             fh.write("".join([dumps({"pc": hex(r.pc), "target": hex(r.target),
@@ -306,19 +306,17 @@ def _read_jsonl(path):
             raise TraceFormatError(f"bad header line: {exc}") from None
         if not isinstance(head, dict) or head.get("format") != "btbt":
             raise TraceFormatError("missing btbt header object")
-        mode_names = {"aligned4": 0, "byte": 1}
-        name = head.get("isa_mode")
-        if not isinstance(name, str) or name not in mode_names:
-            raise TraceFormatError(f"unknown isa_mode {name!r}")
+        try:
+            isa = profile_named(head.get("isa_mode"))
+        except ValueError as exc:
+            raise TraceFormatError(str(exc)) from None
         declared = head.get("record_count")
         if "record_count" in head and (not isinstance(declared, int)
                                        or isinstance(declared, bool)
                                        or declared < 0):
             raise TraceFormatError(
                 f"record_count must be a non-negative JSON int, got {declared!r}")
-        mode = mode_names[name]
-        yield TraceHeader(mode, declared)
-        isa = profile_for_mode(mode)
+        yield TraceHeader(isa.mode, declared)
         found = 0  # records read so far: the index of the next one
         for line in fh:
             if not _utf8(line):

@@ -353,6 +353,7 @@ class TestUsage:
          "--warmup: must be >= 0"),
         *[(["capacity-table", f"--budgets={value}"], "at least one bit")
           for value in ("inf", "-5", "0", "nan", "1e-9")],
+        (["compare", "--models", ",", "--budget-kb", "0.9"], "names no model"),
     ])
     def test_bad_values_exit_1(self, workdir, args, message):
         # capacity-table reads no trace

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btblab.core import (ALIGNED4, BYTE, BranchKind, BranchRecord, IsaProfile,
+from btblab import cli
+from btblab.core import (ALIGNED4, BYTE, PROFILES, BranchKind, BranchRecord,
                          OffsetEncoding, ReturnAddressStack, decode_target,
-                         encode_offset, profile_for_mode, required_offset_width,
-                         xor_fold)
+                         encode_offset, profile_for_mode, profile_named,
+                         required_offset_width, xor_fold)
+from btblab.trace import load_trace, write_records
 
 # Worked example: pc/target differ first at bit 5 (1-based); with 4-byte
 # alignment the two trailing zeros are dropped, leaving the 3 bits "110".
@@ -107,11 +109,6 @@ class TestIsaProfile:
         assert ALIGNED4.max_stored_target_bits == 46
         assert BYTE.max_stored_target_bits == 48
 
-    @pytest.mark.parametrize("va,align", [(31, 2), (65, 0), (48, 3), (48, -1)])
-    def test_rejects_bad_shapes(self, va, align):
-        with pytest.raises(ValueError):
-            IsaProfile(va_bits=va, align_shift=align)
-
     def test_address_validation(self):
         assert ALIGNED4.valid_address(0x1000)
         assert not ALIGNED4.valid_address(0x1001)  # misaligned
@@ -123,6 +120,36 @@ class TestIsaProfile:
         assert profile_for_mode(1) is BYTE
         with pytest.raises(ValueError):
             profile_for_mode(7)
+
+    def test_unknown_names_and_codes_rejected(self):
+        for bad in ("arm64", "x86", "", None, 0):
+            with pytest.raises(ValueError, match="unknown isa_mode"):
+                profile_named(bad)
+        for bad in (-1, len(PROFILES), "0", None):
+            with pytest.raises(ValueError, match="unknown isa_mode"):
+                profile_for_mode(bad)
+
+    @pytest.mark.parametrize("isa", PROFILES, ids=lambda isa: isa.name)
+    def test_profile_table_round_trips(self, tmp_path, isa):
+        # code <-> profile <-> name
+        assert PROFILES[isa.mode] is isa
+        assert profile_for_mode(isa.mode) is isa
+        assert profile_named(isa.name) is isa
+        # a trace written in each form reads back as the same profile object
+        records = [BranchRecord(0x1000, 0x2000, BranchKind.CALL, True, 3)]
+        for name in ("t.btbt", "t.jsonl"):
+            write_records(tmp_path / name, isa.mode, records, count=1)
+            trace = load_trace(tmp_path / name)
+            assert trace.isa is isa
+            assert trace.records == records
+        # the CLI's alias of each name selects the same profile
+        alias = {"aligned4": "arm64", "byte": "x86"}[isa.name]
+        tables = []
+        for value in (isa.name, alias):
+            out = tmp_path / f"{value}.csv"
+            assert cli.main(["capacity-table", "--isa", value, "-o", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
 
 
 class TestBranchRecord:

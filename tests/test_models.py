@@ -1,16 +1,19 @@
 import hashlib
+import inspect
 import random
 
 import pytest
 
 from conftest import rec, taken_branch_trace
-from btblab.core import ALIGNED4, BYTE, MODEL_NAMES, BranchKind, xor_fold
+from btblab.core import (ALIGNED4, BYTE, MODEL_NAMES, BranchKind, IsaProfile,
+                         xor_fold)
 from btblab.models import ConfigError, build_model
 from btblab.models.base import InvariantError, SetArray
 from btblab.models.btbx import BtbX
 from btblab.models.conv import ConvBtb
 from btblab.models.paged import PdedeBtb, RBtb
 from btblab import storage
+from btblab.sim import SimConfig
 from btblab.storage import BtbxGeometry, arm64_geometry
 from btblab.trace import GeneratorSpec, gen_records
 
@@ -353,6 +356,28 @@ class TestProbeReuse:
         # rewrite the entry that now holds that way.
         assert m.commit_update(rec(a, a)).kind == "alloc"
         assert m.lookup(pcs[-1]).target == pcs[-1]  # that entry is intact
+        m.check_invariants()
+
+    def test_btbx_commit_reuses_companion_probe(self):
+        m = BtbX(arm64_geometry(32))
+        lines = []
+
+        class CountingSetArray(SetArray):
+            __slots__ = ()
+
+            def locate(self, line):
+                lines.append(line)
+                return SetArray.locate(self, line)
+
+        m._xc.__class__ = CountingSetArray
+        wide = rec(0x1000, 0x1000 ^ (1 << 40))  # wider than way 7
+        m.lookup(wide.pc)
+        assert m.commit_update(wide).structure == "xc"
+        m.lookup(wide.pc)
+        assert m.commit_update(wide).kind == "hit"
+        assert lines == [wide.pc >> 2] * 2  # one companion probe per record
+        m.commit_update(wide)  # no lookup before it: probes afresh
+        assert len(lines) == 3
         m.check_invariants()
 
     @pytest.mark.parametrize("index", range(4))
@@ -730,6 +755,11 @@ class TestFactory:
         by_budget = build_model("conv", budget_kb=budget, isa=isa)
         assert by_sets._main.tag_bits == by_budget._main.tag_bits == tag_bits
 
+    def test_btbx_geometry_profile_must_match_model(self):
+        BtbX(BtbxGeometry(32, BYTE), BYTE)
+        with pytest.raises(ValueError, match="byte profile"):
+            BtbX(BtbxGeometry(32, BYTE), ALIGNED4)
+
     def test_sets_sizing(self):
         assert build_model("btbx", sets=64).sets == 64
         with pytest.raises(ConfigError):
@@ -740,6 +770,25 @@ class TestFactory:
             build_model("btbx", budget_kb=14.5, sets=64)
         with pytest.raises(ConfigError):
             build_model("btbx")
+
+
+class TestSettableValues:
+    """Every constructor parameter of the models, their geometry, the run
+    configuration and the ISA profile, by name, so a new knob means editing
+    this list.  Everything else is a named constant or derived from the
+    ISA profile."""
+
+    @pytest.mark.parametrize("cls, params", [
+        (ConvBtb, ["entries", "isa"]),
+        (RBtb, ["main_entries", "page_entries", "isa"]),
+        (PdedeBtb, ["main_entries", "page_entries", "region_entries", "isa"]),
+        (BtbX, ["geometry", "isa"]),
+        (BtbxGeometry, ["sets", "isa"]),
+        (SimConfig, ["isa", "warmup_records", "measure_records", "debug"]),
+        (IsaProfile, ["mode", "name", "align_shift"]),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else "params")
+    def test_constructor_parameters(self, cls, params):
+        assert list(inspect.signature(cls).parameters) == params
 
 
 def geometry_of(model):

@@ -2,14 +2,14 @@ import logging
 
 import pytest
 
-from btblab.core import BYTE
-from btblab.storage import (ALIGNED4_WAY_WIDTHS, BtbxGeometry,
-                            ConvGeometry, GeometryError,
-                            STANDARD_PRESETS, arm64_geometry,
+from btblab.core import ALIGNED4, BYTE, PROFILES
+from btblab.storage import (CONV_ENTRY_BITS, PER_ENTRY_OVERHEAD_BITS,
+                            TAG_BITS, WAY_WIDTHS, BtbxGeometry,
+                            GeometryError, STANDARD_PRESETS, arm64_geometry,
                             btbx_geometry_for_budget,
                             btbx_total_bits, capacity_table,
-                            capacity_table_csv, conv_capacity, conv_geometry,
-                            match_preset, round_kb, x86_geometry)
+                            capacity_table_csv, conv_capacity, conv_tag_bits,
+                            match_preset, round_kb)
 
 # Canonical budget rows: total bits, displayed-KB label, conventional entries.
 EXPECTED_ROWS = [
@@ -54,24 +54,34 @@ class TestGeometryValidation:
         with pytest.raises(GeometryError):
             BtbxGeometry(sets=48)
 
-    def test_decreasing_widths_rejected(self):
-        with pytest.raises(GeometryError):
-            BtbxGeometry(sets=32, way_widths=(0, 5, 4, 7, 9, 11, 19, 25))
-
-    def test_wrong_way_count_rejected(self):
-        with pytest.raises(GeometryError):
-            BtbxGeometry(sets=32, way_widths=(0, 4, 5, 7, 9, 11, 19))
-
     def test_tiny_geometry_keeps_one_companion_slot(self):
         assert BtbxGeometry(sets=2).xc_entries == 1
 
 
+class TestWayWidthTables:
+    """BtbX's `_allocate` finds a branch's eligible ways by bisecting the
+    widths, which needs exactly 8 non-decreasing widths per profile."""
+
+    @pytest.mark.parametrize("isa, total", [(ALIGNED4, 80), (BYTE, 86)])
+    def test_eight_non_decreasing_widths(self, isa, total):
+        widths = WAY_WIDTHS[isa]
+        assert len(widths) == 8
+        assert list(widths) == sorted(widths)
+        assert sum(widths) == total
+        assert BtbxGeometry(32, isa).way_widths is widths
+
+    def test_one_table_entry_per_profile(self):
+        assert list(WAY_WIDTHS) == list(PROFILES)
+
+
 class TestConvCapacity:
     def test_entry_is_64_bits(self):
-        assert ConvGeometry().entry_bits == 64
+        assert CONV_ENTRY_BITS == 64
         # byte-addressed mode: wider target, narrower tag, same 64-bit entry
-        g = conv_geometry(BYTE)
-        assert g.target_bits == 48 and g.entry_bits == 64
+        for isa, tag in ((ALIGNED4, 12), (BYTE, 10)):
+            assert conv_tag_bits(isa) == tag
+            assert (PER_ENTRY_OVERHEAD_BITS - TAG_BITS + tag
+                    + isa.max_stored_target_bits) == 64
 
     @pytest.mark.parametrize("sets,bits,label,conv", EXPECTED_ROWS)
     def test_capacity_column(self, sets, bits, label, conv):
@@ -132,14 +142,14 @@ class TestCapacityTable:
 
 class TestX86Mode:
     def test_way_widths(self):
-        g = x86_geometry()
+        g = BtbxGeometry(512, BYTE)
         assert g.way_widths == (0, 5, 6, 7, 9, 12, 20, 27)
         assert sum(g.way_widths) == 86
         assert g.set_bits == 230
-        assert sum(ALIGNED4_WAY_WIDTHS) == 80
+        assert sum(WAY_WIDTHS[ALIGNED4]) == 80
 
     def test_companion_entry_stays_64_bits(self):
-        g = x86_geometry()
+        g = BtbxGeometry(512, BYTE)
         assert btbx_total_bits(g) - g.sets * g.set_bits == g.xc_entries * 64
 
     def test_capacity_ratio(self):
@@ -147,8 +157,8 @@ class TestX86Mode:
             assert row.ratio_conv == pytest.approx(2.18, abs=0.01)
 
     def test_mid_geometry_ratio(self):
-        g = x86_geometry(512)
-        conv = conv_capacity(btbx_total_bits(g), conv_geometry(BYTE))
+        g = BtbxGeometry(512, BYTE)
+        conv = conv_capacity(btbx_total_bits(g))
         assert g.branch_capacity / conv == pytest.approx(2.18, abs=0.01)
 
 
