@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "core": ("ALIGNED4", "BYTE", "BranchKind", "BranchRecord", "IsaProfile",
-             "OffsetEncoding", "ReturnAddressStack", "decode_target",
-             "encode_offset", "required_offset_width"),
+             "OffsetEncoding", "decode_target", "encode_offset",
+             "required_offset_width"),
     "models": ("BtbX", "ConvBtb", "PdedeBtb", "RBtb", "build_model"),
     "sim": ("Metrics", "SimConfig", "compare", "offset_histogram", "run"),
     "storage": ("BtbxGeometry", "btbx_total_bits", "capacity_table",

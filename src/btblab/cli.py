@@ -24,8 +24,9 @@ from typing import List, Optional
 from . import __version__
 from .core import (KINDS_BY_NAME, MODEL_NAMES, PROFILES, ConfigError,
                    InvariantError, profile_named)
-from .trace import (GeneratorSpec, GeneratorSpecError, TraceFormatError,
-                    gen_records, load_trace, write_records)
+from .trace import (PATTERNS, GeneratorSpec, GeneratorSpecError,
+                    TraceFormatError, gen_records, iter_records, load_trace,
+                    write_records)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -149,8 +150,8 @@ def cmd_gen_trace(args) -> int:
 
 def cmd_analyze_offsets(args) -> int:
     from .sim import offset_histogram
-    trace = load_trace(args.trace)
-    csv_text = offset_histogram(trace).csv()
+    header, records = iter_records(args.trace)
+    csv_text = offset_histogram(records, header.isa).csv()
     _write_text(args.output, csv_text)
     if args.output:
         write_manifest(args.output, "analyze-offsets", {"trace": str(args.trace)},
@@ -176,14 +177,13 @@ def cmd_capacity_table(args) -> int:
     _write_text(args.output, capacity_table_csv(rows))
     if args.output:
         write_manifest(args.output, "capacity-table",
-                       {"budgets": budgets, "isa": args.isa})
+                       {"budgets": budgets, "isa": _isa(args.isa).name})
     return EXIT_OK
 
 
-def _sim_config(args, trace):
+def _sim_config(args):
     from .sim import SimConfig
-    return SimConfig(isa=trace.isa, warmup_records=args.warmup,
-                     measure_records=args.measure,
+    return SimConfig(warmup_records=args.warmup, measure_records=args.measure,
                      debug=args.check_invariants)
 
 
@@ -191,9 +191,9 @@ def cmd_simulate(args) -> int:
     from .models import build_model
     from .sim import run
     trace = load_trace(args.trace)
-    config = _sim_config(args, trace)
+    config = _sim_config(args)
     model = build_model(args.model, budget_kb=args.budget_kb, sets=args.sets,
-                        isa=config.isa)
+                        isa=trace.isa)
     metrics = run(model, trace, config)
     doc = {
         "schema": "btblab.metrics/v1",
@@ -222,7 +222,7 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"unknown model {name!r}; choose from "
                               f"{', '.join(MODEL_NAMES)}")
     trace = load_trace(args.trace)
-    config = _sim_config(args, trace)
+    config = _sim_config(args)
     results = compare(names, trace, args.budget_kb, config)
     _write_text(args.output, compare_csv(results, args.budget_kb))
     if args.output:
@@ -254,12 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dynamic records to emit")
     p.add_argument("--dist", help="width buckets, e.g. 0-6:0.54,7-10:0.22,...")
     p.add_argument("--kind-mix", help="branch kind mix, e.g. cond:0.8,ret:0.2")
-    p.add_argument("--pattern", default="round-robin",
-                   choices=["round-robin", "uniform", "zipf"])
-    p.add_argument("--zipf-s", type=float, default=1.2)
-    p.add_argument("--taken-rate", type=float, default=0.9)
-    p.add_argument("--gap-mean", type=int, default=9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--pattern", default=GeneratorSpec.pattern.replace("_", "-"),
+                   choices=[pattern.replace("_", "-") for pattern in PATTERNS])
+    p.add_argument("--zipf-s", type=float, default=GeneratorSpec.zipf_s)
+    p.add_argument("--taken-rate", type=float, default=GeneratorSpec.taken_rate)
+    p.add_argument("--gap-mean", type=int, default=GeneratorSpec.gap_mean)
+    p.add_argument("--seed", type=int, default=GeneratorSpec.seed)
     p.add_argument("--isa", default="aligned4", choices=_ISA_CHOICES)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen_trace)

@@ -1,5 +1,5 @@
-"""Address arithmetic, ISA profiles, the target-offset codec, and the RAS;
-also the model names and errors that the CLI needs without the models.
+"""Address arithmetic, ISA profiles, the target-offset codec and the RAS
+size; also the model names and errors that the CLI needs without the models.
 
 The offset codec is the storage trick everything else builds on: instead of
 keeping a full target address per branch, keep only the target's low-order
@@ -12,10 +12,9 @@ never stored, saving two more bits per entry.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 
 MODEL_NAMES = ("conv", "rbtb", "pdede", "btbx")
@@ -193,27 +192,3 @@ def xor_fold(value: int, bits: int) -> int:
 CALL_BYTES = 4
 
 RAS_CAPACITY = 64  # return-address-stack entries of the simulated front end
-
-
-class ReturnAddressStack:
-    """Fixed-capacity LIFO of return addresses.
-
-    Pushing past capacity silently overwrites the oldest entry; popping when
-    empty returns None instead of raising, so a simulation can keep going
-    and report the event.
-    """
-
-    def __init__(self, capacity: int = RAS_CAPACITY):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._stack = deque(maxlen=capacity)
-
-    def push(self, return_address: int) -> None:
-        self._stack.append(return_address)
-
-    def pop(self) -> Optional[int]:
-        return self._stack.pop() if self._stack else None
-
-    def __len__(self) -> int:
-        return len(self._stack)

@@ -14,12 +14,13 @@ for itself plus `gap` preceding non-branch instructions.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .core import (ALIGNED4, CALL_BYTES, CALL_KINDS, BranchKind, BranchRecord,
-                   IsaProfile, ReturnAddressStack, required_offset_width)
+from .core import (ALIGNED4, CALL_BYTES, CALL_KINDS, RAS_CAPACITY, BranchKind,
+                   BranchRecord, IsaProfile, required_offset_width)
 from .models import build_model
 from .models.base import BtbModel
 from .trace import TraceFile
@@ -27,6 +28,8 @@ from .trace import TraceFile
 
 @dataclass
 class SimConfig:
+    # The profile of a bare record list given to `compare`: a TraceFile
+    # brings its header's, and `run` takes its model's.
     isa: IsaProfile = ALIGNED4
     warmup_records: Optional[int] = None   # None: 10% of the trace
     measure_records: Optional[int] = None  # None: everything after warmup
@@ -82,28 +85,31 @@ class Metrics:
         }
 
 
-def _records_of(trace: Union[TraceFile, Sequence[BranchRecord]],
-                config: SimConfig) -> Sequence[BranchRecord]:
+def _profiled(trace: Union[TraceFile, Iterable[BranchRecord]],
+              isa: IsaProfile) -> Tuple[IsaProfile, Iterable[BranchRecord]]:
+    """(profile, records) of a trace: a TraceFile brings its header's
+    profile, a bare record list takes `isa`."""
     if isinstance(trace, TraceFile):
-        if trace.header.isa_mode != config.isa.mode:
-            raise ValueError(
-                f"trace isa_mode {trace.header.isa_mode} does not match the "
-                f"configured profile (mode {config.isa.mode})")
-        return trace.records
-    return trace
+        return trace.isa, trace.records
+    return isa, trace
 
 
 def run(model: BtbModel, trace: Union[TraceFile, Sequence[BranchRecord]],
         config: Optional[SimConfig] = None) -> Metrics:
     config = config or SimConfig()
-    records = _records_of(trace, config)
+    isa, records = _profiled(trace, model.isa)
+    if isa != model.isa:
+        raise ValueError(
+            f"trace isa_mode {isa.mode} does not match the model's profile "
+            f"(mode {model.isa.mode})")
     total = len(records)
     warmup = config.warmup_records if config.warmup_records is not None else total // 10
     warmup = min(warmup, total)
     end = total if config.measure_records is None else min(
         total, warmup + config.measure_records)
 
-    ras = ReturnAddressStack()
+    ras = deque(maxlen=RAS_CAPACITY)  # pushing when full drops the oldest
+    push, pop = ras.append, ras.pop
     lookup, commit, changes = model.lookup, model.commit_update, model.changes
     check = model.check_invariants if config.debug else None
     RETURN = BranchKind.RETURN
@@ -122,9 +128,9 @@ def run(model: BtbModel, trace: Union[TraceFile, Sequence[BranchRecord]],
                 check()
             kind = rec.kind
             if kind in CALL_KINDS:
-                ras.push(rec.pc + CALL_BYTES)
-            elif kind is RETURN:
-                ras.pop()
+                push(rec.pc + CALL_BYTES)
+            elif kind is RETURN and ras:
+                pop()
 
     it = iter(records)
     replay(islice(it, warmup))
@@ -152,12 +158,11 @@ def run(model: BtbModel, trace: Union[TraceFile, Sequence[BranchRecord]],
         if check is not None:
             check()
         if kind in CALL_KINDS:
-            ras.push(rec.pc + CALL_BYTES)
+            push(rec.pc + CALL_BYTES)
         elif kind is RETURN:
-            popped = ras.pop()
-            if popped is None:
+            if not ras:
                 underflows += 1
-            elif popped != rec.target:
+            elif pop() != rec.target:
                 ras_mispredicts += 1
     replay(it)
 
@@ -178,9 +183,9 @@ class _OccupancyArea:
 
     Each record contributes the valid counts as they stand after it.  Those
     change only when the model's change counter moves, so the model is read
-    at the window's start and after each commit that moved it, and the area
-    grows by count x records between readings that differ; the integer sums
-    equal a per-record sample exactly.
+    at the window's start and after each commit that moved it.  A count's
+    area grows by count x records over each span it held, closed when that
+    count moves; the integer sums equal a per-record sample exactly.
     """
 
     def __init__(self, model: BtbModel, start: int):
@@ -190,27 +195,26 @@ class _OccupancyArea:
         self.items = self._read()
         self.area = [0] * len(self.items)
         self.start = start
-        self.since = start  # first record whose state `items` describes
+        # per structure, the first record whose state its count describes
+        self.since = [start] * len(self.items)
 
     def change(self, i: int) -> None:
         """Record i's commit moved the model's change counter."""
         self.seen = self._changes[0]
-        items = self._read()
-        if items != self.items:
-            self._close(i)
-            self.items = items
-
-    def _close(self, i: int) -> None:
-        span = i - self.since
-        self.area = [a + valid * span
-                     for a, (_, valid, _) in zip(self.area, self.items)]
-        self.since = i
+        items, old = self._read(), self.items
+        area, since = self.area, self.since
+        for k in range(len(items)):
+            valid = old[k][1]
+            if valid != items[k][1]:
+                area[k] += valid * (i - since[k])
+                since[k] = i
+        self.items = items
 
     def by_way(self, stop: int) -> Dict[str, float]:
-        self._close(stop)
         records = stop - self.start
-        return {name: area / (cap * records)
-                for (name, _, cap), area in zip(self.items, self.area)}
+        return {name: (area + valid * (stop - since)) / (cap * records)
+                for (name, valid, cap), area, since
+                in zip(self.items, self.area, self.since)}
 
 
 @dataclass
@@ -241,19 +245,14 @@ class OffsetHistogram:
         return "\n".join(lines) + "\n"
 
 
-def offset_histogram(trace: Union[TraceFile, Sequence[BranchRecord]],
+def offset_histogram(trace: Union[TraceFile, Iterable[BranchRecord]],
                      isa: Optional[IsaProfile] = None) -> OffsetHistogram:
     """Bucket every dynamic taken branch by its required stored width.
 
     Returns are counted at width 0 regardless of target: their targets come
     from the RAS, so a BTB entry stores no offset bits for them.
     """
-    if isinstance(trace, TraceFile):
-        isa = trace.isa
-        records = trace.records
-    else:
-        isa = isa or ALIGNED4
-        records = trace
+    isa, records = _profiled(trace, isa or ALIGNED4)
     counts: Dict[int, int] = {}
     total = 0
     for rec in records:
@@ -275,11 +274,11 @@ def compare(model_names: Sequence[str],
     """Run several organizations at the same budget over one trace.
 
     The models run one after another in declaration order, each on its own
-    freshly built model.
+    freshly built model for the trace's profile.
     """
     config = config or SimConfig()
-    records = _records_of(trace, config)
-    return [(name, run(build_model(name, budget_kb=budget_kb, isa=config.isa),
+    isa, records = _profiled(trace, config.isa)
+    return [(name, run(build_model(name, budget_kb=budget_kb, isa=isa),
                        records, config))
             for name in model_names]
 

@@ -13,7 +13,7 @@ round-robin, uniform, or zipf access pattern.  Branch PCs are laid out one
 per page (stride of a page plus one line), which keeps target pages
 distinct.  Set indices are not uniform for every set count: the stride
 shares a factor with many of them, so such a table sees only some of its
-sets (ROADMAP.md, item 1).  Kind and offset-width classes are dealt out by
+sets (ROADMAP.md, item 2).  Kind and offset-width classes are dealt out by
 largest-remainder interleaving, which pins the realized class shares to
 the requested ones and spreads each class evenly through the branch
 order.  Returns take their per-record target from a shadow call stack, so
@@ -480,7 +480,7 @@ def build_static_branches(spec: GeneratorSpec) -> List[StaticBranch]:
     # One branch per page keeps target pages distinct, and the +1 moves each
     # branch to the next line within its page.  Set indices do not reach
     # every set: the stride shares a factor with many set counts (ROADMAP.md,
-    # item 1).
+    # item 2).
     stride = (1 << (12 - shift)) + 1
     branches = []
     for j, kind, (lo, span) in zip(range(n), kinds, buckets):

@@ -1,9 +1,13 @@
+import ast
 import contextlib
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +16,8 @@ from hypothesis import strategies as st
 from btblab import cli as btblab_cli
 from btblab import models as btblab_models
 from btblab.models import build_model
-from btblab.trace import (GeneratorSpec, TraceFormatError, generate,
-                          load_trace, save_trace)
+from btblab.trace import (GeneratorSpec, TraceFormatError, gen_records,
+                          generate, load_trace, save_trace, write_records)
 
 RUN = [sys.executable, "-m", "btblab.cli"]
 
@@ -73,6 +77,14 @@ class TestGenTrace:
         res = cli(gen_args("ws.btbt", extra=["--dist", "0-47:1.0"]), workdir)
         assert res.returncode == 1
 
+    def test_defaults_are_the_generators(self):
+        args = btblab_cli.build_parser().parse_args(
+            ["gen-trace", "--branches", "1", "--records", "1", "-o", "ws.btbt"])
+        defaults = {f.name: f.default for f in dataclasses.fields(GeneratorSpec)}
+        assert args.pattern.replace("-", "_") == defaults["pattern"]
+        for name in ("zipf_s", "taken_rate", "gap_mean", "seed"):
+            assert getattr(args, name) == defaults[name], name
+
     def test_jsonl_output(self, workdir):
         res = cli(gen_args("ws.jsonl", records=100), workdir)
         assert res.returncode == 0
@@ -94,6 +106,25 @@ class TestAnalyzeOffsets:
         res = cli(["analyze-offsets", "ws.btbt"], workdir)
         assert res.returncode == 0
         assert res.stdout.startswith("stored_width,")
+
+    def test_peak_flat_in_trace_length(self, workdir):
+        """The histogram takes one pass over the streamed records: ten times
+        the records keep the same peak."""
+        import btblab.sim  # noqa: F401 -- keep the import out of the peaks
+        peaks = []
+        for n in (20_000, 200_000):
+            spec = GeneratorSpec(static_branches=3000, records=n, seed=1)
+            path = str(workdir / f"rr{n}.btbt")
+            write_records(path, spec.isa_mode, gen_records(spec), count=n)
+            tracemalloc.start()
+            try:
+                code = btblab_cli.main(["analyze-offsets", path,
+                                        "-o", str(workdir / "hist.csv")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_corrupt_trace_exit_2(self, workdir):
         (workdir / "bad.btbt").write_bytes(b"NOPE" + b"\x00" * 20)
@@ -121,6 +152,15 @@ class TestCapacityTable:
         assert res.returncode == 0
         body = (workdir / "cap.csv").read_text().strip().split("\n")[1]
         assert body.startswith("14.9,4160,")
+
+    def test_manifest_records_resolved_profile(self, workdir):
+        manifests = []
+        for isa in ("arm64", "aligned4"):
+            res = cli(["capacity-table", "--isa", isa, "-o", "cap.csv"], workdir)
+            assert res.returncode == 0, res.stderr
+            manifests.append((workdir / "cap.csv.manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["config"]["isa"] == "aligned4"
 
     def test_bad_budget_list(self, workdir):
         res = cli(["capacity-table", "--budgets", "abc"], workdir)
@@ -329,6 +369,26 @@ class TestLazyImports:
             assert name in dir(btblab)
         with pytest.raises(AttributeError):
             btblab.no_such_name
+
+
+class TestStdlibOnly:
+    def test_package_imports_only_stdlib(self):
+        """Every absolute import in the package names the standard library
+        or btblab itself."""
+        import btblab
+        allowed = sys.stdlib_module_names | {"btblab"}
+        foreign = []
+        for path in sorted(Path(btblab.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                foreign += [f"{path.name}: {name}" for name in names
+                            if name.partition(".")[0] not in allowed]
+        assert not foreign
 
 
 class TestUsage:

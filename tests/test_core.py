@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from btblab import cli
 from btblab.core import (ALIGNED4, BYTE, PROFILES, BranchKind, BranchRecord,
-                         OffsetEncoding, ReturnAddressStack, decode_target,
-                         encode_offset, profile_for_mode, profile_named,
+                         OffsetEncoding, decode_target, encode_offset,
+                         profile_for_mode, profile_named,
                          required_offset_width, xor_fold)
 from btblab.trace import load_trace, write_records
 
@@ -172,33 +172,3 @@ class TestXorFold:
 
     def test_deterministic(self):
         assert xor_fold(0xABCDEF, 12) == xor_fold(0xABCDEF, 12)
-
-
-class TestReturnAddressStack:
-    def test_lifo(self):
-        ras = ReturnAddressStack()
-        ras.push(0xA0)
-        ras.push(0xB0)
-        assert ras.pop() == 0xB0
-        assert ras.pop() == 0xA0
-
-    def test_overflow_overwrites_oldest(self):
-        ras = ReturnAddressStack(capacity=2)
-        for addr in (0xA0, 0xB0, 0xC0):
-            ras.push(addr)
-        assert ras.pop() == 0xC0
-        assert ras.pop() == 0xB0
-        assert ras.pop() is None
-
-    def test_default_capacity_holds_64(self):
-        ras = ReturnAddressStack()
-        addrs = [0x1000 + 4 * i for i in range(64)]
-        for a in addrs:
-            ras.push(a)
-        assert [ras.pop() for _ in range(64)] == addrs[::-1]
-        assert ras.pop() is None
-
-    def test_pop_on_empty_counts(self):
-        ras = ReturnAddressStack()
-        assert ras.pop() is None
-        assert len(ras) == 0

@@ -105,6 +105,18 @@ class TestRun:
         assert metrics.ras_mispredicts == 5
         assert metrics.taken_btb_misses == 2  # one cold miss per pc, no more
 
+    def test_ras_holds_64_returns_and_drops_the_oldest(self):
+        # 65 nested calls overflow the 64-entry RAS by one: the 64 innermost
+        # returns find their call sites, and the outermost one underflows.
+        calls = [rec(0x1000 + 0x40 * i, 0x100000 + 0x40 * i, BranchKind.CALL)
+                 for i in range(65)]
+        returns = [rec(0x200000 + 0x40 * i, call.pc + 4, BranchKind.RETURN)
+                   for i, call in enumerate(reversed(calls))]
+        metrics = run(ConvBtb(entries=64), calls + returns,
+                      SimConfig(warmup_records=0))
+        assert metrics.ras_mispredicts == 0
+        assert metrics.ras_underflows == 1
+
     def test_ras_carries_over_from_warmup(self):
         call = rec(0x1000, 0x5000, BranchKind.CALL)
         ret = rec(0x5008, 0x1004, BranchKind.RETURN)
@@ -239,6 +251,35 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
+
+
+class TestProfile:
+    """A TraceFile brings its header's profile: `run` checks it against the
+    model's, and `compare` builds its models for it."""
+
+    @pytest.fixture(scope="class")
+    def byte_trace(self):
+        return generate(GeneratorSpec(static_branches=300, records=5000,
+                                      seed=1, isa_mode=BYTE.mode))
+
+    def test_model_of_other_profile_rejected(self, byte_trace):
+        # the config's profile does not stand in for the model's
+        with pytest.raises(ValueError, match="isa_mode"):
+            run(build_model("btbx", budget_kb=14.5), byte_trace,
+                SimConfig(isa=BYTE))
+
+    def test_model_of_trace_profile_runs_under_default_config(self, byte_trace):
+        metrics = run(build_model("btbx", budget_kb=14.875, isa=BYTE),
+                      byte_trace, SimConfig())
+        assert metrics.taken_branches > 0
+        assert metrics.wrong_target_misses == 0
+
+    def test_compare_builds_models_for_trace_profile(self, byte_trace):
+        results = compare(["conv", "btbx"], byte_trace, 14.875, SimConfig())
+        for name, metrics in results:
+            alone = run(build_model(name, budget_kb=14.875, isa=BYTE),
+                        byte_trace, SimConfig())
+            assert metrics.to_dict() == alone.to_dict()
 
 
 class TestOffsetHistogram:
