@@ -25,8 +25,7 @@ from . import __version__
 from .core import (KINDS_BY_NAME, MODEL_NAMES, PROFILES, ConfigError,
                    InvariantError, profile_named)
 from .trace import (PATTERNS, GeneratorSpec, GeneratorSpecError,
-                    TraceFormatError, gen_records, iter_records, load_trace,
-                    write_records)
+                    TraceFormatError, gen_records, iter_records, write_records)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -150,8 +149,7 @@ def cmd_gen_trace(args) -> int:
 
 def cmd_analyze_offsets(args) -> int:
     from .sim import offset_histogram
-    header, records = iter_records(args.trace)
-    csv_text = offset_histogram(records, header.isa).csv()
+    csv_text = offset_histogram(args.trace).csv()
     _write_text(args.output, csv_text)
     if args.output:
         write_manifest(args.output, "analyze-offsets", {"trace": str(args.trace)},
@@ -190,11 +188,11 @@ def _sim_config(args):
 def cmd_simulate(args) -> int:
     from .models import build_model
     from .sim import run
-    trace = load_trace(args.trace)
+    header = iter_records(args.trace)[0]  # dropping the iterator closes the file
     config = _sim_config(args)
     model = build_model(args.model, budget_kb=args.budget_kb, sets=args.sets,
-                        isa=trace.isa)
-    metrics = run(model, trace, config)
+                        isa=header.isa)
+    metrics = run(model, args.trace, config)
     doc = {
         "schema": "btblab.metrics/v1",
         "model": args.model,
@@ -221,9 +219,8 @@ def cmd_compare(args) -> int:
         if name not in MODEL_NAMES:
             raise ConfigError(f"unknown model {name!r}; choose from "
                               f"{', '.join(MODEL_NAMES)}")
-    trace = load_trace(args.trace)
     config = _sim_config(args)
-    results = compare(names, trace, args.budget_kb, config)
+    results = compare(names, args.trace, args.budget_kb, config)
     _write_text(args.output, compare_csv(results, args.budget_kb))
     if args.output:
         write_manifest(args.output, "compare",

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple
+from operator import attrgetter
+from typing import NamedTuple, Tuple
 
 
 MODEL_NAMES = ("conv", "rbtb", "pdede", "btbx")
@@ -43,7 +44,10 @@ class BranchKind(IntEnum):
         return self is not BranchKind.CONDITIONAL
 
 
-CALL_KINDS = frozenset((BranchKind.CALL, BranchKind.INDIRECT_CALL))
+# Plain ints, since a record's kind may be its raw trace code: compare kinds
+# with these by value (`==`, `in`), never by identity.
+RETURN = BranchKind.RETURN.value
+CALL_KINDS = frozenset((BranchKind.CALL.value, BranchKind.INDIRECT_CALL.value))
 
 KIND_NAMES = {
     BranchKind.CONDITIONAL: "cond",
@@ -118,12 +122,21 @@ class OffsetEncoding(NamedTuple):
     bits: int
 
 
+# A record's fields (pc, target, kind, taken, gap): what the simulator and
+# the models read, as a binary trace stores them, or taken from a record by
+# `record_fields`.
+Fields = Tuple[int, int, int, int, int]
+record_fields = attrgetter("pc", "target", "kind", "taken", "gap")
+
+
 @dataclass(slots=True)
 class BranchRecord:
     """One dynamic branch event.
 
     gap counts the non-branch instructions committed since the previous
-    record, which is what MPKI denominators are built from.
+    record, which is what MPKI denominators are built from.  A record
+    unpacks as `pc, target, kind, taken, gap`, the order of a binary
+    record's fields, so code that takes either reads it positionally.
     """
 
     pc: int
@@ -131,6 +144,9 @@ class BranchRecord:
     kind: BranchKind
     taken: bool
     gap: int = 0
+
+    def __iter__(self):
+        return iter(record_fields(self))
 
     def validate(self, isa: IsaProfile) -> None:
         isa.check_address(self.pc, "pc")

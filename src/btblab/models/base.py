@@ -3,7 +3,10 @@
 Every organization exposes the same two entry points: `lookup(pc)` is the
 front-end probe (it may refresh recency on a valid hit but never allocates
 or evicts), and `commit_update(record)` is the only path that changes
-contents, driven by taken branches at commit.
+contents, driven by taken branches at commit.  The record is read
+positionally, `pc, target, kind, taken, gap`: a `BranchRecord` or a raw
+tuple of a binary trace's fields, whose kind is a plain int code.  So kinds
+compare by value, with `core.RETURN` and `core.CALL_KINDS`.
 """
 
 from __future__ import annotations
@@ -12,16 +15,17 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Optional
 
-from ..core import BranchKind, BranchRecord, InvariantError, IsaProfile, xor_fold
+from ..core import Fields, InvariantError, IsaProfile, xor_fold
 
 
 class Prediction(NamedTuple):
     """A BTB hit: target is None when the entry says "take it from the RAS"
-    (only ever the case for return-type entries).  Immutable, so a model
+    (only ever the case for return-type entries).  kind is the committed
+    record's, a BranchKind or its plain int code.  Immutable, so a model
     builds one when it writes an entry and returns it on every hit."""
 
     target: Optional[int]
-    kind: BranchKind
+    kind: int
     source: str
 
 
@@ -72,8 +76,6 @@ def outcome_table(structure: str, slots: int) -> dict:
                             for slot in range(slots))
     return table
 
-
-RETURN = BranchKind.RETURN  # a module global reads faster than an enum member
 
 INVALID = -1  # tag of an empty way: folded tags, page bits and regions are >= 0
 
@@ -225,7 +227,7 @@ class BtbModel:
     def lookup(self, pc: int) -> Optional[Prediction]:
         raise NotImplementedError
 
-    def commit_update(self, record: BranchRecord) -> UpdateOutcome:
+    def commit_update(self, record: Fields) -> UpdateOutcome:
         raise NotImplementedError
 
     def occupancy_items(self):

@@ -18,9 +18,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Optional
 
-from ..core import ALIGNED4, BranchKind, BranchRecord, IsaProfile
+from ..core import ALIGNED4, RETURN, Fields, IsaProfile
 from ..storage import BtbxGeometry
-from .base import (RETURN, BtbModel, InvariantError, Prediction, SetArray,
+from .base import (BtbModel, InvariantError, Prediction, SetArray,
                    UpdateOutcome, new_prediction, outcome_table)
 
 XC_TAG_BITS = 15
@@ -55,12 +55,12 @@ class BtbX(BtbModel):
         n = self.widths[way] + self._shift
         return (pc & ~((1 << n) - 1)) | (offset_bits << self._shift)
 
-    def _predict(self, pc: int, s: int, way: int, kind: BranchKind) -> Prediction:
-        target = (None if kind is RETURN
+    def _predict(self, pc: int, s: int, way: int, kind: int) -> Prediction:
+        target = (None if kind == RETURN
                   else self._decode(pc, way, self._offset[s][way]))
         return new_prediction((target, kind, self._sources[way]))
 
-    def _write(self, pc: int, s: int, way: int, kind: BranchKind,
+    def _write(self, pc: int, s: int, way: int, kind: int,
                target: int, req: int) -> None:
         self._offset[s][way] = (target >> self._shift) & ((1 << self.widths[way]) - 1)
         self._req_width[s][way] = req
@@ -88,17 +88,17 @@ class BtbX(BtbModel):
             return self._xc_pred[slot]
         return None
 
-    def commit_update(self, record: BranchRecord) -> UpdateOutcome:
+    def commit_update(self, record: Fields) -> UpdateOutcome:
         main = self._main
-        pc, target, kind = record.pc, record.target, record.kind
+        pc, target, kind, _, _ = record
         reuse = pc == self._probed_pc
         s, tag, way = self._probed if reuse else main.locate(pc >> self._shift)
         self._probed_pc = None
         if way is not None:
             main.stamps[s][way] = main.clock = main.clock + 1
             stored = self._pred[s][way]
-            if kind is RETURN:
-                if stored.kind is RETURN:
+            if kind == RETURN:
+                if stored.kind == RETURN:
                     return self._hit[way]
                 self._write(pc, s, way, kind, target, 0)
                 return self._rewrite[way]
@@ -115,9 +115,9 @@ class BtbX(BtbModel):
                 return self._rewrite[way]
             # Outgrew its way: drop the entry and re-allocate.
             main.invalidate(s, way)
-            return self._allocate(record, s, tag, req, "migrate")
+            return self._allocate(pc, target, kind, s, tag, req, "migrate")
         # Not in the main array; a return stores no offset bits.
-        n = 0 if kind is RETURN else (pc ^ target).bit_length()
+        n = 0 if kind == RETURN else (pc ^ target).bit_length()
         req = n - self._shift if n else 0
         xc = self._xc_probed if reuse else self._xc.locate(pc >> self._shift)
         slot, _, hit = xc
@@ -129,24 +129,24 @@ class BtbX(BtbModel):
                 # Shrunk enough for the main array; the companion copy dies
                 # so a branch never lives in both structures for long.
                 self._xc.invalidate(slot, 0)
-                return self._allocate(record, s, tag, req, "migrate")
+                return self._allocate(pc, target, kind, s, tag, req, "migrate")
             self._xc_pred[slot] = new_prediction((target, kind, "xc"))
             return self._xc_out["rewrite"][slot]
-        return self._allocate(record, s, tag, req, "alloc", xc)
+        return self._allocate(pc, target, kind, s, tag, req, "alloc", xc)
 
-    def _allocate(self, record: BranchRecord, s: int, tag: int, req: int,
-                  outcome: str, xc=None) -> UpdateOutcome:
+    def _allocate(self, pc: int, target: int, kind: int, s: int, tag: int,
+                  req: int, outcome: str, xc=None) -> UpdateOutcome:
         """Place a branch that is in neither structure; `xc` is its
         companion probe, if there is one."""
         # Way widths never decrease, so the ways wide enough are a suffix.
         first = bisect_left(self.widths, req)
         if first == self.ways:
-            slot, xtag, _ = xc or self._xc.locate(record.pc >> self._shift)
+            slot, xtag, _ = xc or self._xc.locate(pc >> self._shift)
             _, victim_valid = self._xc.fill(slot, xtag)
-            self._xc_pred[slot] = new_prediction((record.target, record.kind, "xc"))
+            self._xc_pred[slot] = new_prediction((target, kind, "xc"))
             return self._xc_out[outcome][slot][victim_valid]
         way, victim_valid = self._main.fill(s, tag, first)
-        self._write(record.pc, s, way, record.kind, record.target, req)
+        self._write(pc, s, way, kind, target, req)
         return self._out[outcome][way][victim_valid]
 
     def occupancy_items(self):

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core import ALIGNED4, BranchRecord, IsaProfile
+from ..core import ALIGNED4, RETURN, Fields, IsaProfile
 from ..storage import conv_tag_bits
-from .base import (RETURN, BtbModel, InvariantError, Prediction,
-                   UpdateOutcome, divisor_ways, new_prediction)
+from .base import (BtbModel, InvariantError, Prediction, UpdateOutcome,
+                   divisor_ways, new_prediction)
 
 
 class ConvBtb(BtbModel):
@@ -42,23 +42,23 @@ class ConvBtb(BtbModel):
         main.stamps[s][way] = main.clock = main.clock + 1
         return self._pred[s][way]
 
-    def commit_update(self, record: BranchRecord) -> UpdateOutcome:
+    def commit_update(self, record: Fields) -> UpdateOutcome:
         main = self._main
-        pc, kind = record.pc, record.kind
+        pc, target, kind, _, _ = record
         s, tag, way = (self._probed if pc == self._probed_pc
                        else main.locate(pc >> self._shift))
         self._probed_pc = None
         if way is not None:
             main.stamps[s][way] = main.clock = main.clock + 1
             pred = self._pred[s][way]
-            if pred.kind == kind and (kind is RETURN
-                                      or pred.target == record.target):
+            if pred.kind == kind and (kind == RETURN or pred.target == target):
                 return self._hit[way]
             outcome = self._rewrite[way]
         else:
             way, victim_valid = main.fill(s, tag)
             outcome = self._alloc[way][victim_valid]
-        target = None if kind is RETURN else record.target
+        if kind == RETURN:
+            target = None
         self._pred[s][way] = new_prediction((target, kind, self._sources[way]))
         return outcome
 
@@ -70,5 +70,5 @@ class ConvBtb(BtbModel):
         for s, way in self._main.occupied():
             pred = self._pred[s][way]
             if (pred.source != self._sources[way]
-                    or (pred.target is None) != (pred.kind is RETURN)):
+                    or (pred.target is None) != (pred.kind == RETURN)):
                 raise InvariantError(f"set {s} way {way}: bad prediction {pred}")

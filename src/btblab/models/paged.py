@@ -18,11 +18,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-from ..core import ALIGNED4, BranchRecord, IsaProfile, xor_fold
+from ..core import ALIGNED4, RETURN, Fields, IsaProfile, xor_fold
 from ..storage import PAGE_SHIFT, TAG_BITS
-from .base import (ASSOC, INVALID, RETURN, BtbModel, InvariantError,
-                   Prediction, SetArray, UpdateOutcome, divisor_ways,
-                   new_prediction)
+from .base import (ASSOC, INVALID, BtbModel, InvariantError, Prediction,
+                   SetArray, UpdateOutcome, divisor_ways, new_prediction)
 
 NO_PAGE = -1  # page_ptr sentinel for entries that need no page (returns)
 
@@ -77,9 +76,9 @@ class RBtb(BtbModel):
         main.stamps[s][way] = main.clock = main.clock + 1
         return self._pred[s][way]
 
-    def commit_update(self, record: BranchRecord) -> UpdateOutcome:
+    def commit_update(self, record: Fields) -> UpdateOutcome:
         main = self._main
-        pc, kind, target = record.pc, record.kind, record.target
+        pc, target, kind, _, _ = record
         s, tag, way = (self._probed if pc == self._probed_pc
                        else main.locate(pc >> self._shift))
         self._probed_pc = None
@@ -89,7 +88,7 @@ class RBtb(BtbModel):
             # target through a page pointer that still holds.
             pred = self._pred[s][way]
             if pred.kind == kind and (
-                    kind is RETURN
+                    kind == RETURN
                     or (pred.target == target and self._pt_gen[self._page_ptr[s][way]]
                         == self._page_gen[s][way])):
                 return self._hit[way]
@@ -97,7 +96,7 @@ class RBtb(BtbModel):
         else:
             way, victim_valid = main.fill(s, tag)
             outcome = self._alloc[way][victim_valid]
-        if kind is RETURN:
+        if kind == RETURN:
             target = None
             self._in_off[s][way] = 0
             self._page_ptr[s][way] = NO_PAGE
@@ -142,7 +141,7 @@ class RBtb(BtbModel):
                       (self._pt_page[ptr] << self.page_shift) | self._in_off[s][way])
             pred = self._pred[s][way]
             if (pred.target != target or pred.source != self._sources[way]
-                    or (pred.kind is RETURN) != (ptr == NO_PAGE)):
+                    or (pred.kind == RETURN) != (ptr == NO_PAGE)):
                 raise InvariantError(f"set {s} way {way}: stored prediction "
                                      f"{pred} differs from its payload")
 
@@ -255,7 +254,7 @@ class PdedeBtb(BtbModel):
         """What a same-page or return entry predicts for pc: page bits come
         straight from the pc, with no side-table access."""
         kind = self._pred[s][way].kind
-        target = (None if kind is RETURN else
+        target = (None if kind == RETURN else
                   ((pc >> self.page_shift) << self.page_shift) | self._in_off[s][way])
         return new_prediction((target, kind, self._sources[way]))
 
@@ -273,11 +272,11 @@ class PdedeBtb(BtbModel):
             return self._same_page_prediction(pc, s, way)
         return self._pred[s][way]
 
-    def _write(self, s: int, way: int, record: BranchRecord, same: bool):
+    def _write(self, s: int, way: int, pc: int, target: int, kind: int,
+               same: bool):
         if same is False and way < self.reserved_ways:
             raise InvariantError(f"different-page entry written to reserved way {way}")
-        target = record.target
-        if record.kind is RETURN:
+        if kind == RETURN:
             target = None
             self._same[s][way] = True
             self._in_off[s][way] = 0
@@ -291,43 +290,43 @@ class PdedeBtb(BtbModel):
                 ptr, gen = self._ensure_page(target >> self.page_shift)
                 self._page_ptr[s][way] = ptr
                 self._page_gen[s][way] = gen
-        self._owner[s][way] = record.pc
-        self._pred[s][way] = new_prediction((target, record.kind, self._sources[way]))
+        self._owner[s][way] = pc
+        self._pred[s][way] = new_prediction((target, kind, self._sources[way]))
 
-    def commit_update(self, record: BranchRecord) -> UpdateOutcome:
+    def commit_update(self, record: Fields) -> UpdateOutcome:
         main = self._main
-        pc, kind, target = record.pc, record.kind, record.target
-        same = (kind is RETURN
+        pc, target, kind, _, _ = record
+        same = (kind == RETURN
                 or (pc >> self.page_shift) == (target >> self.page_shift))
         s, tag, way = (self._probed if pc == self._probed_pc
                        else main.locate(pc >> self._shift))
         self._probed_pc = None
         if way is None:
-            return self._allocate(record, s, tag, same, "alloc")
+            return self._allocate(pc, target, kind, s, tag, same, "alloc")
         if not same and way < self.reserved_ways:
             # Target moved off-page but a reserved way cannot hold the
             # pointer: drop the entry and re-allocate in a general way.
             main.invalidate(s, way)
-            return self._allocate(record, s, tag, same, "migrate")
+            return self._allocate(pc, target, kind, s, tag, same, "migrate")
         main.stamps[s][way] = main.clock = main.clock + 1
         # A hit needs the same kind and, for a non-return, the same page
         # handling and the same in-page offset (same page) or target.
         pred = self._pred[s][way]
-        if pred.kind == kind and (kind is RETURN or (
+        if pred.kind == kind and (kind == RETURN or (
                 self._same[s][way] == same
                 and (self._in_off[s][way] == target & ((1 << self.page_shift) - 1)
                      if same else pred.target == target and self._live(s, way)))):
             return self._hit[way]
-        self._write(s, way, record, same)
+        self._write(s, way, pc, target, kind, same)
         return self._rewrite[way]
 
-    def _allocate(self, record: BranchRecord, s: int, tag: int, same: bool,
-                  outcome: str) -> UpdateOutcome:
+    def _allocate(self, pc: int, target: int, kind: int, s: int, tag: int,
+                  same: bool, outcome: str) -> UpdateOutcome:
         # Same-page entries may use every way, and empty-first placement
         # fills the reserved (lowest-index) half before the general ways.
         first = 0 if same else self.reserved_ways
         way, victim_valid = self._main.fill(s, tag, first)
-        self._write(s, way, record, same)
+        self._write(s, way, pc, target, kind, same)
         return self._out[outcome][way][victim_valid]
 
     def occupancy_items(self):

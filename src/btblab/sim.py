@@ -15,15 +15,24 @@ for itself plus `gap` preceding non-branch instructions.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from os import PathLike
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
-from .core import (ALIGNED4, CALL_BYTES, CALL_KINDS, RAS_CAPACITY, BranchKind,
-                   BranchRecord, IsaProfile, required_offset_width)
+from .core import (ALIGNED4, CALL_BYTES, CALL_KINDS, RAS_CAPACITY, RETURN,
+                   BranchRecord, Fields, IsaProfile, record_fields,
+                   required_offset_width)
 from .models import build_model
 from .models.base import BtbModel
-from .trace import TraceFile
+from .trace import TraceFile, open_fields
+
+# What `run`, `compare` and `offset_histogram` replay: a trace file's path
+# (str or PathLike), a TraceFile, or a bare list of records.
+Trace = Union[str, PathLike, TraceFile, Sequence[BranchRecord]]
 
 
 @dataclass
@@ -85,24 +94,44 @@ class Metrics:
         }
 
 
-def _profiled(trace: Union[TraceFile, Iterable[BranchRecord]],
-              isa: IsaProfile) -> Tuple[IsaProfile, Iterable[BranchRecord]]:
-    """(profile, records) of a trace: a TraceFile brings its header's
-    profile, a bare record list takes `isa`."""
+@contextmanager
+def _opened(trace: Trace, isa: IsaProfile) -> Iterator[
+        Tuple[IsaProfile, int, Callable[[], Iterator[Fields]]]]:
+    """(profile, record count, passes) of a trace, where each call of
+    `passes()` iterates its records' `Fields` from the first.
+
+    A path is streamed from disk on every pass (`trace.open_fields`), so
+    no more than a chunk of it is in memory.  A TraceFile brings its
+    header's profile, and a bare record list takes `isa`.
+    """
+    if isinstance(trace, (str, PathLike)):
+        with open_fields(trace) as (header, passes):
+            yield header.isa, header.record_count, passes
+        return
     if isinstance(trace, TraceFile):
-        return trace.isa, trace.records
-    return isa, trace
+        isa, trace = trace.isa, trace.records
+    yield isa, len(trace), partial(map, record_fields, trace)
 
 
-def run(model: BtbModel, trace: Union[TraceFile, Sequence[BranchRecord]],
+def run(model: BtbModel, trace: Trace,
         config: Optional[SimConfig] = None) -> Metrics:
-    config = config or SimConfig()
-    isa, records = _profiled(trace, model.isa)
-    if isa != model.isa:
-        raise ValueError(
-            f"trace isa_mode {isa.mode} does not match the model's profile "
-            f"(mode {model.isa.mode})")
-    total = len(records)
+    """Replay a trace through a model and account for its taken branches.
+
+    `trace` is a trace file's path, streamed from disk a chunk at a time, a
+    TraceFile, or a bare record list in the model's profile.
+    """
+    with _opened(trace, model.isa) as (isa, total, passes):
+        if isa != model.isa:
+            raise ValueError(
+                f"trace isa_mode {isa.mode} does not match the model's "
+                f"profile (mode {model.isa.mode})")
+        return _run(model, passes(), total, config or SimConfig())
+
+
+def _run(model: BtbModel, records: Iterator[Fields], total: int,
+         config: SimConfig) -> Metrics:
+    """One pass over a trace's `total` records.  Each record is read
+    positionally and handed to `commit_update` as it came."""
     warmup = config.warmup_records if config.warmup_records is not None else total // 10
     warmup = min(warmup, total)
     end = total if config.measure_records is None else min(
@@ -112,41 +141,40 @@ def run(model: BtbModel, trace: Union[TraceFile, Sequence[BranchRecord]],
     push, pop = ras.append, ras.pop
     lookup, commit, changes = model.lookup, model.commit_update, model.changes
     check = model.check_invariants if config.debug else None
-    RETURN = BranchKind.RETURN
     hits: Dict[str, int] = {}
-    instructions = taken = misses = wrong = underflows = ras_mispredicts = 0
+    instructions = taken_branches = misses = wrong = underflows = 0
+    ras_mispredicts = 0
 
     def replay(records):
         """The warmup and the tail: the same lookups, commits, checks and
         RAS traffic as the measured window, without counting."""
         for rec in records:
-            lookup(rec.pc)
-            if not rec.taken:
+            pc, _, kind, taken, _ = rec
+            lookup(pc)
+            if not taken:
                 continue
             commit(rec)
             if check is not None:
                 check()
-            kind = rec.kind
             if kind in CALL_KINDS:
-                push(rec.pc + CALL_BYTES)
-            elif kind is RETURN and ras:
+                push(pc + CALL_BYTES)
+            elif kind == RETURN and ras:
                 pop()
 
-    it = iter(records)
-    replay(islice(it, warmup))
+    replay(islice(records, warmup))
     if end > warmup:
         occupancy = _OccupancyArea(model, warmup)
-    for i, rec in enumerate(islice(it, end - warmup), warmup):
-        pred = lookup(rec.pc)
-        instructions += rec.gap + 1
-        if not rec.taken:
+    for i, rec in enumerate(islice(records, end - warmup), warmup):
+        pc, target, kind, taken, gap = rec
+        pred = lookup(pc)
+        instructions += gap + 1
+        if not taken:
             continue
-        kind = rec.kind
-        taken += 1
+        taken_branches += 1
         if pred is None:
             misses += 1
-        elif (pred.kind is RETURN if kind is RETURN
-              else pred.target == rec.target):
+        elif (pred.kind == RETURN if kind == RETURN
+              else pred.target == target):
             source = pred.source
             hits[source] = hits.get(source, 0) + 1
         else:
@@ -158,15 +186,15 @@ def run(model: BtbModel, trace: Union[TraceFile, Sequence[BranchRecord]],
         if check is not None:
             check()
         if kind in CALL_KINDS:
-            push(rec.pc + CALL_BYTES)
-        elif kind is RETURN:
+            push(pc + CALL_BYTES)
+        elif kind == RETURN:
             if not ras:
                 underflows += 1
-            elif pop() != rec.target:
+            elif pop() != target:
                 ras_mispredicts += 1
-    replay(it)
+    replay(records)
 
-    metrics = Metrics(instructions=instructions, taken_branches=taken,
+    metrics = Metrics(instructions=instructions, taken_branches=taken_branches,
                       taken_btb_misses=misses, hits_by_source=hits,
                       measured_records=end - warmup,
                       wrong_target_misses=wrong, ras_underflows=underflows,
@@ -245,42 +273,43 @@ class OffsetHistogram:
         return "\n".join(lines) + "\n"
 
 
-def offset_histogram(trace: Union[TraceFile, Iterable[BranchRecord]],
+def offset_histogram(trace: Trace,
                      isa: Optional[IsaProfile] = None) -> OffsetHistogram:
-    """Bucket every dynamic taken branch by its required stored width.
+    """Bucket every dynamic taken branch by its required stored width; a
+    bare record list is in `isa`, aligned4 by default.
 
     Returns are counted at width 0 regardless of target: their targets come
     from the RAS, so a BTB entry stores no offset bits for them.
     """
-    isa, records = _profiled(trace, isa or ALIGNED4)
     counts: Dict[int, int] = {}
     total = 0
-    for rec in records:
-        if not rec.taken:
-            continue
-        if rec.kind is BranchKind.RETURN:
-            width = 0
-        else:
-            width = required_offset_width(rec.pc, rec.target, isa)
-        counts[width] = counts.get(width, 0) + 1
-        total += 1
+    with _opened(trace, isa or ALIGNED4) as (isa, _, passes):
+        for pc, target, kind, taken, _ in passes():
+            if not taken:
+                continue
+            if kind == RETURN:
+                width = 0
+            else:
+                width = required_offset_width(pc, target, isa)
+            counts[width] = counts.get(width, 0) + 1
+            total += 1
     return OffsetHistogram(counts, total)
 
 
-def compare(model_names: Sequence[str],
-            trace: Union[TraceFile, Sequence[BranchRecord]],
-            budget_kb: float,
+def compare(model_names: Sequence[str], trace: Trace, budget_kb: float,
             config: Optional[SimConfig] = None) -> List[Tuple[str, Metrics]]:
     """Run several organizations at the same budget over one trace.
 
     The models run one after another in declaration order, each on its own
-    freshly built model for the trace's profile.
+    freshly built model for the trace's profile and its own pass over the
+    trace, so one model is alive at a time.  A bare record list is in
+    `config.isa`.
     """
     config = config or SimConfig()
-    isa, records = _profiled(trace, config.isa)
-    return [(name, run(build_model(name, budget_kb=budget_kb, isa=isa),
-                       records, config))
-            for name in model_names]
+    with _opened(trace, config.isa) as (isa, total, passes):
+        return [(name, _run(build_model(name, budget_kb=budget_kb, isa=isa),
+                            passes(), total, config))
+                for name in model_names]
 
 
 COMPARE_CSV_HEADER = ("model,budget_kb,instructions,taken_branches,"

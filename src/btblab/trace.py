@@ -27,21 +27,24 @@ from __future__ import annotations
 import json
 import random
 import struct
+import tempfile
 from array import array
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import accumulate, cycle, islice
+from itertools import accumulate, chain, cycle, islice
 from operator import add
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .core import (CALL_BYTES, CALL_KINDS, PROFILES, VA_BITS, BranchKind,
-                   BranchRecord, IsaProfile, KIND_NAMES, KINDS_BY_NAME,
-                   profile_for_mode, profile_named)
+                   BranchRecord, Fields, IsaProfile, KIND_NAMES,
+                   KINDS_BY_NAME, profile_for_mode, profile_named)
 
 MAGIC = b"BTBT"
 VERSION = 1
 _HEADER = struct.Struct("<4sBBHQ")
 _RECORD = struct.Struct("<QQBBHI")
+_FIELDS = struct.Struct("<QQBBH4x")  # a record without its pad: its Fields
 HEADER_BYTES = _HEADER.size
 RECORD_BYTES = _RECORD.size
 MAX_GAP = 0xFFFF
@@ -92,13 +95,6 @@ def _validate_record(rec: BranchRecord, isa: IsaProfile, index: int) -> None:
 _CHUNK_RECORDS = 1 << 14  # records read, or packed and written, at a time
 
 
-def _chunks(records: Iterable[BranchRecord]) -> Iterator[List[BranchRecord]]:
-    """Consecutive lists of up to _CHUNK_RECORDS records."""
-    records = iter(records)
-    while chunk := list(islice(records, _CHUNK_RECORDS)):
-        yield chunk
-
-
 def _is_text(path) -> bool:
     return str(path).endswith((".jsonl", ".json"))
 
@@ -115,7 +111,8 @@ def write_records(path, isa_mode: int, records: Iterable[BranchRecord],
     isa = profile_for_mode(isa_mode)
     if _is_text(path):
         return _write_jsonl(path, isa, records, count)
-    return _write_binary(path, isa, records, count)
+    with open(path, "wb") as fh:
+        return _write_binary(fh, isa, records, count)
 
 
 def iter_records(path) -> Tuple[TraceHeader, Iterator[BranchRecord]]:
@@ -128,6 +125,33 @@ def iter_records(path) -> Tuple[TraceHeader, Iterator[BranchRecord]]:
     """
     records = _read_jsonl(path) if _is_text(path) else _read_binary(path)
     return next(records), records
+
+
+@contextmanager
+def open_fields(path) -> Iterator[Tuple[TraceHeader, Callable[[], Iterator[Fields]]]]:
+    """Open a trace of either form to be streamed once or more.
+
+    Yields (header, passes): each call of `passes()` reads the records'
+    `Fields` from the first record on, a chunk at a time, validated as they
+    are read, and builds no record object.  A binary trace streams from its
+    own file.  A text trace is parsed and validated once, here, into packed
+    records in an anonymous temporary file, and its header's record_count
+    is then the number of records.  The passes share one file position, so
+    only one may be read at a time.
+    """
+    text = _is_text(path)
+    with (tempfile.TemporaryFile() if text else open(path, "rb")) as fh:
+        if text:
+            header, records = iter_records(path)
+            _write_binary(fh, header.isa, records, header.record_count)
+            fh.seek(0)
+        header = read_header(fh)
+
+        def passes() -> Iterator[Fields]:
+            fh.seek(HEADER_BYTES)
+            return _binary_fields(fh, header)
+
+        yield header, passes
 
 
 def load_trace(path) -> TraceFile:
@@ -144,19 +168,20 @@ def save_trace(path, trace: TraceFile) -> None:
 
 # -- binary form -------------------------------------------------------------
 
-def _write_binary(path, isa: IsaProfile, records: Iterable[BranchRecord],
+def _write_binary(fh, isa: IsaProfile, records: Iterable[BranchRecord],
                   count: Optional[int]) -> int:
+    """Write a binary trace to a file open for writing at its start."""
     pack = _RECORD.pack
     written = 0
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, isa.mode, 0, count or 0))
-        for chunk in _chunks(records):
-            fh.write(b"".join([pack(r.pc, r.target, r.kind, r.taken, r.gap, 0)
-                               for r in chunk]))
-            written += len(chunk)
-        if count != written:
-            fh.seek(8)  # record_count field offset
-            fh.write(struct.pack("<Q", written))
+    fh.write(_HEADER.pack(MAGIC, VERSION, isa.mode, 0, count or 0))
+    records = iter(records)  # packed as drawn, a chunk at a time, never listed
+    while packed := [pack(r.pc, r.target, r.kind, r.taken, r.gap, 0)
+                     for r in islice(records, _CHUNK_RECORDS)]:
+        fh.write(b"".join(packed))
+        written += len(packed)
+    if count != written:
+        fh.seek(8)  # record_count field offset
+        fh.write(struct.pack("<Q", written))
     return written
 
 
@@ -178,45 +203,77 @@ def read_header(fh) -> TraceHeader:
 
 _KINDS = tuple(BranchKind)  # indexed by kind code
 
+# Byte offsets within a record that hold zero in every valid one: the pad,
+# and the pc's and the target's bytes at and above VA_BITS (a whole byte).
+_ZERO_OFFSETS = (*range(VA_BITS // 8, 8), *range(8 + VA_BITS // 8, 16),
+                 *range(20, 24))
+# Kind codes mapped to the least taken flag they allow: 0 for a
+# conditional, 1 for the other kinds (always taken), 2 (none) for an
+# unknown code.
+_LEAST_TAKEN = bytes([0, 1, 1, 1, 1, 1] + [2] * 250)
+
+
+def _valid_chunk(chunk: bytes, isa: IsaProfile) -> bool:
+    """Whether every record in a buffer of whole records would pass the
+    per-field checks, tested on the whole buffer at once: each strided
+    slice holds one byte of every record, and `translate` deletes the byte
+    values a valid record may hold there."""
+    n = RECORD_BYTES
+    least, taken = chunk[16::n].translate(_LEAST_TAKEN), chunk[17::n]
+    return not (
+        b"".join([chunk[i::n] for i in _ZERO_OFFSETS]).translate(None, b"\0")
+        or (chunk[0::n] + chunk[8::n]).translate(
+            None, bytes(range(0, 256, 1 << isa.align_shift)))
+        or (least + taken).translate(None, b"\0\1")
+        # with both in {0, 1}: some always-taken kind not taken
+        or int.from_bytes(least, "little") & ~int.from_bytes(taken, "little"))
+
+
+def _valid_chunks(fh, header: TraceHeader) -> Iterator[bytes]:
+    """The buffers of whole records of a binary trace, read after its
+    header, each validated before it is yielded.
+
+    A chunk that fails the whole-buffer test goes record by record through
+    the per-field checks, which raise with the first bad record's index.
+    """
+    isa = header.isa
+    count = header.record_count
+    start = 0
+    while start < count:
+        want = min(count - start, _CHUNK_RECORDS) * RECORD_BYTES
+        chunk = fh.read(want)
+        whole = len(chunk) - len(chunk) % RECORD_BYTES
+        if whole < len(chunk):
+            chunk = chunk[:whole]
+        if not _valid_chunk(chunk, isa):
+            for index, fields in enumerate(_RECORD.iter_unpack(chunk), start):
+                _checked_record(*fields, isa, index)
+        yield chunk
+        del chunk  # so that the next read holds the only chunk
+        start += whole // RECORD_BYTES
+        if whole < want:
+            raise TraceFormatError("truncated record", start)
+    if fh.read(1):
+        raise TraceFormatError("trailing bytes after last record", count)
+
+
+def _binary_fields(fh, header: TraceHeader) -> Iterator[Fields]:
+    """The validated `Fields` of a binary trace's records, read a chunk at
+    a time after its header."""
+    return chain.from_iterable(map(_FIELDS.iter_unpack, _valid_chunks(fh, header)))
+
 
 def _read_binary(path):
-    """Yield the trace header, then each validated record.
-
-    Records are read a chunk at a time and unpacked with `iter_unpack`.  One
-    combined test passes every well-formed record; a record it flags goes
-    through the per-field checks, which raise with the record's index.
-    """
+    """Yield the trace header, then each validated record."""
     with open(path, "rb") as fh:
         header = read_header(fh)
         yield header
-        isa = header.isa
-        # Bits a valid pc or target leaves clear in its u64 field: those at
-        # and above VA_BITS, and the alignment bits.
-        bad_bits = (((1 << 64) - (1 << VA_BITS))
-                    | ((1 << isa.align_shift) - 1))
-        count = header.record_count
-        start = 0
-        while start < count:
-            want = min(count - start, _CHUNK_RECORDS) * RECORD_BYTES
-            chunk = fh.read(want)
-            whole = len(chunk) - len(chunk) % RECORD_BYTES
-            for index, (pc, target, kind, taken, gap, pad) in enumerate(
-                    _RECORD.iter_unpack(memoryview(chunk)[:whole]), start):
-                if (pad or kind > 5 or taken > 1 or (pc | target) & bad_bits
-                        or (kind and not taken)):
-                    yield _checked_record(pc, target, kind, taken, gap, pad,
-                                          isa, index)
-                else:
-                    yield BranchRecord(pc, target, _KINDS[kind], taken == 1, gap)
-            start += whole // RECORD_BYTES
-            if len(chunk) < want:
-                raise TraceFormatError("truncated record", start)
-        if fh.read(1):
-            raise TraceFormatError("trailing bytes after last record", count)
+        for pc, target, kind, taken, gap in _binary_fields(fh, header):
+            yield BranchRecord(pc, target, _KINDS[kind], taken == 1, gap)
 
 
 def _checked_record(pc: int, target: int, kind: int, taken: int, gap: int,
-                    pad: int, isa: IsaProfile, index: int) -> BranchRecord:
+                    pad: int, isa: IsaProfile, index: int) -> None:
     """One record through the per-field checks, which raise on the first
     field that fails."""
     if pad != 0:
@@ -225,9 +282,8 @@ def _checked_record(pc: int, target: int, kind: int, taken: int, gap: int,
         raise TraceFormatError(f"unknown kind code {kind}", index)
     if taken > 1:
         raise TraceFormatError(f"bad taken flag {taken}", index)
-    rec = BranchRecord(pc, target, BranchKind(kind), bool(taken), gap)
-    _validate_record(rec, isa, index)
-    return rec
+    _validate_record(BranchRecord(pc, target, BranchKind(kind), bool(taken), gap),
+                     isa, index)
 
 
 # -- text (JSON lines) form ---------------------------------------------------
@@ -243,12 +299,13 @@ def _write_jsonl(path, isa: IsaProfile, records: Iterable[BranchRecord],
         fh.write(dumps({"format": "btbt", "version": VERSION,
                         "isa_mode": isa.name,
                         "record_count": count}) + "\n")
-        for chunk in _chunks(records):
-            fh.write("".join([dumps({"pc": hex(r.pc), "target": hex(r.target),
-                                     "kind": KIND_NAMES[r.kind],
-                                     "taken": r.taken, "gap": r.gap}) + "\n"
-                              for r in chunk]))
-            written += len(chunk)
+        records = iter(records)
+        while lines := [dumps({"pc": hex(r.pc), "target": hex(r.target),
+                               "kind": KIND_NAMES[r.kind],
+                               "taken": r.taken, "gap": r.gap}) + "\n"
+                        for r in islice(records, _CHUNK_RECORDS)]:
+            fh.write("".join(lines))
+            written += len(lines)
     if written != count:
         raise ValueError(f"{path}: header declares {count} records, "
                          f"{written} were written")

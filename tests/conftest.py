@@ -1,4 +1,5 @@
 import os
+import struct
 import sys
 from pathlib import Path
 
@@ -26,3 +27,17 @@ def taken_branch_trace(pairs, repeats=1, gap=0, kind=BranchKind.CONDITIONAL):
         for pc, target in pairs:
             out.append(BranchRecord(pc, target, kind, True, gap))
     return out
+
+
+RAW_HEADER = struct.Struct("<4sBBHQ")
+RAW_RECORD = struct.Struct("<QQBBHI")
+GOOD = (0x1000, 0x2000, 0, 1, 3, 0)  # pc, target, kind, taken, gap, pad
+
+
+def raw_trace(records, count=None, isa_mode=0, tail=b"", cut=0):
+    """Bytes of a binary trace built field by field; `count` overrides the
+    header's record count, `cut` drops bytes from the end."""
+    blob = (RAW_HEADER.pack(b"BTBT", 1, isa_mode, 0,
+                            len(records) if count is None else count)
+            + b"".join(RAW_RECORD.pack(*r) for r in records) + tail)
+    return blob[:len(blob) - cut]

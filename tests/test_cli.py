@@ -13,8 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import GOOD, raw_trace
 from btblab import cli as btblab_cli
 from btblab import models as btblab_models
+from btblab import trace as btrace
+from btblab.core import MODEL_NAMES
 from btblab.models import build_model
 from btblab.trace import (GeneratorSpec, TraceFormatError, gen_records,
                           generate, load_trace, save_trace, write_records)
@@ -300,6 +303,106 @@ class TestCheckInvariants:
         code, err = main_in_process([*args, "--check-invariants"])
         assert code == 3
         assert "memo of line 0x12345" in err and "Traceback" not in err
+
+
+CHUNK = btrace._CHUNK_RECORDS
+
+
+class TestStreamedRuns:
+    """`simulate` and `compare` stream the trace from disk a chunk at a
+    time, once per model, and a text trace is parsed once per command."""
+
+    @pytest.fixture(scope="class")
+    def round_robin(self, tmp_path_factory):
+        """Paths of 300-branch traces of 2x10^4 and 2x10^5 records."""
+        workdir, paths = tmp_path_factory.mktemp("flat"), []
+        for n in (20_000, 200_000):
+            spec = GeneratorSpec(static_branches=300, records=n, seed=1)
+            paths.append(str(workdir / f"rr{n}.btbt"))
+            write_records(paths[-1], spec.isa_mode, gen_records(spec), count=n)
+        return paths
+
+    @pytest.mark.parametrize("command", [["simulate", "--model", "conv"],
+                                         ["compare", "--models", "conv,pdede"]],
+                             ids=["simulate", "compare"])
+    def test_peak_flat_in_trace_length(self, round_robin, workdir, command):
+        """Ten times the records keep the same peak."""
+        import btblab.sim  # noqa: F401 -- keep the imports out of the peaks
+        peaks = []
+        for path in round_robin:
+            tracemalloc.start()
+            try:
+                code = btblab_cli.main([*command, "--budget-kb", "14.5", path,
+                                        "-o", str(workdir / "out")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] < 1.5 * peaks[0]
+
+    BAD = CHUNK + 50  # a record in the second chunk
+
+    @pytest.mark.parametrize("bad", [
+        (0x1000, 0x2000, 7, 1, 3, 0),              # unknown kind code
+        (0x1000, 0x2000, 0, 2, 3, 0),              # bad taken flag
+        (0x1000, 0x2000, 0, 1, 3, 1),              # nonzero pad
+        (0x1001, 0x2000, 0, 1, 3, 0),              # misaligned pc
+        (0x1000, 0x2000 | 1 << 48, 0, 1, 3, 0),    # a bit at VA_BITS
+        (0x1000, 0x2000, 2, 0, 3, 0),              # a not-taken call
+        None,                                      # the last record cut short
+    ], ids=["kind", "taken", "pad", "misaligned", "va-bits", "not-taken-call",
+            "truncated"])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--model", "conv", "--budget-kb", "0.9"],
+        ["compare", "--models", "conv,btbx", "--budget-kb", "0.9"],
+    ], ids=["simulate", "compare"])
+    def test_bad_record_after_first_chunk_exits_2(self, workdir, command, bad):
+        records = [GOOD] * (CHUNK + 100)
+        if bad is not None:
+            records[self.BAD] = bad
+        path = workdir / "bad.btbt"
+        path.write_bytes(raw_trace(records, cut=5 if bad is None else 0))
+        with pytest.raises(TraceFormatError) as loaded:
+            load_trace(path)
+        assert loaded.value.record_index == (
+            self.BAD if bad is not None else len(records) - 1)
+        code, err = main_in_process([*command, str(path),
+                                     "-o", str(workdir / "out")])
+        assert (code, err) == (2, f"btblab: input error: {loaded.value}\n")
+        assert list(workdir.iterdir()) == [path]  # no output, no manifest
+
+    @pytest.mark.parametrize("declared", [True, False],
+                             ids=["declared-count", "no-count"])
+    def test_jsonl_outputs_equal_binary_twin(self, workdir, monkeypatch,
+                                             declared):
+        spec = GeneratorSpec(static_branches=300, records=3000,
+                             pattern="uniform", taken_rate=0.8, seed=4)
+        trace = generate(spec)
+        save_trace(workdir / "t.btbt", trace)
+        save_trace(workdir / "t.jsonl", trace)
+        if not declared:
+            head, *lines = (workdir / "t.jsonl").read_text().splitlines(True)
+            head = json.loads(head)
+            del head["record_count"]
+            (workdir / "t.jsonl").write_text(json.dumps(head) + "\n"
+                                             + "".join(lines))
+        parsed = []
+        parse = btrace._jsonl_record
+        monkeypatch.setattr(btrace, "_jsonl_record",
+                            lambda *args: parsed.append(None) or parse(*args))
+        outputs = {}
+        for name in ("t.btbt", "t.jsonl"):
+            sim, cmp = workdir / f"{name}.json", workdir / f"{name}.csv"
+            for args in (["simulate", "--model", "pdede", "--budget-kb", "0.9",
+                          "-o", str(sim)],
+                         ["compare", "--models", ",".join(MODEL_NAMES),
+                          "--budget-kb", "0.9", "-o", str(cmp)]):
+                assert main_in_process([*args, str(workdir / name)])[0] == 0
+            doc = json.loads(sim.read_text())
+            assert doc.pop("trace") == str(workdir / name)
+            outputs[name] = doc, cmp.read_bytes()
+        assert outputs["t.jsonl"] == outputs["t.btbt"]
+        assert len(parsed) == 2 * spec.records  # once per command
 
 
 @pytest.fixture(scope="module")

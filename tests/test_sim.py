@@ -3,13 +3,15 @@ import tracemalloc
 import pytest
 
 from conftest import rec, taken_branch_trace
-from btblab.core import ALIGNED4, BYTE, BranchKind
+from btblab import trace as btrace
+from btblab.core import ALIGNED4, BYTE, MODEL_NAMES, BranchKind
 from btblab.models import build_model
 from btblab.models.conv import ConvBtb
 from btblab.sim import (Metrics, SimConfig, compare, compare_csv,
                         offset_histogram, run)
+from btblab.storage import standard_budgets_kb
 from btblab.trace import (GeneratorSpec, TraceFile, TraceHeader, gen_records,
-                          generate)
+                          generate, load_trace, write_records)
 
 WORKED_PC = 0x168
 WORKED_TARGET = 0x178
@@ -280,6 +282,60 @@ class TestProfile:
             alone = run(build_model(name, budget_kb=14.875, isa=BYTE),
                         byte_trace, SimConfig())
             assert metrics.to_dict() == alone.to_dict()
+
+
+CHUNK = btrace._CHUNK_RECORDS
+
+
+class TestStreamedPath:
+    """`run` given a trace file's path streams the records' raw fields from
+    disk and gives the metrics of `run` over the loaded records."""
+
+    @pytest.fixture(scope="class", params=[ALIGNED4, BYTE],
+                    ids=lambda isa: isa.name)
+    def traces(self, request, tmp_path_factory):
+        """{records: (path, loaded TraceFile)}: one trace a little longer
+        than a chunk, and a short one for invariant-checked runs."""
+        isa, out = request.param, {}
+        for records in (CHUNK + 16, 1000):
+            spec = GeneratorSpec(static_branches=300, records=records,
+                                 pattern="uniform", taken_rate=0.7, seed=9,
+                                 isa_mode=isa.mode)
+            path = tmp_path_factory.mktemp("streamed") / f"{records}.btbt"
+            write_records(path, isa.mode, gen_records(spec), count=records)
+            out[records] = str(path), load_trace(path)
+        return out
+
+    @staticmethod
+    def metrics(name, trace, isa, config):
+        model = build_model(name, budget_kb=standard_budgets_kb(isa)[0], isa=isa)
+        return run(model, trace, config).to_dict()
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("warmup, measure", [
+        (None, None),
+        (CHUNK - 1, None), (CHUNK, None), (CHUNK + 1, None),
+        (0, CHUNK - 1), (0, CHUNK), (0, CHUNK + 1),
+    ])
+    def test_path_equals_loaded_records(self, traces, name, warmup, measure):
+        path, loaded = traces[CHUNK + 16]
+        config = SimConfig(warmup_records=warmup, measure_records=measure)
+        assert (self.metrics(name, path, loaded.isa, config)
+                == self.metrics(name, loaded, loaded.isa, config))
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_path_equals_loaded_records_with_invariant_checks(self, traces, name):
+        path, loaded = traces[1000]
+        config = SimConfig(debug=True)
+        assert (self.metrics(name, path, loaded.isa, config)
+                == self.metrics(name, loaded, loaded.isa, config))
+
+    def test_model_of_other_profile_rejected(self, traces):
+        path, loaded = traces[1000]
+        other = BYTE if loaded.isa == ALIGNED4 else ALIGNED4
+        with pytest.raises(ValueError, match="isa_mode"):
+            run(build_model("btbx", budget_kb=standard_budgets_kb(other)[0],
+                            isa=other), path)
 
 
 class TestOffsetHistogram:

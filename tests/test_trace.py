@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import GOOD, RAW_HEADER, raw_trace
 from dealref import deal_reference
 from decoderef import read_binary_reference
 from btblab import cli
@@ -108,19 +109,7 @@ class TestBinaryFormat:
         assert unraisable == []
 
 
-_HEADER = struct.Struct("<4sBBHQ")
-_RECORD = struct.Struct("<QQBBHI")
-GOOD = (0x1000, 0x2000, 0, 1, 3, 0)  # pc, target, kind, taken, gap, pad
 CHUNK = btrace._CHUNK_RECORDS
-
-
-def raw_trace(records, count=None, isa_mode=0, tail=b"", cut=0):
-    """Bytes of a binary trace built field by field; `count` overrides the
-    header's record count, `cut` drops bytes from the end."""
-    blob = (_HEADER.pack(b"BTBT", 1, isa_mode, 0,
-                         len(records) if count is None else count)
-            + b"".join(_RECORD.pack(*r) for r in records) + tail)
-    return blob[:len(blob) - cut]
 
 
 def decoded(read, path):
@@ -200,7 +189,7 @@ RECORDS = st.lists(st.one_of(st.just(GOOD), FIELDS), max_size=12)
 class TestDecoderFuzz:
     @given(data=st.one_of(
         st.binary(max_size=120),
-        st.builds(lambda head, body: _HEADER.pack(b"BTBT", *head) + body,
+        st.builds(lambda head, body: RAW_HEADER.pack(b"BTBT", *head) + body,
                   st.tuples(st.sampled_from([1, 1, 1, 2]),
                             st.sampled_from([0, 1, 1, 2]),
                             st.sampled_from([0, 0, 0, 7]),
