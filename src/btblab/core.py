@@ -39,10 +39,6 @@ class BranchKind(IntEnum):
     INDIRECT = 4
     INDIRECT_CALL = 5
 
-    @property
-    def always_taken(self) -> bool:
-        return self is not BranchKind.CONDITIONAL
-
 
 # Plain ints, since a record's kind may be its raw trace code: compare kinds
 # with these by value (`==`, `in`), never by identity.
@@ -86,12 +82,6 @@ class IsaProfile:
         if value < 0 or value >= (1 << VA_BITS):
             return False
         return value & ((1 << self.align_shift) - 1) == 0
-
-    def check_address(self, value: int, what: str = "address") -> int:
-        if not self.valid_address(value):
-            raise ValueError(f"{what} {value:#x} invalid for {VA_BITS}-bit "
-                             f"space with {1 << self.align_shift}-byte alignment")
-        return value
 
 
 # The ISA profiles, indexed by their trace isa_mode code; what else differs
@@ -147,15 +137,6 @@ class BranchRecord:
 
     def __iter__(self):
         return iter(record_fields(self))
-
-    def validate(self, isa: IsaProfile) -> None:
-        isa.check_address(self.pc, "pc")
-        isa.check_address(self.target, "target")
-        if self.gap < 0:
-            raise ValueError(f"negative gap {self.gap}")
-        if self.kind.always_taken and not self.taken:
-            raise ValueError(f"{KIND_NAMES[self.kind]} branch at {self.pc:#x} "
-                             "marked not-taken")
 
 
 def required_offset_width(pc: int, target: int, isa: IsaProfile = ALIGNED4) -> int:

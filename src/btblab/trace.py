@@ -66,7 +66,6 @@ class TraceHeader:
 
     isa_mode: int
     record_count: Optional[int]
-    version: int = VERSION
 
     @property
     def isa(self) -> IsaProfile:
@@ -81,15 +80,6 @@ class TraceFile:
     @property
     def isa(self) -> IsaProfile:
         return self.header.isa
-
-
-def _validate_record(rec: BranchRecord, isa: IsaProfile, index: int) -> None:
-    try:
-        rec.validate(isa)
-    except ValueError as exc:
-        raise TraceFormatError(str(exc), index) from None
-    if rec.gap > MAX_GAP:
-        raise TraceFormatError(f"gap {rec.gap} exceeds format limit", index)
 
 
 _CHUNK_RECORDS = 1 << 14  # records read, or packed and written, at a time
@@ -123,8 +113,20 @@ def iter_records(path) -> Tuple[TraceHeader, Iterator[BranchRecord]]:
     The file belongs to the iterator, which has already started: closing
     or dropping it closes the file, even before the first record.
     """
-    records = _read_jsonl(path) if _is_text(path) else _read_binary(path)
+    records = _read_records(path)
     return next(records), records
+
+
+def _read_records(path):
+    """Yield the trace header, then each record built from checked `Fields`."""
+    text = _is_text(path)
+    with (open(path, "r", encoding="utf-8", errors="surrogateescape") if text
+          else open(path, "rb")) as fh:
+        header = _read_jsonl_header(fh) if text else read_header(fh)
+        yield header
+        fields = (_jsonl_fields if text else _binary_fields)(fh, header)
+        for pc, target, kind, taken, gap in fields:
+            yield BranchRecord(pc, target, _KINDS[kind], taken == 1, gap)
 
 
 @contextmanager
@@ -210,7 +212,8 @@ _ZERO_OFFSETS = (*range(VA_BITS // 8, 8), *range(8 + VA_BITS // 8, 16),
 # Kind codes mapped to the least taken flag they allow: 0 for a
 # conditional, 1 for the other kinds (always taken), 2 (none) for an
 # unknown code.
-_LEAST_TAKEN = bytes([0, 1, 1, 1, 1, 1] + [2] * 250)
+_LEAST_TAKEN = bytes([kind is not BranchKind.CONDITIONAL for kind in _KINDS]
+                     + [2] * (256 - len(_KINDS)))
 
 
 def _valid_chunk(chunk: bytes, isa: IsaProfile) -> bool:
@@ -263,27 +266,28 @@ def _binary_fields(fh, header: TraceHeader) -> Iterator[Fields]:
     return chain.from_iterable(map(_FIELDS.iter_unpack, _valid_chunks(fh, header)))
 
 
-def _read_binary(path):
-    """Yield the trace header, then each validated record."""
-    with open(path, "rb") as fh:
-        header = read_header(fh)
-        yield header
-        for pc, target, kind, taken, gap in _binary_fields(fh, header):
-            yield BranchRecord(pc, target, _KINDS[kind], taken == 1, gap)
-
-
 def _checked_record(pc: int, target: int, kind: int, taken: int, gap: int,
                     pad: int, isa: IsaProfile, index: int) -> None:
-    """One record through the per-field checks, which raise on the first
-    field that fails."""
+    """One record's raw fields through the per-field checks, which raise on
+    the first field that fails: what a valid record is, in either form."""
     if pad != 0:
         raise TraceFormatError(f"nonzero pad {pad}", index)
-    if kind > 5:
+    if kind >= len(_KINDS):
         raise TraceFormatError(f"unknown kind code {kind}", index)
     if taken > 1:
         raise TraceFormatError(f"bad taken flag {taken}", index)
-    _validate_record(BranchRecord(pc, target, BranchKind(kind), bool(taken), gap),
-                     isa, index)
+    for what, address in (("pc", pc), ("target", target)):
+        if not isa.valid_address(address):
+            raise TraceFormatError(
+                f"{what} {address:#x} invalid for {VA_BITS}-bit space with "
+                f"{1 << isa.align_shift}-byte alignment", index)
+    if gap < 0:
+        raise TraceFormatError(f"negative gap {gap}", index)
+    if taken < _LEAST_TAKEN[kind]:
+        raise TraceFormatError(
+            f"{KIND_NAMES[kind]} branch at {pc:#x} marked not-taken", index)
+    if gap > MAX_GAP:
+        raise TraceFormatError(f"gap {gap} exceeds format limit", index)
 
 
 # -- text (JSON lines) form ---------------------------------------------------
@@ -316,7 +320,8 @@ def _write_jsonl(path, isa: IsaProfile, records: Iterable[BranchRecord],
 _JSONL_FIELDS = {"pc": str, "target": str, "kind": str, "taken": bool, "gap": int}
 
 
-def _jsonl_record(line: str, index: int) -> BranchRecord:
+def _jsonl_record(line: str, isa: IsaProfile, index: int) -> Fields:
+    """The checked `Fields` of one record line."""
     try:
         obj = json.loads(line)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
@@ -332,10 +337,12 @@ def _jsonl_record(line: str, index: int) -> BranchRecord:
             raise TraceFormatError(
                 f"{name} must be a JSON {json_type.__name__}, got {value!r}", index)
     try:
-        return BranchRecord(int(obj["pc"], 16), int(obj["target"], 16),
-                            KINDS_BY_NAME[obj["kind"]], obj["taken"], obj["gap"])
+        fields = (int(obj["pc"], 16), int(obj["target"], 16),
+                  KINDS_BY_NAME[obj["kind"]], obj["taken"], obj["gap"])
     except (KeyError, ValueError) as exc:
         raise TraceFormatError(f"bad field value: {exc}", index) from None
+    _checked_record(*fields, 0, isa, index)
+    return fields
 
 
 def _utf8(line: str) -> bool:
@@ -351,42 +358,45 @@ def _utf8(line: str) -> bool:
     return True
 
 
-def _read_jsonl(path):
-    """Yield the trace header, then each validated record."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        head_line = fh.readline()
-        if not _utf8(head_line):
-            raise TraceFormatError("bad header line: not valid UTF-8")
-        try:
-            head = json.loads(head_line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise TraceFormatError(f"bad header line: {exc}") from None
-        if not isinstance(head, dict) or head.get("format") != "btbt":
-            raise TraceFormatError("missing btbt header object")
-        try:
-            isa = profile_named(head.get("isa_mode"))
-        except ValueError as exc:
-            raise TraceFormatError(str(exc)) from None
-        declared = head.get("record_count")
-        if "record_count" in head and (not isinstance(declared, int)
-                                       or isinstance(declared, bool)
-                                       or declared < 0):
-            raise TraceFormatError(
-                f"record_count must be a non-negative JSON int, got {declared!r}")
-        yield TraceHeader(isa.mode, declared)
-        found = 0  # records read so far: the index of the next one
-        for line in fh:
-            if not _utf8(line):
-                raise TraceFormatError("line is not valid UTF-8", found)
-            if not line.strip():
-                continue
-            rec = _jsonl_record(line, found)
-            _validate_record(rec, isa, found)
-            found += 1
-            yield rec
-        if declared is not None and declared != found:
-            raise TraceFormatError(
-                f"header declares {declared} records, found {found}")
+def _read_jsonl_header(fh) -> TraceHeader:
+    head_line = fh.readline()
+    if not _utf8(head_line):
+        raise TraceFormatError("bad header line: not valid UTF-8")
+    try:
+        head = json.loads(head_line)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise TraceFormatError(f"bad header line: {exc}") from None
+    if not isinstance(head, dict) or head.get("format") != "btbt":
+        raise TraceFormatError("missing btbt header object")
+    try:
+        isa = profile_named(head.get("isa_mode"))
+    except ValueError as exc:
+        raise TraceFormatError(str(exc)) from None
+    declared = head.get("record_count")
+    if "record_count" in head and (not isinstance(declared, int)
+                                   or isinstance(declared, bool)
+                                   or declared < 0):
+        raise TraceFormatError(
+            f"record_count must be a non-negative JSON int, got {declared!r}")
+    return TraceHeader(isa.mode, declared)
+
+
+def _jsonl_fields(fh, header: TraceHeader) -> Iterator[Fields]:
+    """The checked `Fields` of a text trace's record lines, read after its
+    header line; the declared count is checked after the last line."""
+    isa = header.isa
+    found = 0  # records read so far: the index of the next one
+    for line in fh:
+        if not _utf8(line):
+            raise TraceFormatError("line is not valid UTF-8", found)
+        if not line.strip():
+            continue
+        yield _jsonl_record(line, isa, found)
+        found += 1
+    declared = header.record_count
+    if declared is not None and declared != found:
+        raise TraceFormatError(
+            f"header declares {declared} records, found {found}")
 
 
 # -- synthetic workloads ------------------------------------------------------

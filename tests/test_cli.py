@@ -17,7 +17,7 @@ from conftest import GOOD, raw_trace
 from btblab import cli as btblab_cli
 from btblab import models as btblab_models
 from btblab import trace as btrace
-from btblab.core import MODEL_NAMES
+from btblab.core import KIND_NAMES, MODEL_NAMES
 from btblab.models import build_model
 from btblab.trace import (GeneratorSpec, TraceFormatError, gen_records,
                           generate, load_trace, save_trace, write_records)
@@ -308,6 +308,16 @@ class TestCheckInvariants:
 CHUNK = btrace._CHUNK_RECORDS
 
 
+def jsonl_trace(records):
+    """Text of an aligned4 trace of raw (pc, target, kind, taken, gap, pad)
+    records, the pad left out."""
+    lines = [{"format": "btbt", "isa_mode": "aligned4"}]
+    lines += [{"pc": hex(pc), "target": hex(target), "kind": KIND_NAMES[kind],
+               "taken": bool(taken), "gap": gap}
+              for pc, target, kind, taken, gap, _ in records]
+    return "".join(json.dumps(line) + "\n" for line in lines)
+
+
 class TestStreamedRuns:
     """`simulate` and `compare` stream the trace from disk a chunk at a
     time, once per model, and a text trace is parsed once per command."""
@@ -342,30 +352,54 @@ class TestStreamedRuns:
 
     BAD = CHUNK + 50  # a record in the second chunk
 
-    @pytest.mark.parametrize("bad", [
-        (0x1000, 0x2000, 7, 1, 3, 0),              # unknown kind code
-        (0x1000, 0x2000, 0, 2, 3, 0),              # bad taken flag
-        (0x1000, 0x2000, 0, 1, 3, 1),              # nonzero pad
-        (0x1001, 0x2000, 0, 1, 3, 0),              # misaligned pc
-        (0x1000, 0x2000 | 1 << 48, 0, 1, 3, 0),    # a bit at VA_BITS
-        (0x1000, 0x2000, 2, 0, 3, 0),              # a not-taken call
-        None,                                      # the last record cut short
+    @pytest.mark.parametrize("bad, text, message", [
+        ((0x1000, 0x2000, 7, 1, 3, 0), False, None),            # unknown kind code
+        ((0x1000, 0x2000, 0, 2, 3, 0), False, None),            # bad taken flag
+        ((0x1000, 0x2000, 0, 1, 3, 1), False, None),            # nonzero pad
+        ((0x1001, 0x2000, 0, 1, 3, 0), False, None),            # misaligned pc
+        ((0x1000, 0x2000 | 1 << 48, 0, 1, 3, 0), False, None),  # a bit at VA_BITS
+        ((0x1000, 0x2000, 2, 0, 3, 0), False, None),            # a not-taken call
+        (None, False, None),                        # the last record cut short
+        # the same faults in a text trace, reported as its binary twin's are
+        ((0x1001, 0x2000, 0, 1, 3, 0), True, None),
+        ((0x1000, 0x2000 | 1 << 48, 0, 1, 3, 0), True, None),
+        ((0x1000, 0x2000, 2, 0, 3, 0), True, None),
+        # faults that only a text trace can hold
+        ((0x1000, 0x2000, 0, 1, -1, 0), True, "negative gap -1"),
+        ((0x1000, 0x2000, 0, 1, 1 << 16, 0), True,
+         "gap 65536 exceeds format limit"),
+        ((1 << 64, 0x2000, 0, 1, 3, 0), True, "pc 0x10000000000000000 invalid "
+         "for 48-bit space with 4-byte alignment"),
     ], ids=["kind", "taken", "pad", "misaligned", "va-bits", "not-taken-call",
-            "truncated"])
+            "truncated", "misaligned-jsonl", "va-bits-jsonl",
+            "not-taken-call-jsonl", "negative-gap-jsonl", "gap-65536-jsonl",
+            "pc-2^64-jsonl"])
     @pytest.mark.parametrize("command", [
         ["simulate", "--model", "conv", "--budget-kb", "0.9"],
         ["compare", "--models", "conv,btbx", "--budget-kb", "0.9"],
     ], ids=["simulate", "compare"])
-    def test_bad_record_after_first_chunk_exits_2(self, workdir, command, bad):
+    def test_bad_record_after_first_chunk_exits_2(self, workdir, tmp_path_factory,
+                                                  command, bad, text, message):
         records = [GOOD] * (CHUNK + 100)
         if bad is not None:
             records[self.BAD] = bad
-        path = workdir / "bad.btbt"
-        path.write_bytes(raw_trace(records, cut=5 if bad is None else 0))
+        path = workdir / ("bad.jsonl" if text else "bad.btbt")
+        if text:
+            path.write_text(jsonl_trace(records))
+        else:
+            path.write_bytes(raw_trace(records, cut=5 if bad is None else 0))
         with pytest.raises(TraceFormatError) as loaded:
             load_trace(path)
         assert loaded.value.record_index == (
             self.BAD if bad is not None else len(records) - 1)
+        if message is not None:
+            assert str(loaded.value) == f"record {self.BAD}: {message}"
+        elif text:
+            twin = tmp_path_factory.mktemp("twin") / "bad.btbt"
+            twin.write_bytes(raw_trace(records))
+            with pytest.raises(TraceFormatError) as binary:
+                load_trace(twin)
+            assert str(binary.value) == str(loaded.value)
         code, err = main_in_process([*command, str(path),
                                      "-o", str(workdir / "out")])
         assert (code, err) == (2, f"btblab: input error: {loaded.value}\n")

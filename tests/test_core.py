@@ -152,16 +152,6 @@ class TestIsaProfile:
         assert tables[0] == tables[1]
 
 
-class TestBranchRecord:
-    def test_always_taken_kinds_must_be_taken(self):
-        rec = BranchRecord(0x1000, 0x2000, BranchKind.CALL, taken=False)
-        with pytest.raises(ValueError):
-            rec.validate(ALIGNED4)
-
-    def test_valid_record_passes(self):
-        BranchRecord(0x1000, 0x2000, BranchKind.CALL, taken=True).validate(ALIGNED4)
-
-
 class TestXorFold:
     def test_folds_into_range(self):
         for v in (0, 1, 0xDEADBEEF, (1 << 46) - 1):

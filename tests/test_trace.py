@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import json
@@ -6,6 +7,7 @@ import struct
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -220,19 +222,32 @@ class TestDecoderFuzz:
             agree(path)
 
 
-class TestJsonlFormat:
-    def test_round_trip(self, small_trace, tmp_path):
-        path = tmp_path / "t.jsonl"
-        save_trace(path, small_trace)
-        back = load_trace(path)
-        assert back.records == small_trace.records
-        assert back.header.isa_mode == small_trace.header.isa_mode
+class TestDecoderReferenceImports:
+    def test_reference_states_its_own_rule(self):
+        """The reference decoder takes from btblab only the header reader,
+        the record size, the error and the record types, never a check."""
+        allowed = {"read_header", "RECORD_BYTES", "TraceFormatError",
+                   "BranchKind", "BranchRecord"}
+        source = (Path(__file__).parent / "decoderef.py").read_text(encoding="utf-8")
+        taken = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                taken += [alias.name for alias in node.names
+                          if alias.name.partition(".")[0] == "btblab"]
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.module or "").partition(".")[0] == "btblab"):
+                taken += [alias.name for alias in node.names]
+        assert set(taken) <= allowed, taken
 
+
+class TestJsonlFormat:
     def test_extension_dispatch(self, small_trace, tmp_path):
         for name in ("t.btbt", "t.jsonl"):
             path = tmp_path / name
             save_trace(path, small_trace)
-            assert load_trace(path).records == small_trace.records
+            back = load_trace(path)
+            assert back.records == small_trace.records
+            assert back.header.isa_mode == small_trace.header.isa_mode
 
     def test_count_mismatch_detected(self, small_trace, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -490,15 +505,15 @@ class TestGenerator:
                 paired += 1
         assert paired > 0
 
-    def test_generated_addresses_valid(self):
+    def test_generated_addresses_valid(self, tmp_path):
         for mode in (0, 1):
             spec = GeneratorSpec(static_branches=500, records=500,
                                  isa_mode=mode, seed=6,
                                  width_buckets=((0, 30, 1.0),))
             trace = generate(spec)
-            isa = trace.isa
-            for r in trace.records:
-                r.validate(isa)
+            for name in ("t.btbt", "t.jsonl"):  # each reader checks every record
+                save_trace(tmp_path / name, trace)
+                assert load_trace(tmp_path / name).records == trace.records
 
     def test_static_pcs_distinct_pages(self):
         statics = build_static_branches(GeneratorSpec(static_branches=3000, records=1))
