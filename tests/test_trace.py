@@ -241,6 +241,13 @@ class TestDecoderReferenceImports:
 
 
 class TestJsonlFormat:
+    def test_round_trip(self, small_trace, tmp_path):
+        path = tmp_path / "t.jsonl"
+        save_trace(path, small_trace)
+        back = load_trace(path)
+        assert back.records == small_trace.records
+        assert back.header.isa_mode == small_trace.header.isa_mode
+
     def test_extension_dispatch(self, small_trace, tmp_path):
         for name in ("t.btbt", "t.jsonl"):
             path = tmp_path / name
