@@ -233,16 +233,24 @@ def cmd_compare(args) -> int:
 
 # -- wiring -------------------------------------------------------------------
 
-CHECK_INVARIANTS_HELP = ("check the model's internal invariants after every "
-                         "commit (slow; exit 3 on a violation)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="btblab",
                      description="BTB organization simulator and accounting tool")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
+    # What `simulate` and `compare` share: how a trace is replayed.
+    replay = argparse.ArgumentParser(add_help=False)
+    replay.add_argument("--warmup", type=_non_negative_int,
+                        help="warmup records (default: 10%%)")
+    replay.add_argument("--measure", type=_non_negative_int,
+                        help="records to measure after warmup "
+                             "(default: the rest)")
+    replay.add_argument("--check-invariants", action="store_true",
+                        help="check the model's internal invariants after "
+                             "every commit (slow; exit 3 on a violation)")
+    replay.add_argument("trace",
+                        help="trace file: .jsonl or .json text, else binary")
 
     p = sub.add_parser("gen-trace", help="generate a synthetic branch trace")
     p.add_argument("--branches", type=int, required=True,
@@ -274,29 +282,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_capacity_table)
 
-    p = sub.add_parser("simulate", help="run one model over a trace")
+    p = sub.add_parser("simulate", parents=[replay],
+                       help="run one model over a trace")
     p.add_argument("--model", required=True, choices=MODEL_NAMES)
-    p.add_argument("--budget-kb", type=float)
+    p.add_argument("--budget-kb", type=float,
+                   help="storage budget in KB, a preset (or use --sets)")
     p.add_argument("--sets", type=int)
-    p.add_argument("--warmup", type=_non_negative_int,
-                   help="warmup records (default: 10%%)")
-    p.add_argument("--measure", type=_non_negative_int,
-                   help="records to measure after warmup")
-    p.add_argument("--check-invariants", action="store_true",
-                   help=CHECK_INVARIANTS_HELP)
-    p.add_argument("trace")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare", help="run several models at one budget")
+    p = sub.add_parser("compare", parents=[replay],
+                       help="run several models at one budget")
     p.add_argument("--models", required=True,
                    help=f"comma-separated subset of: {','.join(MODEL_NAMES)}")
-    p.add_argument("--budget-kb", type=float, required=True)
-    p.add_argument("--warmup", type=_non_negative_int)
-    p.add_argument("--measure", type=_non_negative_int)
-    p.add_argument("--check-invariants", action="store_true",
-                   help=CHECK_INVARIANTS_HELP)
-    p.add_argument("trace")
+    p.add_argument("--budget-kb", type=float, required=True,
+                   help="every model's storage budget in KB, a preset")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_compare)
 

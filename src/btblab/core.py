@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from operator import attrgetter
+from functools import partial
 from typing import NamedTuple, Tuple
 
 
@@ -112,21 +112,18 @@ class OffsetEncoding(NamedTuple):
     bits: int
 
 
-# A record's fields (pc, target, kind, taken, gap): what the simulator and
-# the models read, as a binary trace stores them, or taken from a record by
-# `record_fields`.
+# A record's fields (pc, target, kind, taken, gap), as a binary trace stores
+# them: what the simulator and the models read.
 Fields = Tuple[int, int, int, int, int]
-record_fields = attrgetter("pc", "target", "kind", "taken", "gap")
 
 
-@dataclass(slots=True)
-class BranchRecord:
+class BranchRecord(NamedTuple):
     """One dynamic branch event.
 
     gap counts the non-branch instructions committed since the previous
-    record, which is what MPKI denominators are built from.  A record
-    unpacks as `pc, target, kind, taken, gap`, the order of a binary
-    record's fields, so code that takes either reads it positionally.
+    record, which is what MPKI denominators are built from.  A record is
+    the tuple of its fields in a binary record's order, so code that reads
+    records positionally takes it or a binary trace's raw `Fields` alike.
     """
 
     pc: int
@@ -135,8 +132,10 @@ class BranchRecord:
     taken: bool
     gap: int = 0
 
-    def __iter__(self):
-        return iter(record_fields(self))
+
+# Builds a BranchRecord from its fields' tuple in C, skipping the generated
+# Python __new__; the trace readers and the generator build one per record.
+new_record = partial(tuple.__new__, BranchRecord)
 
 
 def required_offset_width(pc: int, target: int, isa: IsaProfile = ALIGNED4) -> int:

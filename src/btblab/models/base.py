@@ -3,9 +3,9 @@
 Every organization exposes the same two entry points: `lookup(pc)` is the
 front-end probe (it may refresh recency on a valid hit but never allocates
 or evicts), and `commit_update(record)` is the only path that changes
-contents, driven by taken branches at commit.  The record is read
-positionally, `pc, target, kind, taken, gap`: a `BranchRecord` or a raw
-tuple of a binary trace's fields, whose kind is a plain int code.  So kinds
+contents, driven by taken branches at commit.  The record is a tuple
+`pc, target, kind, taken, gap`, read positionally: a `BranchRecord` or the
+raw fields of a binary trace, whose kind is a plain int code.  So kinds
 compare by value, with `core.RETURN` and `core.CALL_KINDS`.
 """
 

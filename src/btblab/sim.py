@@ -24,8 +24,7 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
                     Union)
 
 from .core import (ALIGNED4, CALL_BYTES, CALL_KINDS, RAS_CAPACITY, RETURN,
-                   BranchRecord, Fields, IsaProfile, record_fields,
-                   required_offset_width)
+                   BranchRecord, Fields, IsaProfile, required_offset_width)
 from .models import build_model
 from .models.base import BtbModel
 from .trace import TraceFile, open_fields
@@ -110,7 +109,7 @@ def _opened(trace: Trace, isa: IsaProfile) -> Iterator[
         return
     if isinstance(trace, TraceFile):
         isa, trace = trace.isa, trace.records
-    yield isa, len(trace), partial(map, record_fields, trace)
+    yield isa, len(trace), partial(iter, trace)
 
 
 def run(model: BtbModel, trace: Trace,

@@ -31,14 +31,14 @@ import tempfile
 from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from itertools import accumulate, chain, cycle, islice
+from dataclasses import asdict, dataclass, replace
+from itertools import accumulate, chain, cycle, islice, starmap
 from operator import add
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .core import (CALL_BYTES, CALL_KINDS, PROFILES, VA_BITS, BranchKind,
                    BranchRecord, Fields, IsaProfile, KIND_NAMES,
-                   KINDS_BY_NAME, profile_for_mode, profile_named)
+                   KINDS_BY_NAME, new_record, profile_for_mode, profile_named)
 
 MAGIC = b"BTBT"
 VERSION = 1
@@ -126,7 +126,7 @@ def _read_records(path):
         yield header
         fields = (_jsonl_fields if text else _binary_fields)(fh, header)
         for pc, target, kind, taken, gap in fields:
-            yield BranchRecord(pc, target, _KINDS[kind], taken == 1, gap)
+            yield new_record((pc, target, _KINDS[kind], taken == 1, gap))
 
 
 @contextmanager
@@ -173,12 +173,11 @@ def save_trace(path, trace: TraceFile) -> None:
 def _write_binary(fh, isa: IsaProfile, records: Iterable[BranchRecord],
                   count: Optional[int]) -> int:
     """Write a binary trace to a file open for writing at its start."""
-    pack = _RECORD.pack
     written = 0
     fh.write(_HEADER.pack(MAGIC, VERSION, isa.mode, 0, count or 0))
     records = iter(records)  # packed as drawn, a chunk at a time, never listed
-    while packed := [pack(r.pc, r.target, r.kind, r.taken, r.gap, 0)
-                     for r in islice(records, _CHUNK_RECORDS)]:
+    while packed := list(starmap(_FIELDS.pack,
+                                 islice(records, _CHUNK_RECORDS))):
         fh.write(b"".join(packed))
         written += len(packed)
     if count != written:
@@ -476,18 +475,8 @@ class GeneratorSpec:
             raise GeneratorSpecError("zipf_s must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "static_branches": self.static_branches,
-            "records": self.records,
-            "width_buckets": [[lo, hi, p] for lo, hi, p in self.width_buckets],
-            "kind_mix": [[KIND_NAMES[k], p] for k, p in self.kind_mix],
-            "taken_rate": self.taken_rate,
-            "gap_mean": self.gap_mean,
-            "pattern": self.pattern,
-            "zipf_s": self.zipf_s,
-            "seed": self.seed,
-            "isa_mode": self.isa_mode,
-        }
+        return {**asdict(self),
+                "kind_mix": [[KIND_NAMES[k], p] for k, p in self.kind_mix]}
 
 
 def _deal(weights: List[float], n: int) -> List[int]:
@@ -610,7 +599,7 @@ def gen_records(spec: GeneratorSpec) -> Iterator[BranchRecord]:
             target = shadow.pop()
         elif is_call:  # calls are never conditional, so always taken
             shadow.append(pc + CALL_BYTES)
-        yield BranchRecord(pc, target, kind, taken, gap)
+        yield new_record((pc, target, kind, taken, gap))
 
 
 def generate(spec: GeneratorSpec) -> TraceFile:

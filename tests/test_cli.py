@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -558,6 +559,25 @@ class TestUsage:
         res = cli([*args, *trace], workdir)
         assert res.returncode == 1, res.stderr
         assert message in res.stderr
+
+    def test_simulate_and_compare_share_option_help(self, workdir):
+        def entries(command):
+            """{first word: the whole entry} of each line of --help that
+            starts at column 0 or 2, with the lines indented under it."""
+            res = cli([command, "--help"], workdir)
+            assert res.returncode == 0, res.stderr
+            return {entry.split()[0]: " ".join(entry.split())
+                    for entry in re.split(r"\n+(?=  \S|\S)", res.stdout)}
+
+        simulate, compare = entries("simulate"), entries("compare")
+        for name in ("--warmup", "--measure", "--check-invariants", "trace"):
+            assert simulate[name] == compare[name]
+        for name in ("--warmup", "--measure", "--check-invariants", "trace",
+                     "--budget-kb"):
+            for help_entries in (simulate, compare):
+                # the option (and any metavar) is followed by help text
+                assert len(help_entries[name].split()) > 2, help_entries[name]
+        assert "(default: 10%)" in compare["--warmup"]
 
     def test_version(self, workdir):
         res = cli(["--version"], workdir)

@@ -28,12 +28,12 @@ def oracle_records(seed, records=2000, branches=64):
                          taken_rate=0.8, pattern="uniform", seed=seed)
     out = list(gen_records(spec))
     rng = random.Random(seed ^ 0x5EED)
-    for rec in out:
+    for i, rec in enumerate(out):
         if rec.kind is BranchKind.INDIRECT and rng.random() < 0.3:
             # hop the target anywhere nearby, often changing its width class
             flip_width = rng.randint(1, 30)
             flip = (1 << (flip_width - 1)) | rng.getrandbits(flip_width - 1)
-            rec.target = ((rec.pc >> 2) ^ flip) << 2
+            out[i] = rec._replace(target=((rec.pc >> 2) ^ flip) << 2)
     return out
 
 

@@ -4,14 +4,15 @@ import pytest
 
 from conftest import rec, taken_branch_trace
 from btblab import trace as btrace
-from btblab.core import ALIGNED4, BYTE, MODEL_NAMES, BranchKind
+from btblab.core import ALIGNED4, BYTE, MODEL_NAMES, BranchKind, BranchRecord
 from btblab.models import build_model
+from btblab.models.base import UpdateOutcome
 from btblab.models.conv import ConvBtb
 from btblab.sim import (Metrics, SimConfig, compare, compare_csv,
                         offset_histogram, run)
 from btblab.storage import standard_budgets_kb
 from btblab.trace import (GeneratorSpec, TraceFile, TraceHeader, gen_records,
-                          generate, load_trace, write_records)
+                          generate, load_trace, open_fields, write_records)
 
 WORKED_PC = 0x168
 WORKED_TARGET = 0x178
@@ -336,6 +337,93 @@ class TestStreamedPath:
         with pytest.raises(ValueError, match="isa_mode"):
             run(build_model("btbx", budget_kb=standard_budgets_kb(other)[0],
                             isa=other), path)
+
+
+class TestBareByteList:
+    """A bare record list in the byte profile, as the traced benchmark
+    passes it, replays as the path of its trace does."""
+
+    @pytest.fixture(scope="class")
+    def byte_file(self, tmp_path_factory):
+        spec = GeneratorSpec(static_branches=3000, records=12_000,
+                             pattern="zipf", seed=6, isa_mode=BYTE.mode)
+        path = tmp_path_factory.mktemp("bare") / "byte.btbt"
+        write_records(path, BYTE.mode, gen_records(spec), count=spec.records)
+        return str(path), load_trace(path)
+
+    def test_compare_equals_the_path_model_by_model(self, byte_file):
+        path, trace = byte_file
+        config = SimConfig(isa=BYTE)
+        listed = compare(MODEL_NAMES, trace.records, 14.875, config)
+        streamed = compare(MODEL_NAMES, path, 14.875, config)
+        assert [name for name, _ in listed] == list(MODEL_NAMES)
+        for (name, on_list), (_, on_path) in zip(listed, streamed):
+            assert on_list.to_dict() == on_path.to_dict(), name
+
+    def test_offset_histogram_equals_the_path(self, byte_file):
+        path, trace = byte_file
+        assert offset_histogram(trace.records, BYTE) == offset_histogram(path)
+        # the profile is the list's own: aligned4 reads its widths otherwise
+        assert offset_histogram(trace.records) != offset_histogram(path)
+
+
+def outcome_stream(model, records):
+    """Each record's lookup and, for a taken one, its commit outcome; each
+    record is read by position only."""
+    out = []
+    for record in records:
+        out.append(model.lookup(record[0]))
+        if record[3]:
+            out.append(model.commit_update(record))
+    return out
+
+
+class TestRecordShape:
+    """A BranchRecord is the tuple of its fields: generated and loaded ones
+    keep BranchKind kinds and bool taken flags, and a model does the same
+    with them as with a binary trace's raw fields."""
+
+    @pytest.fixture(scope="class", params=[ALIGNED4, BYTE],
+                    ids=lambda isa: isa.name)
+    def traces(self, request, tmp_path_factory):
+        isa = request.param
+        spec = GeneratorSpec(static_branches=600, records=6000,
+                             pattern="uniform", taken_rate=0.7, seed=8,
+                             isa_mode=isa.mode)
+        out = tmp_path_factory.mktemp("shape")
+        for name in ("t.btbt", "t.jsonl"):
+            write_records(out / name, isa.mode, gen_records(spec),
+                          count=spec.records)
+        return isa, spec, out
+
+    def test_record_equals_its_plain_tuple(self):
+        record = BranchRecord(0x1000, 0x2000, BranchKind.CALL, True, 3)
+        assert record == (0x1000, 0x2000, BranchKind.CALL, True, 3)
+        assert BranchRecord(0x1000, 0x1008, BranchKind.CONDITIONAL,
+                            False) == (0x1000, 0x1008, 0, False, 0)
+
+    def test_generated_and_loaded_records_keep_their_types(self, traces):
+        _, spec, out = traces
+        for records in (list(gen_records(spec)),
+                        load_trace(out / "t.btbt").records,
+                        load_trace(out / "t.jsonl").records):
+            assert len(records) == spec.records
+            assert all(type(r) is BranchRecord and type(r.kind) is BranchKind
+                       and type(r.taken) is bool for r in records)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_models_take_records_and_raw_fields_alike(self, traces, name):
+        isa, _, out = traces
+        path = out / "t.btbt"
+        with open_fields(path) as (_, passes):
+            raw = list(passes())
+        budget = standard_budgets_kb(isa)[0]
+        streams = [outcome_stream(build_model(name, budget_kb=budget, isa=isa),
+                                  records)
+                   for records in (load_trace(path).records, raw)]
+        assert streams[0] == streams[1]
+        assert {"hit", "alloc"} <= {outcome.kind for outcome in streams[0]
+                                    if isinstance(outcome, UpdateOutcome)}
 
 
 class TestOffsetHistogram:

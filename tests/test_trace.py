@@ -740,6 +740,34 @@ class TestJsonlStreaming:
         assert large - small < 256 * 1024, (small, large)
 
 
+class TestOpenFields:
+    """`open_fields` streams a trace's raw fields pass after pass, as many
+    as its header counts and equal to the records `load_trace` reads."""
+
+    @pytest.fixture(params=["t.btbt", "t.jsonl", "uncounted.jsonl"])
+    def path(self, request, tmp_path):
+        spec = GeneratorSpec(static_branches=300,
+                             records=btrace._CHUNK_RECORDS + 16,
+                             pattern="uniform", taken_rate=0.7, seed=5)
+        path = tmp_path / request.param
+        write_records(path, 0, gen_records(spec), count=spec.records)
+        if request.param.startswith("uncounted"):
+            head, body = path.read_text().split("\n", 1)
+            head = json.loads(head)
+            del head["record_count"]
+            path.write_text(json.dumps(head) + "\n" + body)
+            assert iter_records(path)[0].record_count is None
+        return path
+
+    def test_passes_repeat_the_loaded_records(self, path):
+        loaded = load_trace(path).records
+        with btrace.open_fields(path) as (header, passes):
+            first, second = list(passes()), list(passes())
+        assert header.record_count == len(first) == len(loaded)
+        assert all(type(fields) is tuple for fields in first)
+        assert first == second == loaded
+
+
 class TestLargeTrace:
     def test_million_record_stream_round_trip(self, tmp_path):
         spec = GeneratorSpec(static_branches=1000, records=1_000_000, seed=2)
