@@ -25,7 +25,7 @@ from . import __version__
 from .core import (KINDS_BY_NAME, MODEL_NAMES, PROFILES, ConfigError,
                    InvariantError, profile_named)
 from .trace import (PATTERNS, GeneratorSpec, GeneratorSpecError,
-                    TraceFormatError, gen_records, iter_records, write_records)
+                    TraceFormatError, gen_records, trace_header, write_records)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,6 +34,8 @@ EXIT_INTERNAL = 3
 
 _ISA_ALIASES = {"arm64": "aligned4", "x86": "byte"}
 _ISA_CHOICES = sorted([isa.name for isa in PROFILES] + list(_ISA_ALIASES))
+_ISA_HELP = "aligned4 or byte, or their aliases arm64 and x86 (default: %(default)s)"
+_TRACE_HELP = "trace file: .jsonl or .json text, else binary"
 
 
 class UsageError(ValueError):
@@ -188,10 +190,9 @@ def _sim_config(args):
 def cmd_simulate(args) -> int:
     from .models import build_model
     from .sim import run
-    header = iter_records(args.trace)[0]  # dropping the iterator closes the file
     config = _sim_config(args)
     model = build_model(args.model, budget_kb=args.budget_kb, sets=args.sets,
-                        isa=header.isa)
+                        isa=trace_header(args.trace).isa)
     metrics = run(model, args.trace, config)
     doc = {
         "schema": "btblab.metrics/v1",
@@ -249,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--check-invariants", action="store_true",
                         help="check the model's internal invariants after "
                              "every commit (slow; exit 3 on a violation)")
-    replay.add_argument("trace",
-                        help="trace file: .jsonl or .json text, else binary")
+    replay.add_argument("trace", help=_TRACE_HELP)
 
     p = sub.add_parser("gen-trace", help="generate a synthetic branch trace")
     p.add_argument("--branches", type=int, required=True,
@@ -260,35 +260,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", help="width buckets, e.g. 0-6:0.54,7-10:0.22,...")
     p.add_argument("--kind-mix", help="branch kind mix, e.g. cond:0.8,ret:0.2")
     p.add_argument("--pattern", default=GeneratorSpec.pattern.replace("_", "-"),
-                   choices=[pattern.replace("_", "-") for pattern in PATTERNS])
-    p.add_argument("--zipf-s", type=float, default=GeneratorSpec.zipf_s)
-    p.add_argument("--taken-rate", type=float, default=GeneratorSpec.taken_rate)
-    p.add_argument("--gap-mean", type=int, default=GeneratorSpec.gap_mean)
-    p.add_argument("--seed", type=int, default=GeneratorSpec.seed)
-    p.add_argument("--isa", default="aligned4", choices=_ISA_CHOICES)
-    p.add_argument("-o", "--output", required=True)
+                   choices=[pattern.replace("_", "-") for pattern in PATTERNS],
+                   help="branch access order (default: %(default)s)")
+    p.add_argument("--zipf-s", type=float, default=GeneratorSpec.zipf_s,
+                   help="zipf exponent for --pattern zipf (default: %(default)s)")
+    p.add_argument("--taken-rate", type=float, default=GeneratorSpec.taken_rate,
+                   help="share of conditionals taken (default: %(default)s)")
+    p.add_argument("--gap-mean", type=int, default=GeneratorSpec.gap_mean,
+                   help="mean instructions between records (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=GeneratorSpec.seed,
+                   help="random seed (default: %(default)s)")
+    p.add_argument("--isa", default="aligned4", choices=_ISA_CHOICES, help=_ISA_HELP)
+    p.add_argument("-o", "--output", required=True, help=_TRACE_HELP)
     p.set_defaults(func=cmd_gen_trace)
 
     p = sub.add_parser("analyze-offsets",
                        help="stored-offset-width histogram of a trace")
-    p.add_argument("trace")
-    p.add_argument("-o", "--output")
+    p.add_argument("trace", help=_TRACE_HELP)
+    p.add_argument("-o", "--output", help="CSV file (default: stdout)")
     p.set_defaults(func=cmd_analyze_offsets)
 
     p = sub.add_parser("capacity-table",
                        help="branch capacity per organization and budget")
     p.add_argument("--budgets", help="comma-separated KB values (default: presets)")
-    p.add_argument("--isa", default="aligned4", choices=_ISA_CHOICES)
-    p.add_argument("-o", "--output")
+    p.add_argument("--isa", default="aligned4", choices=_ISA_CHOICES, help=_ISA_HELP)
+    p.add_argument("-o", "--output", help="CSV file (default: stdout)")
     p.set_defaults(func=cmd_capacity_table)
 
     p = sub.add_parser("simulate", parents=[replay],
                        help="run one model over a trace")
-    p.add_argument("--model", required=True, choices=MODEL_NAMES)
+    p.add_argument("--model", required=True, choices=MODEL_NAMES,
+                   help="BTB organization to run")
     p.add_argument("--budget-kb", type=float,
                    help="storage budget in KB, a preset (or use --sets)")
-    p.add_argument("--sets", type=int)
-    p.add_argument("-o", "--output")
+    p.add_argument("--sets", type=int, help="main-array sets, in place of --budget-kb")
+    p.add_argument("-o", "--output", help="metrics JSON file (default: stdout)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", parents=[replay],
@@ -297,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated subset of: {','.join(MODEL_NAMES)}")
     p.add_argument("--budget-kb", type=float, required=True,
                    help="every model's storage budget in KB, a preset")
-    p.add_argument("-o", "--output")
+    p.add_argument("-o", "--output", help="CSV file (default: stdout)")
     p.set_defaults(func=cmd_compare)
 
     return parser

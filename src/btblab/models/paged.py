@@ -23,7 +23,7 @@ from ..storage import PAGE_SHIFT, TAG_BITS
 from .base import (ASSOC, INVALID, BtbModel, InvariantError, Prediction,
                    SetArray, UpdateOutcome, divisor_ways, new_prediction)
 
-NO_PAGE = -1  # page_ptr sentinel for entries that need no page (returns)
+NO_PAGE = -1  # page_ptr of entries that need no page: returns, pdede same-page
 
 
 class RBtb(BtbModel):
@@ -174,7 +174,6 @@ class PdedeBtb(BtbModel):
         self.page_sets = ps = max(1, page_entries // pa)
         self.page_entries = ps * pa
         self.region_entries = region_entries
-        self._same = self._grid(True)
         self._in_off = self._grid(0)
         self._page_ptr = self._grid(NO_PAGE)
         self._page_gen = self._grid(0)
@@ -264,7 +263,7 @@ class PdedeBtb(BtbModel):
         self._probed = s, _, way = main.locate(pc >> self._shift)
         if way is None:
             return None
-        same = self._same[s][way]
+        same = self._page_ptr[s][way] == NO_PAGE
         if not same and not self._live(s, way):
             return None  # stale page or region link: miss, never a wrong target
         main.stamps[s][way] = main.clock = main.clock + 1
@@ -278,11 +277,9 @@ class PdedeBtb(BtbModel):
             raise InvariantError(f"different-page entry written to reserved way {way}")
         if kind == RETURN:
             target = None
-            self._same[s][way] = True
             self._in_off[s][way] = 0
             self._page_ptr[s][way] = NO_PAGE
         else:
-            self._same[s][way] = same
             self._in_off[s][way] = target & ((1 << self.page_shift) - 1)
             if same:
                 self._page_ptr[s][way] = NO_PAGE
@@ -313,7 +310,7 @@ class PdedeBtb(BtbModel):
         # handling and the same in-page offset (same page) or target.
         pred = self._pred[s][way]
         if pred.kind == kind and (kind == RETURN or (
-                self._same[s][way] == same
+                (self._page_ptr[s][way] == NO_PAGE) == same
                 and (self._in_off[s][way] == target & ((1 << self.page_shift) - 1)
                      if same else pred.target == target and self._live(s, way)))):
             return self._hit[way]
@@ -338,11 +335,12 @@ class PdedeBtb(BtbModel):
         for table in (self._main, self._pt, self._rt):
             table.check()
         for s, way in self._main.occupied():
-            if way < self.reserved_ways and not self._same[s][way]:
+            same = self._page_ptr[s][way] == NO_PAGE
+            if way < self.reserved_ways and not same:
                 raise InvariantError(
                     f"set {s} reserved way {way} holds a different-page entry")
             pred = self._pred[s][way]
-            if self._same[s][way]:
+            if same:
                 rebuilt = self._same_page_prediction(self._owner[s][way], s, way)
             elif self._live(s, way):
                 page = self._page_slot_number(self._page_ptr[s][way])

@@ -37,7 +37,7 @@ Trace = Union[str, PathLike, TraceFile, Sequence[BranchRecord]]
 @dataclass
 class SimConfig:
     # The profile of a bare record list given to `compare`: a TraceFile
-    # brings its header's, and `run` takes its model's.
+    # brings its own, and `run` takes its model's.
     isa: IsaProfile = ALIGNED4
     warmup_records: Optional[int] = None   # None: 10% of the trace
     measure_records: Optional[int] = None  # None: everything after warmup
@@ -101,7 +101,7 @@ def _opened(trace: Trace, isa: IsaProfile) -> Iterator[
 
     A path is streamed from disk on every pass (`trace.open_fields`), so
     no more than a chunk of it is in memory.  A TraceFile brings its
-    header's profile, and a bare record list takes `isa`.
+    own profile, and a bare record list takes `isa`.
     """
     if isinstance(trace, (str, PathLike)):
         with open_fields(trace) as (header, passes):

@@ -25,13 +25,14 @@ any length is written in constant memory.
 from __future__ import annotations
 
 import json
+import math
 import random
 import struct
 import tempfile
 from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import accumulate, chain, cycle, islice, starmap
 from operator import add
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
@@ -74,12 +75,8 @@ class TraceHeader:
 
 @dataclass
 class TraceFile:
-    header: TraceHeader
+    isa: IsaProfile
     records: List[BranchRecord]
-
-    @property
-    def isa(self) -> IsaProfile:
-        return self.header.isa
 
 
 _CHUNK_RECORDS = 1 << 14  # records read, or packed and written, at a time
@@ -105,28 +102,17 @@ def write_records(path, isa_mode: int, records: Iterable[BranchRecord],
         return _write_binary(fh, isa, records, count)
 
 
-def iter_records(path) -> Tuple[TraceHeader, Iterator[BranchRecord]]:
-    """Streaming reader for either form, chosen by the extension as in
-    `write_records`; the iterator validates each record as it goes, and
-    checks a text trace's declared count after its last line.
-
-    The file belongs to the iterator, which has already started: closing
-    or dropping it closes the file, even before the first record.
-    """
-    records = _read_records(path)
-    return next(records), records
+def _open(path):
+    """A trace file opened in the form its extension names."""
+    if _is_text(path):
+        return open(path, "r", encoding="utf-8", errors="surrogateescape")
+    return open(path, "rb")
 
 
-def _read_records(path):
-    """Yield the trace header, then each record built from checked `Fields`."""
-    text = _is_text(path)
-    with (open(path, "r", encoding="utf-8", errors="surrogateescape") if text
-          else open(path, "rb")) as fh:
-        header = _read_jsonl_header(fh) if text else read_header(fh)
-        yield header
-        fields = (_jsonl_fields if text else _binary_fields)(fh, header)
-        for pc, target, kind, taken, gap in fields:
-            yield new_record((pc, target, _KINDS[kind], taken == 1, gap))
+def trace_header(path) -> TraceHeader:
+    """The header of a trace of either form, read without its records."""
+    with _open(path) as fh:
+        return (_read_jsonl_header if _is_text(path) else read_header)(fh)
 
 
 @contextmanager
@@ -138,14 +124,17 @@ def open_fields(path) -> Iterator[Tuple[TraceHeader, Callable[[], Iterator[Field
     are read, and builds no record object.  A binary trace streams from its
     own file.  A text trace is parsed and validated once, here, into packed
     records in an anonymous temporary file, and its header's record_count
-    is then the number of records.  The passes share one file position, so
+    is then the number of records; a declared count that differs raises
+    here, after the last line.  The passes share one file position, so
     only one may be read at a time.
     """
     text = _is_text(path)
     with (tempfile.TemporaryFile() if text else open(path, "rb")) as fh:
         if text:
-            header, records = iter_records(path)
-            _write_binary(fh, header.isa, records, header.record_count)
+            with _open(path) as lines:
+                header = _read_jsonl_header(lines)
+                _write_binary(fh, header.isa, _jsonl_fields(lines, header),
+                              header.record_count)
             fh.seek(0)
         header = read_header(fh)
 
@@ -157,14 +146,15 @@ def open_fields(path) -> Iterator[Tuple[TraceHeader, Callable[[], Iterator[Field
 
 
 def load_trace(path) -> TraceFile:
-    """Read either form into memory; the header's count is the number read."""
-    header, records = iter_records(path)
-    records = list(records)
-    return TraceFile(replace(header, record_count=len(records)), records)
+    """Read either form into memory, through one pass of `open_fields`."""
+    with open_fields(path) as (header, passes):
+        return TraceFile(header.isa, [
+            new_record((pc, target, _KINDS[kind], taken == 1, gap))
+            for pc, target, kind, taken, gap in passes()])
 
 
 def save_trace(path, trace: TraceFile) -> None:
-    write_records(path, trace.header.isa_mode, trace.records,
+    write_records(path, trace.isa.mode, trace.records,
                   count=len(trace.records))
 
 
@@ -452,25 +442,28 @@ class GeneratorSpec:
             raise GeneratorSpecError("static_branches must be >= 1")
         if self.records < 1:
             raise GeneratorSpecError("records must be >= 1")
-        if abs(sum(p for _, _, p in self.width_buckets) - 1.0) > 1e-9:
-            raise GeneratorSpecError("width bucket probabilities must sum to 1")
-        if abs(sum(p for _, p in self.kind_mix) - 1.0) > 1e-9:
-            raise GeneratorSpecError("kind mix probabilities must sum to 1")
-        for lo, hi, p in self.width_buckets:
+        for what, shares in (("width bucket", [p for _, _, p in self.width_buckets]),
+                             ("kind mix", [p for _, p in self.kind_mix])):
+            if not all(0 <= p < math.inf for p in shares):  # a NaN fails too
+                raise GeneratorSpecError(
+                    f"{what} probabilities must be finite and non-negative")
+            if abs(sum(shares) - 1.0) > 1e-9:
+                raise GeneratorSpecError(f"{what} probabilities must sum to 1")
+        for lo, hi, _ in self.width_buckets:
             if not (0 <= lo <= hi):
                 raise GeneratorSpecError(f"bad width bucket range {lo}-{hi}")
             if hi > isa.max_stored_target_bits:
                 raise GeneratorSpecError(
                     f"width bucket {lo}-{hi} exceeds the {isa.max_stored_target_bits}-bit "
                     "limit of this address space")
-            if p < 0:
-                raise GeneratorSpecError("negative bucket probability")
         if not 0.0 <= self.taken_rate <= 1.0:
             raise GeneratorSpecError("taken_rate must be within [0, 1]")
         if not 0 <= self.gap_mean <= MAX_GAP // 2:
             raise GeneratorSpecError(f"gap_mean must be within [0, {MAX_GAP // 2}]")
         if self.pattern not in PATTERNS:
             raise GeneratorSpecError(f"unknown pattern {self.pattern!r}")
+        if not math.isfinite(self.zipf_s):  # the manifest records it
+            raise GeneratorSpecError("zipf_s must be finite")
         if self.pattern == "zipf" and self.zipf_s <= 0:
             raise GeneratorSpecError("zipf_s must be positive")
 
@@ -603,5 +596,4 @@ def gen_records(spec: GeneratorSpec) -> Iterator[BranchRecord]:
 
 
 def generate(spec: GeneratorSpec) -> TraceFile:
-    records = list(gen_records(spec))
-    return TraceFile(TraceHeader(spec.isa_mode, len(records)), records)
+    return TraceFile(profile_for_mode(spec.isa_mode), list(gen_records(spec)))

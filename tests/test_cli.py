@@ -1,6 +1,8 @@
+import argparse
 import ast
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import os
@@ -80,6 +82,20 @@ class TestGenTrace:
     def test_infeasible_spec_is_usage_error(self, workdir):
         res = cli(gen_args("ws.btbt", extra=["--dist", "0-47:1.0"]), workdir)
         assert res.returncode == 1
+
+    @pytest.mark.parametrize("extra", [
+        ["--pattern", "zipf", "--zipf-s", "nan"],
+        ["--zipf-s", "inf"],  # recorded in the manifest under any pattern
+        ["--kind-mix", "cond:1.5,ret:-0.5"],
+        ["--kind-mix", "cond:nan"],
+        ["--dist", "1-4:nan"],
+        ["--dist", "1-4:1.5,5-5:-0.5"],
+    ])
+    def test_bad_share_or_zipf_s_is_usage_error(self, workdir, extra):
+        res = cli(gen_args("ws.btbt", extra=extra), workdir)
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith("btblab: error:"), res.stderr
+        assert not list(workdir.iterdir())  # neither trace nor manifest
 
     def test_defaults_are_the_generators(self):
         args = btblab_cli.build_parser().parse_args(
@@ -509,6 +525,40 @@ class TestLazyImports:
             btblab.no_such_name
 
 
+def resolve(name):
+    """The object a module-qualified name such as `trace.open_fields` or
+    `models.base.SetArray` names in btblab: its longest prefix that is a
+    module, then attributes."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(["btblab", *parts[:cut]]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(name)
+
+
+class TestReadme:
+    def test_module_qualified_names_resolve(self):
+        """Each backticked name that README.md qualifies with a btblab
+        module still exists, so the prose cannot cite a removed function."""
+        readme = (Path(__file__).parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        names = set(re.findall(
+            r"`((?:core|trace|sim|storage|cli|models)(?:\.\w+)+)", readme))
+        assert len(names) >= 10
+        missing = []
+        for name in sorted(names):
+            try:
+                resolve(name)
+            except (AttributeError, ModuleNotFoundError):
+                missing.append(name)
+        assert not missing
+
+
 class TestStdlibOnly:
     def test_package_imports_only_stdlib(self):
         """Every absolute import in the package names the standard library
@@ -578,6 +628,17 @@ class TestUsage:
                 # the option (and any metavar) is followed by help text
                 assert len(help_entries[name].split()) > 2, help_entries[name]
         assert "(default: 10%)" in compare["--warmup"]
+
+    def test_every_argument_has_help(self):
+        parser = btblab_cli.build_parser()
+        (commands,) = [action for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        missing = [f"{command} {action.option_strings or action.dest}"
+                   for command, sub in commands.choices.items()
+                   for action in sub._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   and not action.help]
+        assert not missing
 
     def test_version(self, workdir):
         res = cli(["--version"], workdir)

@@ -11,7 +11,7 @@ from btblab.models.conv import ConvBtb
 from btblab.sim import (Metrics, SimConfig, compare, compare_csv,
                         offset_histogram, run)
 from btblab.storage import standard_budgets_kb
-from btblab.trace import (GeneratorSpec, TraceFile, TraceHeader, gen_records,
+from btblab.trace import (GeneratorSpec, TraceFile, gen_records,
                           generate, load_trace, open_fields, write_records)
 
 WORKED_PC = 0x168
@@ -145,7 +145,7 @@ class TestRun:
         assert model.checks == sum(r.taken for r in records)
 
     def test_isa_mode_mismatch_rejected(self):
-        trace = TraceFile(TraceHeader(isa_mode=1, record_count=0), [])
+        trace = TraceFile(BYTE, [])
         with pytest.raises(ValueError, match="isa_mode"):
             run(ConvBtb(entries=64), trace, SimConfig(isa=ALIGNED4))
 
@@ -257,7 +257,7 @@ class TestMemory:
 
 
 class TestProfile:
-    """A TraceFile brings its header's profile: `run` checks it against the
+    """A TraceFile brings its own profile: `run` checks it against the
     model's, and `compare` builds its models for it."""
 
     @pytest.fixture(scope="class")

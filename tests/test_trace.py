@@ -1,12 +1,9 @@
 import ast
-import gc
 import hashlib
 import json
 import random
 import struct
-import sys
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import pytest
@@ -21,8 +18,8 @@ from btblab import trace as btrace
 from btblab.core import CALL_KINDS, BranchKind
 from btblab.trace import (RECORD_BYTES, GeneratorSpec, GeneratorSpecError,
                           TraceFormatError, build_static_branches, gen_records,
-                          generate, iter_records, load_trace, save_trace,
-                          write_records)
+                          generate, load_trace, open_fields, save_trace,
+                          trace_header, write_records)
 
 
 @pytest.fixture
@@ -35,7 +32,7 @@ class TestBinaryFormat:
         path = tmp_path / "t.btbt"
         save_trace(path, small_trace)
         back = load_trace(path)
-        assert back.header == small_trace.header
+        assert back.isa == small_trace.isa
         assert back.records == small_trace.records
 
     def test_size_matches_count(self, small_trace, tmp_path):
@@ -90,25 +87,8 @@ class TestBinaryFormat:
         path = tmp_path / "t.btbt"
         n = write_records(path, 0, gen_records(spec))
         assert n == 321
-        header, records = iter_records(path)
-        assert header.record_count == 321
-        assert sum(1 for _ in records) == 321
-
-    def test_unread_iterator_leaves_no_open_file(self, small_trace, tmp_path,
-                                                 monkeypatch):
-        path = tmp_path / "t.btbt"
-        save_trace(path, small_trace)
-        # A file closed by the collector warns from its finalizer, where an
-        # error-level warning surfaces through sys.unraisablehook.
-        unraisable = []
-        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResourceWarning)
-            header, records = iter_records(path)
-            del records
-            gc.collect()
-        assert header.record_count == len(small_trace.records)
-        assert unraisable == []
+        assert trace_header(path).record_count == 321
+        assert len(load_trace(path).records) == 321
 
 
 CHUNK = btrace._CHUNK_RECORDS
@@ -124,8 +104,8 @@ def decoded(read, path):
 
 
 def read_chunked(path):
-    header, records = iter_records(path)
-    return header, list(records)
+    with open_fields(path) as (header, passes):
+        return header, list(passes())
 
 
 @pytest.fixture(scope="module")
@@ -246,7 +226,7 @@ class TestJsonlFormat:
         save_trace(path, small_trace)
         back = load_trace(path)
         assert back.records == small_trace.records
-        assert back.header.isa_mode == small_trace.header.isa_mode
+        assert back.isa == small_trace.isa
 
     def test_extension_dispatch(self, small_trace, tmp_path):
         for name in ("t.btbt", "t.jsonl"):
@@ -254,7 +234,7 @@ class TestJsonlFormat:
             save_trace(path, small_trace)
             back = load_trace(path)
             assert back.records == small_trace.records
-            assert back.header.isa_mode == small_trace.header.isa_mode
+            assert back.isa == small_trace.isa
 
     def test_count_mismatch_detected(self, small_trace, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -421,11 +401,11 @@ class TestJsonlFuzz:
         path = fuzz_dir / "any.jsonl"
         path.write_text(text, encoding="utf-8")
         try:
-            header, records = iter_records(path)
-            records = list(records)
+            declared = trace_header(path).record_count
+            records = load_trace(path).records
         except TraceFormatError:
             return
-        assert header.record_count in (None, len(records))
+        assert declared in (None, len(records))
 
     @given(data=st.one_of(
         st.binary(max_size=200),
@@ -440,11 +420,11 @@ class TestJsonlFuzz:
         path = fuzz_dir / "any.jsonl"
         path.write_bytes(data)
         try:
-            header, records = iter_records(path)
-            records = list(records)
+            declared = trace_header(path).record_count
+            records = load_trace(path).records
         except TraceFormatError:
             return
-        assert header.record_count in (None, len(records))
+        assert declared in (None, len(records))
 
 
 def _edited(blob, edits):
@@ -548,6 +528,10 @@ class TestGenerator:
         setattr(spec, field, value)
         with pytest.raises(GeneratorSpecError):
             spec.validate()
+
+    @pytest.mark.parametrize("zipf_s", [0.0, -1.0])
+    def test_non_positive_zipf_s_accepted_outside_zipf(self, zipf_s):
+        GeneratorSpec(static_branches=10, records=10, zipf_s=zipf_s).validate()
 
     def test_probabilities_must_sum_to_one(self):
         spec = GeneratorSpec(static_branches=10, records=10,
@@ -697,7 +681,7 @@ class TestStreamingGenTrace:
         spec = GeneratorSpec(static_branches=50, records=300, seed=2)
         path = tmp_path / "a.jsonl"
         assert write_records(path, 0, gen_records(spec)) == 300
-        assert iter_records(path)[0].record_count == 300
+        assert trace_header(path).record_count == 300
 
     def test_jsonl_wrong_count_rejected(self, tmp_path):
         spec = GeneratorSpec(static_branches=50, records=300, seed=2)
@@ -706,12 +690,11 @@ class TestStreamingGenTrace:
 
 
 class TestJsonlStreaming:
-    def test_iter_records_reads_jsonl(self, small_trace, tmp_path):
+    def test_trace_header_reads_jsonl(self, small_trace, tmp_path):
         path = tmp_path / "t.jsonl"
         save_trace(path, small_trace)
-        header, records = iter_records(path)
-        assert header.record_count == len(small_trace.records)
-        assert list(records) == load_trace(path).records == small_trace.records
+        assert trace_header(path).record_count == len(small_trace.records)
+        assert load_trace(path).records == small_trace.records
 
     @pytest.mark.parametrize("declared", [2, 4])
     def test_count_mismatch_raised_once_exhausted(self, small_trace, tmp_path,
@@ -722,18 +705,23 @@ class TestJsonlStreaming:
         path.write_text(lines[0].replace('"record_count": 3',
                                          f'"record_count": {declared}')
                         + "".join(lines[1:]))
-        header, records = iter_records(path)
-        assert header.record_count == declared
-        assert [next(records) for _ in range(3)] == small_trace.records[:3]
+        assert trace_header(path).record_count == declared
+        # The count is checked after the last line, which `open_fields`
+        # reads when it opens a text trace, before any pass.
         with pytest.raises(TraceFormatError, match=f"declares {declared}"):
-            next(records)
+            with open_fields(path):
+                pass
 
     def test_peak_memory_flat_in_record_count(self, tmp_path):
         def consume(records):
             spec = GeneratorSpec(static_branches=3000, records=records, seed=1)
             path = tmp_path / f"{records}.jsonl"
             write_records(path, 0, gen_records(spec), count=records)
-            return lambda: sum(1 for _ in iter_records(path)[1])
+
+            def count():
+                with open_fields(path) as (_, passes):
+                    return sum(1 for _ in passes())
+            return count
 
         small = traced_peak(consume(20_000))
         large = traced_peak(consume(200_000))
@@ -756,12 +744,12 @@ class TestOpenFields:
             head = json.loads(head)
             del head["record_count"]
             path.write_text(json.dumps(head) + "\n" + body)
-            assert iter_records(path)[0].record_count is None
+            assert trace_header(path).record_count is None
         return path
 
     def test_passes_repeat_the_loaded_records(self, path):
         loaded = load_trace(path).records
-        with btrace.open_fields(path) as (header, passes):
+        with open_fields(path) as (header, passes):
             first, second = list(passes()), list(passes())
         assert header.record_count == len(first) == len(loaded)
         assert all(type(fields) is tuple for fields in first)
@@ -775,7 +763,7 @@ class TestLargeTrace:
         n = write_records(path, 0, gen_records(spec))
         assert n == 1_000_000
         assert path.stat().st_size == 16 + 24 * n
-        header, records = iter_records(path)
-        assert header.record_count == n
-        count = sum(1 for _ in records)
+        with open_fields(path) as (header, passes):
+            assert header.record_count == n
+            count = sum(1 for _ in passes())
         assert count == n
