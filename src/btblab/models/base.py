@@ -1,9 +1,11 @@
 """Shared lookup/update contract and set-associative tables for all BTB models.
 
-Every organization exposes the same two entry points: `lookup(pc)` is the
-front-end probe (it may refresh recency on a valid hit but never allocates
-or evicts), and `commit_update(record)` is the only path that changes
-contents, driven by taken branches at commit.  The record is a tuple
+Every organization exposes the same two entry points.  `commit_update(record)`
+is the only path that changes contents, driven by taken branches at commit:
+it first does what the front end's probe of that branch would do, leaving
+the result in `predicted`, then commits.  `lookup(pc)` is that probe on its
+own, for a branch that is not taken (it may refresh recency on a valid hit
+but never allocates or evicts).  The record is a tuple
 `pc, target, kind, taken, gap`, read positionally: a `BranchRecord` or the
 raw fields of a binary trace, whose kind is a plain int code.  So kinds
 compare by value, with `core.RETURN` and `core.CALL_KINDS`.
@@ -80,15 +82,34 @@ def outcome_table(structure: str, slots: int) -> dict:
 INVALID = -1  # tag of an empty way: folded tags, page bits and regions are >= 0
 
 
+class LineMemo(dict):
+    """line -> (set, tag) of one table.  A line's set and tag are computed
+    on its first probe and kept for the life of the table, so the memo grows
+    with the distinct lines seen, not with the number of probes, and a probe
+    is `s, tag = memo[line]`."""
+
+    __slots__ = ("sets", "tag_bits")
+
+    def __init__(self, sets: int, tag_bits: int):
+        super().__init__()
+        self.sets, self.tag_bits = sets, tag_bits
+
+    def __missing__(self, line: int):
+        st = self[line] = self.set_tag(line)
+        return st
+
+    def set_tag(self, line: int):
+        """(set, tag) of a line address: the set is line % sets and the tag
+        is line // sets folded to tag_bits."""
+        return line % self.sets, xor_fold(line // self.sets, self.tag_bits)
+
+
 class SetArray:
     """Tags, true-LRU recency and per-way valid counts of one set-associative
     table.  An empty way holds the tag INVALID, so a probe is one list
     search.  What an entry stores lives in the owning model's payload lists;
-    which ways an entry may use is the `first` argument of `fill`.
-
-    The set and tag of a line are computed once and memoized for the life of
-    the table, so the memo grows with the distinct lines seen, not with the
-    number of lookups.
+    which ways an entry may use is the `first` argument of `fill`.  `memo`
+    gives each line's set and tag (see `LineMemo`).
 
     Recency is true LRU: a touch advances the clock and stamps the way with
     it, so `stamps[s][way]` is the clock value of the way's last touch and
@@ -102,7 +123,7 @@ class SetArray:
     """
 
     __slots__ = ("sets", "ways", "tag_bits", "tags", "stamps", "clock",
-                 "way_valid", "memo", "changes")
+                 "way_valid", "memo", "set_tag", "changes")
 
     def __init__(self, sets: int, ways: int, tag_bits: int = 0):
         self.sets, self.ways, self.tag_bits = sets, ways, tag_bits
@@ -110,22 +131,9 @@ class SetArray:
         self.stamps = [list(range(ways)) for _ in range(sets)]
         self.clock = ways - 1  # the last stamp handed out
         self.way_valid = [0] * ways
-        self.memo = {}  # line -> (set, tag)
+        self.memo = LineMemo(sets, tag_bits)
+        self.set_tag = self.memo.set_tag  # computed afresh, not memoized
         self.changes = [0]
-
-    def set_tag(self, line: int):
-        """(set, tag) of a line address: the set is line % sets and the tag
-        is line // sets folded to tag_bits."""
-        return line % self.sets, xor_fold(line // self.sets, self.tag_bits)
-
-    def locate(self, line: int):
-        """(set, tag, way or None) of a line address."""
-        try:
-            s, tag = self.memo[line]
-        except KeyError:
-            s, tag = self.memo[line] = self.set_tag(line)
-        row = self.tags[s]
-        return s, tag, (row.index(tag) if tag in row else None)
 
     def probe(self, s: int, tag: int) -> Optional[int]:
         row = self.tags[s]
@@ -195,11 +203,13 @@ class BtbModel:
     in `self._pred`.  An organization adds its sizing rule, its other
     payload lists (see `_grid`) and its placement policy.
 
-    `lookup` keeps its main-array probe, (set, tag, way or None), in
-    `_probed` and the pc it was for in `_probed_pc`; `commit_update` reuses
-    that probe when it is for the same pc and clears `_probed_pc` either
-    way, since a commit may change the array.  So a record's main-array
-    probe happens once.
+    A taken branch costs one call.  `commit_update` probes the main array
+    (btbx also its companion), applies the recency touch a lookup's hit
+    would, and leaves in `predicted` exactly what `lookup(pc)` would have
+    returned just before it; then it commits.  A lookup's touch followed by
+    the commit's touch of the same way leaves the same LRU order as the one
+    touch, so a model driven by commits alone goes through the same states
+    and outcomes as one that is also looked up before each commit.
 
     `changes` is the model's change counter, a one-item list shared by all
     its tables: whenever a count in `occupancy_items()` may have moved, it
@@ -207,7 +217,7 @@ class BtbModel:
     """
 
     name = "?"
-    _probed_pc = None  # pc of the last lookup's probe; None once a commit ran
+    predicted: Optional[Prediction] = None  # the last commit's lookup result
 
     def __init__(self, sets: int, ways: int, tag_bits: int, isa: IsaProfile):
         self.isa = isa

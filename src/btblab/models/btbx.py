@@ -71,42 +71,42 @@ class BtbX(BtbModel):
 
     def lookup(self, pc: int) -> Optional[Prediction]:
         main = self._main
-        self._probed_pc = pc
         line = pc >> self._shift
-        self._probed = s, _, way = main.locate(line)
-        if way is not None:
+        s, tag = main.memo[line]
+        row = main.tags[s]
+        if tag in row:
             # All ways and the companion are probed in parallel; a main-array
             # hit wins over a simultaneous companion hit.
+            way = row.index(tag)
             main.stamps[s][way] = main.clock = main.clock + 1
             if self._owner[s][way] == pc:
                 return self._pred[s][way]
             return self._predict(pc, s, way, self._pred[s][way].kind)
-        # Only a main-array miss probes the companion; the commit reuses
-        # this probe too when it reuses the main one and that missed.
-        self._xc_probed = slot, _, hit = self._xc.locate(line)
-        if hit is not None:
+        slot, xtag = self._xc.memo[line]
+        if self._xc.tags[slot][0] == xtag:  # direct-mapped: one way
             return self._xc_pred[slot]
         return None
 
     def commit_update(self, record: Fields) -> UpdateOutcome:
         main = self._main
         pc, target, kind, _, _ = record
-        reuse = pc == self._probed_pc
-        s, tag, way = self._probed if reuse else main.locate(pc >> self._shift)
-        self._probed_pc = None
-        if way is not None:
+        line = pc >> self._shift
+        s, tag = main.memo[line]
+        row = main.tags[s]
+        if tag in row:
+            way = row.index(tag)
             main.stamps[s][way] = main.clock = main.clock + 1
             stored = self._pred[s][way]
+            self.predicted = pred = (
+                stored if self._owner[s][way] == pc
+                else self._predict(pc, s, way, stored.kind))
             if kind == RETURN:
                 if stored.kind == RETURN:
                     return self._hit[way]
                 self._write(pc, s, way, kind, target, 0)
                 return self._rewrite[way]
-            if stored.kind == kind:
-                decoded = (stored.target if self._owner[s][way] == pc
-                           else self._decode(pc, way, self._offset[s][way]))
-                if decoded == target:
-                    return self._hit[way]
+            if stored.kind == kind and pred.target == target:
+                return self._hit[way]
             n = (pc ^ target).bit_length()  # required_offset_width, inlined
             req = n - self._shift if n else 0
             if req <= self.widths[way]:
@@ -116,13 +116,13 @@ class BtbX(BtbModel):
             # Outgrew its way: drop the entry and re-allocate.
             main.invalidate(s, way)
             return self._allocate(pc, target, kind, s, tag, req, "migrate")
-        # Not in the main array; a return stores no offset bits.
+        # Not in the main array, so the companion is probed; a return
+        # stores no offset bits.
         n = 0 if kind == RETURN else (pc ^ target).bit_length()
         req = n - self._shift if n else 0
-        xc = self._xc_probed if reuse else self._xc.locate(pc >> self._shift)
-        slot, _, hit = xc
-        if hit is not None:
-            stored = self._xc_pred[slot]
+        slot, xtag = self._xc.memo[line]
+        if self._xc.tags[slot][0] == xtag:
+            self.predicted = stored = self._xc_pred[slot]
             if stored.kind == kind and stored.target == target:
                 return self._xc_out["hit"][slot]
             if req <= self.widths[-1]:
@@ -132,16 +132,18 @@ class BtbX(BtbModel):
                 return self._allocate(pc, target, kind, s, tag, req, "migrate")
             self._xc_pred[slot] = new_prediction((target, kind, "xc"))
             return self._xc_out["rewrite"][slot]
-        return self._allocate(pc, target, kind, s, tag, req, "alloc", xc)
+        self.predicted = None
+        return self._allocate(pc, target, kind, s, tag, req, "alloc",
+                              (slot, xtag))
 
     def _allocate(self, pc: int, target: int, kind: int, s: int, tag: int,
                   req: int, outcome: str, xc=None) -> UpdateOutcome:
         """Place a branch that is in neither structure; `xc` is its
-        companion probe, if there is one."""
+        companion (slot, tag), if the commit has probed the companion."""
         # Way widths never decrease, so the ways wide enough are a suffix.
         first = bisect_left(self.widths, req)
         if first == self.ways:
-            slot, xtag, _ = xc or self._xc.locate(pc >> self._shift)
+            slot, xtag = xc or self._xc.memo[pc >> self._shift]
             _, victim_valid = self._xc.fill(slot, xtag)
             self._xc_pred[slot] = new_prediction((target, kind, "xc"))
             return self._xc_out[outcome][slot][victim_valid]

@@ -35,26 +35,28 @@ class ConvBtb(BtbModel):
 
     def lookup(self, pc: int) -> Optional[Prediction]:
         main = self._main
-        self._probed_pc = pc
-        self._probed = s, _, way = main.locate(pc >> self._shift)
-        if way is None:
+        s, tag = main.memo[pc >> self._shift]
+        row = main.tags[s]
+        if tag not in row:
             return None
+        way = row.index(tag)
         main.stamps[s][way] = main.clock = main.clock + 1
         return self._pred[s][way]
 
     def commit_update(self, record: Fields) -> UpdateOutcome:
         main = self._main
         pc, target, kind, _, _ = record
-        s, tag, way = (self._probed if pc == self._probed_pc
-                       else main.locate(pc >> self._shift))
-        self._probed_pc = None
-        if way is not None:
+        s, tag = main.memo[pc >> self._shift]
+        row = main.tags[s]
+        if tag in row:
+            way = row.index(tag)
             main.stamps[s][way] = main.clock = main.clock + 1
-            pred = self._pred[s][way]
+            self.predicted = pred = self._pred[s][way]
             if pred.kind == kind and (kind == RETURN or pred.target == target):
                 return self._hit[way]
             outcome = self._rewrite[way]
         else:
+            self.predicted = None
             way, victim_valid = main.fill(s, tag)
             outcome = self._alloc[way][victim_valid]
         if kind == RETURN:

@@ -66,10 +66,11 @@ class RBtb(BtbModel):
 
     def lookup(self, pc: int) -> Optional[Prediction]:
         main = self._main
-        self._probed_pc = pc
-        self._probed = s, _, way = main.locate(pc >> self._shift)
-        if way is None:
+        s, tag = main.memo[pc >> self._shift]
+        row = main.tags[s]
+        if tag not in row:
             return None
+        way = row.index(tag)
         ptr = self._page_ptr[s][way]
         if ptr != NO_PAGE and self._pt_gen[ptr] != self._page_gen[s][way]:
             return None  # dangling page pointer: miss, never a wrong target
@@ -79,21 +80,23 @@ class RBtb(BtbModel):
     def commit_update(self, record: Fields) -> UpdateOutcome:
         main = self._main
         pc, target, kind, _, _ = record
-        s, tag, way = (self._probed if pc == self._probed_pc
-                       else main.locate(pc >> self._shift))
-        self._probed_pc = None
-        if way is not None:
+        s, tag = main.memo[pc >> self._shift]
+        row = main.tags[s]
+        if tag in row:
+            way = row.index(tag)
             main.stamps[s][way] = main.clock = main.clock + 1
-            # A hit needs the same kind and, for a non-return, the same
-            # target through a page pointer that still holds.
-            pred = self._pred[s][way]
-            if pred.kind == kind and (
-                    kind == RETURN
-                    or (pred.target == target and self._pt_gen[self._page_ptr[s][way]]
-                        == self._page_gen[s][way])):
-                return self._hit[way]
+            # A hit needs a page pointer that still holds (a return needs
+            # none), the same kind and, for a non-return, the same target.
+            ptr = self._page_ptr[s][way]
+            if ptr == NO_PAGE or self._pt_gen[ptr] == self._page_gen[s][way]:
+                self.predicted = pred = self._pred[s][way]
+                if pred.kind == kind and (kind == RETURN or pred.target == target):
+                    return self._hit[way]
+            else:
+                self.predicted = None
             outcome = self._rewrite[way]
         else:
+            self.predicted = None
             way, victim_valid = main.fill(s, tag)
             outcome = self._alloc[way][victim_valid]
         if kind == RETURN:
@@ -259,10 +262,11 @@ class PdedeBtb(BtbModel):
 
     def lookup(self, pc: int) -> Optional[Prediction]:
         main = self._main
-        self._probed_pc = pc
-        self._probed = s, _, way = main.locate(pc >> self._shift)
-        if way is None:
+        s, tag = main.memo[pc >> self._shift]
+        row = main.tags[s]
+        if tag not in row:
             return None
+        way = row.index(tag)
         same = self._page_ptr[s][way] == NO_PAGE
         if not same and not self._live(s, way):
             return None  # stale page or region link: miss, never a wrong target
@@ -295,24 +299,31 @@ class PdedeBtb(BtbModel):
         pc, target, kind, _, _ = record
         same = (kind == RETURN
                 or (pc >> self.page_shift) == (target >> self.page_shift))
-        s, tag, way = (self._probed if pc == self._probed_pc
-                       else main.locate(pc >> self._shift))
-        self._probed_pc = None
-        if way is None:
+        s, tag = main.memo[pc >> self._shift]
+        row = main.tags[s]
+        if tag not in row:
+            self.predicted = None
             return self._allocate(pc, target, kind, s, tag, same, "alloc")
+        way = row.index(tag)
+        # A stale page or region link is a lookup miss and never a hit.
+        ptr = self._page_ptr[s][way]
+        if ptr != NO_PAGE and not self._live(s, way):
+            pred = None
+        elif ptr == NO_PAGE and self._owner[s][way] != pc:
+            pred = self._same_page_prediction(pc, s, way)
+        else:
+            pred = self._pred[s][way]
+        self.predicted = pred
         if not same and way < self.reserved_ways:
             # Target moved off-page but a reserved way cannot hold the
             # pointer: drop the entry and re-allocate in a general way.
             main.invalidate(s, way)
             return self._allocate(pc, target, kind, s, tag, same, "migrate")
         main.stamps[s][way] = main.clock = main.clock + 1
-        # A hit needs the same kind and, for a non-return, the same page
-        # handling and the same in-page offset (same page) or target.
-        pred = self._pred[s][way]
-        if pred.kind == kind and (kind == RETURN or (
-                (self._page_ptr[s][way] == NO_PAGE) == same
-                and (self._in_off[s][way] == target & ((1 << self.page_shift) - 1)
-                     if same else pred.target == target and self._live(s, way)))):
+        # A hit needs what the lookup predicted to have the same kind and,
+        # for a non-return, the same page handling and the same target.
+        if pred is not None and pred.kind == kind and (kind == RETURN or (
+                (ptr == NO_PAGE) == same and pred.target == target)):
             return self._hit[way]
         self._write(s, way, pc, target, kind, same)
         return self._rewrite[way]

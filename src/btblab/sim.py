@@ -2,11 +2,15 @@
 
 Every record gets a lookup (the front-end probes on the predicted path),
 but only taken branches update the BTB at commit and only taken branches
-inside the measured window count toward hits/misses.  A hit means the BTB
-both found the branch and would have steered fetch correctly: for returns
-that is a matching return-type entry (the target itself comes from the
-RAS), for everything else a matching target.  A tag hit whose target is
-wrong counts as a miss and is also reported separately.
+inside the measured window count toward hits/misses.  A taken record's
+lookup is part of its `commit_update`, which leaves it in `model.predicted`.
+A hit means the BTB both found the branch and would have steered fetch
+correctly: for returns that is a matching return-type entry (the target
+itself comes from the RAS), for everything else a matching target.  A tag
+hit whose target is wrong counts as a miss and is also reported separately.
+
+The counts that do not depend on the model (instructions, taken branches
+and the RAS's underflows and mispredicts) are taken once per trace.
 
 MPKI denominators come from the per-record gap field: each record stands
 for itself plus `gap` preceding non-branch instructions.
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import islice
 from os import PathLike
@@ -124,85 +128,97 @@ def run(model: BtbModel, trace: Trace,
             raise ValueError(
                 f"trace isa_mode {isa.mode} does not match the model's "
                 f"profile (mode {model.isa.mode})")
-        return _run(model, passes(), total, config or SimConfig())
+        config = config or SimConfig()
+        warmup, counts = _trace_counts(passes(), total, config)
+        return _run(model, passes(), warmup, counts, config)
 
 
-def _run(model: BtbModel, records: Iterator[Fields], total: int,
-         config: SimConfig) -> Metrics:
-    """One pass over a trace's `total` records.  Each record is read
-    positionally and handed to `commit_update` as it came."""
+def _trace_counts(records: Iterator[Fields], total: int,
+                  config: SimConfig) -> Tuple[int, Metrics]:
+    """The warmup length, and the instructions, taken branches and RAS
+    traffic of the measured window after it: the same for every model, so
+    taken in one pass per trace.  The RAS runs from the first record; the
+    records after the window are not read."""
     warmup = config.warmup_records if config.warmup_records is not None else total // 10
     warmup = min(warmup, total)
     end = total if config.measure_records is None else min(
         total, warmup + config.measure_records)
-
     ras = deque(maxlen=RAS_CAPACITY)  # pushing when full drops the oldest
     push, pop = ras.append, ras.pop
-    lookup, commit, changes = model.lookup, model.commit_update, model.changes
-    check = model.check_invariants if config.debug else None
-    hits: Dict[str, int] = {}
-    instructions = taken_branches = misses = wrong = underflows = 0
-    ras_mispredicts = 0
 
-    def replay(records):
-        """The warmup and the tail: the same lookups, commits, checks and
-        RAS traffic as the measured window, without counting."""
-        for rec in records:
-            pc, _, kind, taken, _ = rec
-            lookup(pc)
+    def count(records):
+        instructions = taken_branches = underflows = mispredicts = 0
+        for pc, target, kind, taken, gap in records:
+            instructions += gap + 1
             if not taken:
                 continue
-            commit(rec)
-            if check is not None:
-                check()
+            taken_branches += 1
             if kind in CALL_KINDS:
                 push(pc + CALL_BYTES)
-            elif kind == RETURN and ras:
-                pop()
+            elif kind == RETURN:
+                if not ras:
+                    underflows += 1
+                elif pop() != target:
+                    mispredicts += 1
+        return instructions, taken_branches, underflows, mispredicts
+
+    count(islice(records, warmup))  # only the RAS it leaves counts
+    instructions, taken_branches, underflows, mispredicts = count(
+        islice(records, end - warmup))
+    return warmup, Metrics(
+        instructions=instructions, taken_branches=taken_branches,
+        measured_records=end - warmup, ras_underflows=underflows,
+        ras_mispredicts=mispredicts)
+
+
+def _run(model: BtbModel, records: Iterator[Fields], warmup: int,
+         counts: Metrics, config: SimConfig) -> Metrics:
+    """One model's pass over a trace: a `lookup` for each not-taken record
+    and a `commit_update` for each taken one, handed the record as it came.
+    Only hits are counted; every other taken branch is a miss."""
+    lookup, commit, changes = model.lookup, model.commit_update, model.changes
+    if config.debug:
+        def commit(record, commit=commit, check=model.check_invariants):
+            outcome = commit(record)
+            check()
+            return outcome
+
+    def replay(records):
+        """The warmup and the tail: the same lookups, commits and checks as
+        the measured window, without counting."""
+        for rec in records:
+            if rec[3]:
+                commit(rec)
+            else:
+                lookup(rec[0])
 
     replay(islice(records, warmup))
-    if end > warmup:
+    measured = counts.measured_records
+    hits: Dict[str, int] = {}
+    wrong = 0
+    if measured:
         occupancy = _OccupancyArea(model, warmup)
-    for i, rec in enumerate(islice(records, end - warmup), warmup):
-        pc, target, kind, taken, gap = rec
-        pred = lookup(pc)
-        instructions += gap + 1
+    for i, rec in enumerate(islice(records, measured), warmup):
+        pc, target, kind, taken, _ = rec
         if not taken:
+            lookup(pc)
             continue
-        taken_branches += 1
-        if pred is None:
-            misses += 1
-        elif (pred.kind == RETURN if kind == RETURN
-              else pred.target == target):
-            source = pred.source
-            hits[source] = hits.get(source, 0) + 1
-        else:
-            misses += 1
-            wrong += 1
         commit(rec)
+        pred = model.predicted
+        if pred is not None:
+            if pred.kind == RETURN if kind == RETURN else pred.target == target:
+                source = pred.source
+                hits[source] = hits.get(source, 0) + 1
+            else:
+                wrong += 1
         if changes[0] != occupancy.seen:
             occupancy.change(i)
-        if check is not None:
-            check()
-        if kind in CALL_KINDS:
-            push(pc + CALL_BYTES)
-        elif kind == RETURN:
-            if not ras:
-                underflows += 1
-            elif pop() != target:
-                ras_mispredicts += 1
     replay(records)
 
-    metrics = Metrics(instructions=instructions, taken_branches=taken_branches,
-                      taken_btb_misses=misses, hits_by_source=hits,
-                      measured_records=end - warmup,
-                      wrong_target_misses=wrong, ras_underflows=underflows,
-                      ras_mispredicts=ras_mispredicts)
-    if end > warmup:
-        metrics.occupancy_by_way = occupancy.by_way(end)
-
-    assert metrics.taken_hits + metrics.taken_btb_misses == metrics.taken_branches
-    return metrics
+    return replace(counts, hits_by_source=hits, wrong_target_misses=wrong,
+                   taken_btb_misses=counts.taken_branches - sum(hits.values()),
+                   occupancy_by_way=occupancy.by_way(warmup + measured)
+                   if measured else {})
 
 
 class _OccupancyArea:
@@ -306,8 +322,9 @@ def compare(model_names: Sequence[str], trace: Trace, budget_kb: float,
     """
     config = config or SimConfig()
     with _opened(trace, config.isa) as (isa, total, passes):
+        warmup, counts = _trace_counts(passes(), total, config)
         return [(name, _run(build_model(name, budget_kb=budget_kb, isa=isa),
-                            passes(), total, config))
+                            passes(), warmup, counts, config))
                 for name in model_names]
 
 

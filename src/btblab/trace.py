@@ -464,8 +464,13 @@ class GeneratorSpec:
             raise GeneratorSpecError(f"unknown pattern {self.pattern!r}")
         if not math.isfinite(self.zipf_s):  # the manifest records it
             raise GeneratorSpecError("zipf_s must be finite")
-        if self.pattern == "zipf" and self.zipf_s <= 0:
-            raise GeneratorSpecError("zipf_s must be positive")
+        if self.pattern == "zipf":
+            if self.zipf_s <= 0:
+                raise GeneratorSpecError("zipf_s must be positive")
+            try:  # the largest denominator of the zipf weights
+                self.static_branches ** self.zipf_s
+            except OverflowError:
+                raise GeneratorSpecError("zipf_s overflows the weights") from None
 
     def to_dict(self) -> dict:
         return {**asdict(self),

@@ -90,6 +90,7 @@ class TestGenTrace:
         ["--kind-mix", "cond:nan"],
         ["--dist", "1-4:nan"],
         ["--dist", "1-4:1.5,5-5:-0.5"],
+        ["--pattern", "zipf", "--zipf-s", "1000"],  # its weights overflow
     ])
     def test_bad_share_or_zipf_s_is_usage_error(self, workdir, extra):
         res = cli(gen_args("ws.btbt", extra=extra), workdir)

@@ -233,6 +233,30 @@ class TestOccupancy:
         assert metrics.occupancy_by_way["main"] > 0.9
 
 
+class TestShadowedEntryPoints:
+    """A model's `lookup`, `commit_update` and `occupancy_items` can be
+    shadowed on the instance, as the traced benchmark does to time them:
+    `run` calls the instance's own, through the same per-record path."""
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_shadows_called_and_metrics_unchanged(self, name):
+        spec = GeneratorSpec(static_branches=600, records=4000,
+                             pattern="uniform", taken_rate=0.7, seed=9)
+        records = list(gen_records(spec))
+        assert not all(r.taken for r in records)
+        plain = run(build_model(name, budget_kb=0.9), records)
+        model = build_model(name, budget_kb=0.9)
+        calls = dict.fromkeys(("lookup", "commit_update", "occupancy_items"), 0)
+        for method in calls:
+            def shadow(*args, method=method, inner=getattr(model, method)):
+                calls[method] += 1
+                return inner(*args)
+
+            setattr(model, method, shadow)
+        assert run(model, records).to_dict() == plain.to_dict()
+        assert all(calls.values()), calls
+
+
 class TestMemory:
     @pytest.fixture(scope="class")
     def round_robin(self):

@@ -533,6 +533,20 @@ class TestGenerator:
     def test_non_positive_zipf_s_accepted_outside_zipf(self, zipf_s):
         GeneratorSpec(static_branches=10, records=10, zipf_s=zipf_s).validate()
 
+    def test_zipf_s_whose_weights_overflow_rejected(self):
+        spec = GeneratorSpec(static_branches=10, records=20, pattern="zipf",
+                             zipf_s=1000.0)
+        with pytest.raises(GeneratorSpecError, match="overflows"):
+            spec.validate()
+        # 10 ** 300 is still a float, and one branch's weight is always 1.
+        for branches, zipf_s in ((10, 300.0), (1, 1000.0)):
+            ok = GeneratorSpec(static_branches=branches, records=20,
+                               pattern="zipf", zipf_s=zipf_s)
+            ok.validate()
+            assert len(generate(ok).records) == 20
+        # Outside zipf the exponent is never raised to.
+        GeneratorSpec(static_branches=10, records=20, zipf_s=1000.0).validate()
+
     def test_probabilities_must_sum_to_one(self):
         spec = GeneratorSpec(static_branches=10, records=10,
                              width_buckets=((0, 5, 0.6), (6, 10, 0.3)))
