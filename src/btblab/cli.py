@@ -25,7 +25,7 @@ from . import __version__
 from .core import (KINDS_BY_NAME, MODEL_NAMES, PROFILES, ConfigError,
                    InvariantError, profile_named)
 from .trace import (PATTERNS, GeneratorSpec, GeneratorSpecError,
-                    TraceFormatError, gen_records, trace_header, write_records)
+                    TraceFormatError, gen_fields, trace_header, write_records)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
 
@@ -142,7 +142,7 @@ def cmd_gen_trace(args) -> int:
         isa_mode=_isa(args.isa).mode,
     )
     spec.validate()
-    written = write_records(args.output, spec.isa_mode, gen_records(spec),
+    written = write_records(args.output, spec.isa_mode, gen_fields(spec),
                             count=spec.records)
     manifest = write_manifest(args.output, "gen-trace", spec.to_dict())
     print(f"wrote {args.output} ({written} records), {manifest}")

@@ -134,7 +134,7 @@ class BranchRecord(NamedTuple):
 
 
 # Builds a BranchRecord from its fields' tuple in C, skipping the generated
-# Python __new__; the trace readers and the generator build one per record.
+# Python __new__; `load_trace` and `gen_records` build one per record.
 new_record = partial(tuple.__new__, BranchRecord)
 
 

@@ -17,9 +17,9 @@ sets (ROADMAP.md, item 2).  Kind and offset-width classes are dealt out by
 largest-remainder interleaving, which pins the realized class shares to
 the requested ones and spreads each class evenly through the branch
 order.  Returns take their per-record target from a shadow call stack, so
-call/return pairing is meaningful to a RAS.  Generation streams: records
-are made one at a time and the writer takes any iterable, so a trace of
-any length is written in constant memory.
+call/return pairing is meaningful to a RAS.  Generation streams: each
+record's fields are drawn one at a time and the writer takes any iterable
+of them, so a trace of any length is written in constant memory.
 """
 
 from __future__ import annotations
@@ -33,9 +33,11 @@ from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import accumulate, chain, cycle, islice, starmap
 from operator import add
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import (Callable, Iterable, Iterator, List, NamedTuple, Optional,
+                    Tuple)
 
 from .core import (CALL_BYTES, CALL_KINDS, PROFILES, VA_BITS, BranchKind,
                    BranchRecord, Fields, IsaProfile, KIND_NAMES,
@@ -79,18 +81,21 @@ class TraceFile:
     records: List[BranchRecord]
 
 
-_CHUNK_RECORDS = 1 << 14  # records read, or packed and written, at a time
+_CHUNK_RECORDS = 1 << 14  # records read, or turned into text lines, at a time
+_PACK_RECORDS = 1 << 12  # binary records packed and written at a time
 
 
 def _is_text(path) -> bool:
     return str(path).endswith((".jsonl", ".json"))
 
 
-def write_records(path, isa_mode: int, records: Iterable[BranchRecord],
+def write_records(path, isa_mode: int, records: Iterable[Fields],
                   count: Optional[int] = None) -> int:
     """Stream records to a trace file and return how many were written.
 
-    A .jsonl/.json path selects the text form, any other the binary form.
+    Each record is read positionally, so `BranchRecord`s and plain field
+    tuples write the same bytes.  A .jsonl/.json path selects the text
+    form, any other the binary form.
     `count` is the header's record count: the binary writer patches it
     afterwards when it is missing or wrong, while the text form needs it up
     front, so without it the records are gathered into a list first.
@@ -160,16 +165,16 @@ def save_trace(path, trace: TraceFile) -> None:
 
 # -- binary form -------------------------------------------------------------
 
-def _write_binary(fh, isa: IsaProfile, records: Iterable[BranchRecord],
+def _write_binary(fh, isa: IsaProfile, records: Iterable[Fields],
                   count: Optional[int]) -> int:
     """Write a binary trace to a file open for writing at its start."""
     written = 0
     fh.write(_HEADER.pack(MAGIC, VERSION, isa.mode, 0, count or 0))
-    records = iter(records)  # packed as drawn, a chunk at a time, never listed
-    while packed := list(starmap(_FIELDS.pack,
-                                 islice(records, _CHUNK_RECORDS))):
-        fh.write(b"".join(packed))
-        written += len(packed)
+    records = iter(records)  # packed as drawn, a small block at a time
+    while block := b"".join(starmap(_FIELDS.pack,
+                                    islice(records, _PACK_RECORDS))):
+        fh.write(block)
+        written += len(block) // RECORD_BYTES
     if count != written:
         fh.seek(8)  # record_count field offset
         fh.write(struct.pack("<Q", written))
@@ -281,7 +286,7 @@ def _checked_record(pc: int, target: int, kind: int, taken: int, gap: int,
 
 # -- text (JSON lines) form ---------------------------------------------------
 
-def _write_jsonl(path, isa: IsaProfile, records: Iterable[BranchRecord],
+def _write_jsonl(path, isa: IsaProfile, records: Iterable[Fields],
                  count: Optional[int]) -> int:
     if count is None:
         records = list(records)
@@ -293,10 +298,11 @@ def _write_jsonl(path, isa: IsaProfile, records: Iterable[BranchRecord],
                         "isa_mode": isa.name,
                         "record_count": count}) + "\n")
         records = iter(records)
-        while lines := [dumps({"pc": hex(r.pc), "target": hex(r.target),
-                               "kind": KIND_NAMES[r.kind],
-                               "taken": r.taken, "gap": r.gap}) + "\n"
-                        for r in islice(records, _CHUNK_RECORDS)]:
+        while lines := [dumps({"pc": hex(pc), "target": hex(target),
+                               "kind": KIND_NAMES[kind],
+                               "taken": taken, "gap": gap}) + "\n"
+                        for pc, target, kind, taken, gap
+                        in islice(records, _CHUNK_RECORDS)]:
             fh.write("".join(lines))
             written += len(lines)
     if written != count:
@@ -512,12 +518,15 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     return r
 
 
-@dataclass
-class StaticBranch:
+class StaticBranch(NamedTuple):
     pc: int
     target: int
     kind: BranchKind
     stored_width: int
+
+
+# Builds a StaticBranch from its fields' tuple in C, as `new_record` does.
+_new_static = partial(tuple.__new__, StaticBranch)
 
 
 def build_static_branches(spec: GeneratorSpec) -> List[StaticBranch]:
@@ -548,7 +557,7 @@ def build_static_branches(spec: GeneratorSpec) -> List[StaticBranch]:
         else:
             flip = (1 << (width - 1)) | getrandbits(width - 1)
             target = (line ^ flip) << shift
-        branches.append(StaticBranch(pc, target, kind, width))
+        branches.append(_new_static((pc, target, kind, width)))
     return branches
 
 
@@ -566,17 +575,19 @@ def _index_stream(spec: GeneratorSpec, rng: random.Random) -> Iterator[int]:
     return (bisect_left(cum, draw() * total) for _ in range(records))
 
 
-def gen_records(spec: GeneratorSpec) -> Iterator[BranchRecord]:
-    """Dynamic stream over the static set; deterministic for a fixed seed.
+def gen_fields(spec: GeneratorSpec) -> Iterator[Fields]:
+    """Dynamic stream over the static set, as the plain field tuple
+    (pc, target, kind, taken, gap) of each record, with `BranchKind` kinds
+    and `bool` taken flags; deterministic for a fixed seed.
 
     Each record takes its draws from one generator in a fixed order: the
     branch index (uniform and zipf only), the gap, then the direction of a
     conditional branch.
     """
     # (pc, target, kind, is conditional, is a return, is a call)
-    statics = [(b.pc, b.target, b.kind, b.kind is BranchKind.CONDITIONAL,
-                b.kind is BranchKind.RETURN, b.kind in CALL_KINDS)
-               for b in build_static_branches(spec)]
+    statics = [(pc, target, kind, kind is BranchKind.CONDITIONAL,
+                kind is BranchKind.RETURN, kind in CALL_KINDS)
+               for pc, target, kind, _ in build_static_branches(spec)]
     rng = random.Random(spec.seed + 1)  # stream draws, distinct from static draws
     getrandbits, draw = rng.getrandbits, rng.random
     taken_rate = spec.taken_rate
@@ -597,7 +608,12 @@ def gen_records(spec: GeneratorSpec) -> Iterator[BranchRecord]:
             target = shadow.pop()
         elif is_call:  # calls are never conditional, so always taken
             shadow.append(pc + CALL_BYTES)
-        yield new_record((pc, target, kind, taken, gap))
+        yield pc, target, kind, taken, gap
+
+
+def gen_records(spec: GeneratorSpec) -> Iterator[BranchRecord]:
+    """`gen_fields` as `BranchRecord`s."""
+    return map(new_record, gen_fields(spec))
 
 
 def generate(spec: GeneratorSpec) -> TraceFile:

@@ -15,11 +15,11 @@ from dealref import deal_reference
 from decoderef import read_binary_reference
 from btblab import cli
 from btblab import trace as btrace
-from btblab.core import CALL_KINDS, BranchKind
+from btblab.core import CALL_KINDS, BranchKind, BranchRecord, new_record
 from btblab.trace import (RECORD_BYTES, GeneratorSpec, GeneratorSpecError,
-                          TraceFormatError, build_static_branches, gen_records,
-                          generate, load_trace, open_fields, save_trace,
-                          trace_header, write_records)
+                          TraceFormatError, build_static_branches, gen_fields,
+                          gen_records, generate, load_trace, open_fields,
+                          save_trace, trace_header, write_records)
 
 
 @pytest.fixture
@@ -630,6 +630,26 @@ class TestPinnedGenerator:
         assert (hashlib.sha256(path.read_bytes()).hexdigest()
                 == PINNED_DIGESTS["rr-byte.btbt"])
 
+    @pytest.mark.parametrize("name", sorted(PINNED_SPECS))
+    def test_records_are_the_generated_fields(self, name):
+        spec = pinned_spec(name)
+        fields = list(gen_fields(spec))
+        assert all(type(f) is tuple and type(f[2]) is BranchKind
+                   and type(f[3]) is bool for f in fields)
+        records = list(gen_records(spec))
+        assert records == list(map(new_record, fields))
+        assert all(type(r) is BranchRecord and type(r.kind) is BranchKind
+                   and type(r.taken) is bool for r in records)
+
+    @pytest.mark.parametrize("name", ["call-ret.btbt", "call-ret.jsonl",
+                                      "wide-byte.btbt", "wide-byte.jsonl"])
+    def test_fields_and_records_write_the_same_bytes(self, tmp_path, name):
+        spec = pinned_spec(name)
+        from_fields, from_records = tmp_path / f"f-{name}", tmp_path / f"r-{name}"
+        write_records(from_fields, spec.isa_mode, gen_fields(spec), spec.records)
+        write_records(from_records, spec.isa_mode, gen_records(spec), spec.records)
+        assert from_fields.read_bytes() == from_records.read_bytes()
+
 
 class TestDraws:
     @pytest.mark.parametrize("weights", [
@@ -681,6 +701,18 @@ class TestStreamingGenTrace:
         # A list of 10x the records would add megabytes; the shadow call
         # stack's slow growth (about 1% of records) stays well below this.
         assert large - small < 256 * 1024, (small, large)
+
+    def test_binary_writer_packs_small_blocks(self, tmp_path):
+        # One block of 4096 packed records peaks at about 0.7 MB under
+        # tracemalloc (its bytes objects, the join's buffer table and the
+        # joined block), and this whole write at 0.86 MB; a writer that
+        # lists 16384 packed records at a time peaks at 2.84 MB.
+        spec = GeneratorSpec(static_branches=300, records=60_000, seed=1)
+        path = tmp_path / "t.btbt"
+        peak = traced_peak(
+            lambda: write_records(path, 0, gen_fields(spec), spec.records))
+        assert peak < 1_500_000, peak
+        assert path.stat().st_size == btrace.HEADER_BYTES + 60_000 * RECORD_BYTES
 
     def test_jsonl_written_as_generated(self, tmp_path):
         spec = GeneratorSpec(static_branches=50, records=600, seed=2)
