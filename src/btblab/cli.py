@@ -118,10 +118,13 @@ def _isa(name: str):
     return profile_named(_ISA_ALIASES.get(name, name))
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write_text(path: Optional[str], text: str, command: str, config: dict,
+                inputs: Optional[List[str]] = None) -> None:
+    """Write a report to `path` and its manifest beside it, or to stdout."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+        write_manifest(path, command, config, inputs)
     else:
         sys.stdout.write(text)
 
@@ -151,11 +154,8 @@ def cmd_gen_trace(args) -> int:
 
 def cmd_analyze_offsets(args) -> int:
     from .sim import offset_histogram
-    csv_text = offset_histogram(args.trace).csv()
-    _write_text(args.output, csv_text)
-    if args.output:
-        write_manifest(args.output, "analyze-offsets", {"trace": str(args.trace)},
-                       inputs=[args.trace])
+    _write_text(args.output, offset_histogram(args.trace).csv(),
+                "analyze-offsets", {"trace": str(args.trace)}, [args.trace])
     return EXIT_OK
 
 
@@ -173,11 +173,9 @@ def cmd_capacity_table(args) -> int:
             if not 1 <= budget * BITS_PER_KB < math.inf:
                 raise UsageError(f"budget {budget:g} KB is not a finite size "
                                  "of at least one bit")
-    rows = capacity_table(budgets, _isa(args.isa))
-    _write_text(args.output, capacity_table_csv(rows))
-    if args.output:
-        write_manifest(args.output, "capacity-table",
-                       {"budgets": budgets, "isa": _isa(args.isa).name})
+    isa = _isa(args.isa)
+    _write_text(args.output, capacity_table_csv(capacity_table(budgets, isa)),
+                "capacity-table", {"budgets": budgets, "isa": isa.name})
     return EXIT_OK
 
 
@@ -203,10 +201,8 @@ def cmd_simulate(args) -> int:
         "trace": str(args.trace),
         **metrics.to_dict(),
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _write_text(args.output, text)
-    if args.output:
-        write_manifest(args.output, "simulate", doc, inputs=[args.trace])
+    _write_text(args.output, json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                "simulate", doc, [args.trace])
     return EXIT_OK
 
 
@@ -222,13 +218,10 @@ def cmd_compare(args) -> int:
                               f"{', '.join(MODEL_NAMES)}")
     config = _sim_config(args)
     results = compare(names, args.trace, args.budget_kb, config)
-    _write_text(args.output, compare_csv(results, args.budget_kb))
-    if args.output:
-        write_manifest(args.output, "compare",
-                       {"models": names, "budget_kb": args.budget_kb,
-                        "warmup_records": config.warmup_records,
-                        "trace": str(args.trace)},
-                       inputs=[args.trace])
+    _write_text(args.output, compare_csv(results, args.budget_kb), "compare",
+                {"models": names, "budget_kb": args.budget_kb,
+                 "warmup_records": config.warmup_records,
+                 "trace": str(args.trace)}, [args.trace])
     return EXIT_OK
 
 

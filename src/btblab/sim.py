@@ -196,8 +196,13 @@ def _run(model: BtbModel, records: Iterator[Fields], warmup: int,
     measured = counts.measured_records
     hits: Dict[str, int] = {}
     wrong = 0
-    if measured:
-        occupancy = _OccupancyArea(model, warmup)
+    # Occupancy: each measured record adds the valid counts as they stand
+    # after it.  Those move only with the change counter, so they are read
+    # at the window's start and re-read after each commit that moved it,
+    # closing one span of valid x records per structure; the integer sums
+    # equal a per-record sample exactly.
+    items, seen, since = model.occupancy_items(), changes[0], warmup
+    area = [0] * len(items)
     for i, rec in enumerate(islice(records, measured), warmup):
         pc, target, kind, taken, _ = rec
         if not taken:
@@ -211,53 +216,19 @@ def _run(model: BtbModel, records: Iterator[Fields], warmup: int,
                 hits[source] = hits.get(source, 0) + 1
             else:
                 wrong += 1
-        if changes[0] != occupancy.seen:
-            occupancy.change(i)
+        if changes[0] != seen:
+            for k, (_, valid, _) in enumerate(items):
+                area[k] += valid * (i - since)
+            items, seen, since = model.occupancy_items(), changes[0], i
     replay(records)
 
+    span = warmup + measured - since
     return replace(counts, hits_by_source=hits, wrong_target_misses=wrong,
                    taken_btb_misses=counts.taken_branches - sum(hits.values()),
-                   occupancy_by_way=occupancy.by_way(warmup + measured)
+                   occupancy_by_way={
+                       name: (a + valid * span) / (cap * measured)
+                       for (name, valid, cap), a in zip(items, area)}
                    if measured else {})
-
-
-class _OccupancyArea:
-    """Valid entries per structure summed over the measured records.
-
-    Each record contributes the valid counts as they stand after it.  Those
-    change only when the model's change counter moves, so the model is read
-    at the window's start and after each commit that moved it.  A count's
-    area grows by count x records over each span it held, closed when that
-    count moves; the integer sums equal a per-record sample exactly.
-    """
-
-    def __init__(self, model: BtbModel, start: int):
-        self._read = model.occupancy_items
-        self._changes = model.changes
-        self.seen = self._changes[0]  # counter value `items` was read at
-        self.items = self._read()
-        self.area = [0] * len(self.items)
-        self.start = start
-        # per structure, the first record whose state its count describes
-        self.since = [start] * len(self.items)
-
-    def change(self, i: int) -> None:
-        """Record i's commit moved the model's change counter."""
-        self.seen = self._changes[0]
-        items, old = self._read(), self.items
-        area, since = self.area, self.since
-        for k in range(len(items)):
-            valid = old[k][1]
-            if valid != items[k][1]:
-                area[k] += valid * (i - since[k])
-                since[k] = i
-        self.items = items
-
-    def by_way(self, stop: int) -> Dict[str, float]:
-        records = stop - self.start
-        return {name: (area + valid * (stop - since)) / (cap * records)
-                for (name, valid, cap), area, since
-                in zip(self.items, self.area, self.since)}
 
 
 @dataclass

@@ -13,7 +13,6 @@ values round half-up at the precision carried by each preset row.
 
 from __future__ import annotations
 
-import decimal
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Optional
 
@@ -110,6 +109,7 @@ def kb(bits: int) -> float:
 
 def round_kb(value: float, places: int) -> float:
     """Round half-up at a fixed number of decimals (display convention)."""
+    import decimal  # only this rounding needs it
     q = decimal.Decimal(10) ** -places
     return float(decimal.Decimal(repr(value)).quantize(q, rounding=decimal.ROUND_HALF_UP))
 
@@ -257,34 +257,26 @@ def capacity_table(budgets_kb: Optional[Iterable] = None,
     rows = []
     for budget in budgets_kb:
         preset = match_preset(budget, isa)
-        if preset is not None:
-            bits = preset.total_bits(isa)
-            label = preset.kb_label(isa)
-            geometry = preset.geometry(isa)
-            btbx = geometry.branch_capacity
-            # page-dedup capacities were published for the aligned-mode
-            # budgets only; byte-mode rows leave the column empty
-            pdede = preset.pdede.branch_capacity if isa == ALIGNED4 else None
-            extrapolated = False
-        else:
-            bits = int(budget * BITS_PER_KB)
-            label = f"{budget:g}"
-            geometry = btbx_geometry_for_budget(budget, isa)
-            btbx = geometry.branch_capacity if geometry else None
-            pdede = None
-            extrapolated = True
+        geometry = btbx_geometry_for_budget(budget, isa)
+        if preset is None:
+            bits, label, pdede = int(budget * BITS_PER_KB), f"{budget:g}", None
             import logging  # only this warning needs it
             logging.getLogger(__name__).warning(
                 "budget %.5g KB matches no preset: pdede column omitted, "
                 "other columns extrapolated", budget)
+        else:
+            bits, label = preset.total_bits(isa), preset.kb_label(isa)
+            # page-dedup capacities were published for the aligned-mode
+            # budgets only; byte-mode rows leave the column empty
+            pdede = preset.pdede.branch_capacity if isa == ALIGNED4 else None
         rows.append(CapacityRow(
             budget_kb=kb(bits),
             budget_label=label,
             budget_bits=bits,
-            btbx=btbx,
+            btbx=geometry.branch_capacity if geometry else None,
             pdede=pdede,
             conv=conv_capacity(bits),
-            extrapolated=extrapolated,
+            extrapolated=preset is None,
         ))
     return rows
 

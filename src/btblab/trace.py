@@ -81,8 +81,8 @@ class TraceFile:
     records: List[BranchRecord]
 
 
-_CHUNK_RECORDS = 1 << 14  # records read, or turned into text lines, at a time
-_PACK_RECORDS = 1 << 12  # binary records packed and written at a time
+_CHUNK_RECORDS = 1 << 14  # records the binary reader takes at a time
+_PACK_RECORDS = 1 << 12  # records either writer formats and writes at a time
 
 
 def _is_text(path) -> bool:
@@ -302,7 +302,7 @@ def _write_jsonl(path, isa: IsaProfile, records: Iterable[Fields],
                                "kind": KIND_NAMES[kind],
                                "taken": taken, "gap": gap}) + "\n"
                         for pc, target, kind, taken, gap
-                        in islice(records, _CHUNK_RECORDS)]:
+                        in islice(records, _PACK_RECORDS)]:
             fh.write("".join(lines))
             written += len(lines)
     if written != count:
