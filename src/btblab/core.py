@@ -12,7 +12,6 @@ never stored, saving two more bits per entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
 from typing import NamedTuple, Tuple
@@ -59,8 +58,7 @@ KINDS_BY_NAME = {name: kind for kind, name in KIND_NAMES.items()}
 VA_BITS = 48  # virtual address width of both ISA profiles
 
 
-@dataclass(frozen=True)
-class IsaProfile:
+class IsaProfile(NamedTuple):
     """Address-space shape a trace and all models agree on.
 
     mode and name are its isa_mode in binary and in text traces.

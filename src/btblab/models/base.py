@@ -13,7 +13,6 @@ compare by value, with `core.RETURN` and `core.CALL_KINDS`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Optional
 
@@ -36,8 +35,7 @@ class Prediction(NamedTuple):
 new_prediction = partial(tuple.__new__, Prediction)
 
 
-@dataclass(slots=True, frozen=True)
-class UpdateOutcome:
+class UpdateOutcome(NamedTuple):
     """What one commit-stage update did.
 
     kind: "hit" (recency only), "rewrite" (target refreshed in place),

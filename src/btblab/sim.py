@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import islice
 from os import PathLike
+from types import SimpleNamespace
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
                     Union)
 
@@ -38,33 +38,36 @@ from .trace import TraceFile, open_fields
 Trace = Union[str, PathLike, TraceFile, Sequence[BranchRecord]]
 
 
-@dataclass
-class SimConfig:
-    # The profile of a bare record list given to `compare`: a TraceFile
-    # brings its own, and `run` takes its model's.
-    isa: IsaProfile = ALIGNED4
-    warmup_records: Optional[int] = None   # None: 10% of the trace
-    measure_records: Optional[int] = None  # None: everything after warmup
-    debug: bool = False                    # verify model invariants per commit
-
-    def __post_init__(self):
-        if self.warmup_records is not None and self.warmup_records < 0:
+class SimConfig(SimpleNamespace):
+    # isa is the profile of a bare record list given to `compare`: a
+    # TraceFile brings its own, and `run` takes its model's.
+    def __init__(self, isa: IsaProfile = ALIGNED4,
+                 warmup_records: Optional[int] = None,   # None: 10% of the trace
+                 measure_records: Optional[int] = None,  # None: everything after warmup
+                 debug: bool = False):  # verify model invariants per commit
+        if warmup_records is not None and warmup_records < 0:
             raise ValueError("warmup_records must be >= 0")
-        if self.measure_records is not None and self.measure_records < 0:
+        if measure_records is not None and measure_records < 0:
             raise ValueError("measure_records must be >= 0")
+        super().__init__(isa=isa, warmup_records=warmup_records,
+                         measure_records=measure_records, debug=debug)
 
 
-@dataclass
-class Metrics:
-    instructions: int = 0
-    taken_branches: int = 0
-    taken_btb_misses: int = 0
-    hits_by_source: Dict[str, int] = field(default_factory=dict)
-    occupancy_by_way: Dict[str, float] = field(default_factory=dict)
-    measured_records: int = 0
-    wrong_target_misses: int = 0
-    ras_underflows: int = 0
-    ras_mispredicts: int = 0
+class Metrics(SimpleNamespace):
+    def __init__(self, instructions: int = 0, taken_branches: int = 0,
+                 taken_btb_misses: int = 0,
+                 hits_by_source: Optional[Dict[str, int]] = None,
+                 occupancy_by_way: Optional[Dict[str, float]] = None,
+                 measured_records: int = 0, wrong_target_misses: int = 0,
+                 ras_underflows: int = 0, ras_mispredicts: int = 0):
+        super().__init__(
+            instructions=instructions, taken_branches=taken_branches,
+            taken_btb_misses=taken_btb_misses,
+            hits_by_source={} if hits_by_source is None else hits_by_source,
+            occupancy_by_way={} if occupancy_by_way is None else occupancy_by_way,
+            measured_records=measured_records,
+            wrong_target_misses=wrong_target_misses,
+            ras_underflows=ras_underflows, ras_mispredicts=ras_mispredicts)
 
     @property
     def mpki(self) -> float:
@@ -223,20 +226,19 @@ def _run(model: BtbModel, records: Iterator[Fields], warmup: int,
     replay(records)
 
     span = warmup + measured - since
-    return replace(counts, hits_by_source=hits, wrong_target_misses=wrong,
-                   taken_btb_misses=counts.taken_branches - sum(hits.values()),
-                   occupancy_by_way={
-                       name: (a + valid * span) / (cap * measured)
-                       for (name, valid, cap), a in zip(items, area)}
-                   if measured else {})
+    return Metrics(**dict(
+        vars(counts), hits_by_source=hits, wrong_target_misses=wrong,
+        taken_btb_misses=counts.taken_branches - sum(hits.values()),
+        occupancy_by_way={name: (a + valid * span) / (cap * measured)
+                          for (name, valid, cap), a in zip(items, area)}
+        if measured else {}))
 
 
-@dataclass
-class OffsetHistogram:
+class OffsetHistogram(SimpleNamespace):
     """Stored-offset-width distribution over dynamic taken branches."""
 
-    counts: Dict[int, int]
-    total: int
+    def __init__(self, counts: Dict[int, int], total: int):
+        super().__init__(counts=counts, total=total)
 
     def cumulative_at(self, width: int) -> float:
         if not self.total:

@@ -13,8 +13,7 @@ values round half-up at the precision carried by each preset row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import ALIGNED4, BYTE, IsaProfile
 
@@ -42,19 +41,23 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
-class BtbxGeometry:
+class _BtbxShape(NamedTuple):
+    sets: int
+    isa: IsaProfile = ALIGNED4
+
+
+class BtbxGeometry(_BtbxShape):
     """Asymmetric-way BTB shape: 8 ways of fixed, non-decreasing offset widths
     (the profile's `WAY_WIDTHS`) plus a tiny direct-mapped companion holding
     full targets."""
 
-    sets: int
-    isa: IsaProfile = ALIGNED4
-    tag_bits: ClassVar[int] = TAG_BITS
+    __slots__ = ()
+    tag_bits = TAG_BITS
 
-    def __post_init__(self):
-        if not _is_pow2(self.sets):
-            raise GeometryError(f"sets must be a power of two, got {self.sets}")
+    def __new__(cls, sets: int, isa: IsaProfile = ALIGNED4):
+        if not _is_pow2(sets):
+            raise GeometryError(f"sets must be a power of two, got {sets}")
+        return super().__new__(cls, sets, isa)
 
     @property
     def way_widths(self) -> tuple:
@@ -114,8 +117,7 @@ def round_kb(value: float, places: int) -> float:
     return float(decimal.Decimal(repr(value)).quantize(q, rounding=decimal.ROUND_HALF_UP))
 
 
-@dataclass(frozen=True)
-class PdedePreset:
+class PdedePreset(NamedTuple):
     """Published per-budget split for the page/region-deduplicating design.
 
     Its per-field bit layout is not fully itemized anywhere, so capacities
@@ -137,8 +139,7 @@ class PdedePreset:
         return max(1, (self.page_entries - 1).bit_length())
 
 
-@dataclass(frozen=True)
-class BudgetPreset:
+class BudgetPreset(NamedTuple):
     """One canonical budget row: geometry, exact bits, display precision,
     and the published page-dedup split at that budget."""
 
@@ -219,8 +220,7 @@ def btbx_geometry_for_budget(budget_kb: float,
     return best
 
 
-@dataclass(frozen=True)
-class CapacityRow:
+class CapacityRow(NamedTuple):
     """One row of the cross-organization branch-capacity comparison."""
 
     budget_kb: float

@@ -5,8 +5,7 @@ Binary layout (little-endian):
           1 = byte-aligned), reserved u16 = 0, record_count u64
   record: pc u64, target u64, kind u8, taken u8, gap u16, pad u32 = 0
 
-Text form is one JSON object per line: a header object first, then one
-object per record with pc/target as hex strings.
+The text form, one JSON object per line, is read and written by `jsonl`.
 
 The generator builds a fixed static branch set and replays it under a
 round-robin, uniform, or zipf access pattern.  Branch PCs are laid out one
@@ -24,24 +23,22 @@ of them, so a trace of any length is written in constant memory.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import struct
-import tempfile
 from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import accumulate, chain, cycle, islice, starmap
 from operator import add
+from types import SimpleNamespace
 from typing import (Callable, Iterable, Iterator, List, NamedTuple, Optional,
                     Tuple)
 
 from .core import (CALL_BYTES, CALL_KINDS, PROFILES, VA_BITS, BranchKind,
-                   BranchRecord, Fields, IsaProfile, KIND_NAMES,
-                   KINDS_BY_NAME, new_record, profile_for_mode, profile_named)
+                   BranchRecord, Fields, IsaProfile, KIND_NAMES, new_record,
+                   profile_for_mode)
 
 MAGIC = b"BTBT"
 VERSION = 1
@@ -63,8 +60,7 @@ class TraceFormatError(ValueError):
         self.record_index = record_index
 
 
-@dataclass(frozen=True)
-class TraceHeader:
+class TraceHeader(NamedTuple):
     """record_count is None for a text trace whose header declares none."""
 
     isa_mode: int
@@ -75,10 +71,9 @@ class TraceHeader:
         return profile_for_mode(self.isa_mode)
 
 
-@dataclass
-class TraceFile:
-    isa: IsaProfile
-    records: List[BranchRecord]
+class TraceFile(SimpleNamespace):
+    def __init__(self, isa: IsaProfile, records: List[BranchRecord]):
+        super().__init__(isa=isa, records=records)
 
 
 _CHUNK_RECORDS = 1 << 14  # records the binary reader takes at a time
@@ -102,22 +97,20 @@ def write_records(path, isa_mode: int, records: Iterable[Fields],
     """
     isa = profile_for_mode(isa_mode)
     if _is_text(path):
-        return _write_jsonl(path, isa, records, count)
+        from . import jsonl
+        return jsonl.write(path, isa, records, count)
     with open(path, "wb") as fh:
         return _write_binary(fh, isa, records, count)
 
 
-def _open(path):
-    """A trace file opened in the form its extension names."""
-    if _is_text(path):
-        return open(path, "r", encoding="utf-8", errors="surrogateescape")
-    return open(path, "rb")
-
-
 def trace_header(path) -> TraceHeader:
     """The header of a trace of either form, read without its records."""
-    with _open(path) as fh:
-        return (_read_jsonl_header if _is_text(path) else read_header)(fh)
+    if _is_text(path):
+        from . import jsonl
+        with jsonl.open_text(path) as fh:
+            return jsonl.read_header(fh)
+    with open(path, "rb") as fh:
+        return read_header(fh)
 
 
 @contextmanager
@@ -128,19 +121,17 @@ def open_fields(path) -> Iterator[Tuple[TraceHeader, Callable[[], Iterator[Field
     `Fields` from the first record on, a chunk at a time, validated as they
     are read, and builds no record object.  A binary trace streams from its
     own file.  A text trace is parsed and validated once, here, into packed
-    records in an anonymous temporary file, and its header's record_count
-    is then the number of records; a declared count that differs raises
-    here, after the last line.  The passes share one file position, so
-    only one may be read at a time.
+    records in an anonymous temporary file (`jsonl.packed`), and its
+    header's record_count is then the number of records; a declared count
+    that differs raises here, after the last line.  The passes share one
+    file position, so only one may be read at a time.
     """
-    text = _is_text(path)
-    with (tempfile.TemporaryFile() if text else open(path, "rb")) as fh:
-        if text:
-            with _open(path) as lines:
-                header = _read_jsonl_header(lines)
-                _write_binary(fh, header.isa, _jsonl_fields(lines, header),
-                              header.record_count)
-            fh.seek(0)
+    if _is_text(path):
+        from .jsonl import packed
+        opened = packed(path)
+    else:
+        opened = open(path, "rb")
+    with opened as fh:
         header = read_header(fh)
 
         def passes() -> Iterator[Fields]:
@@ -284,116 +275,6 @@ def _checked_record(pc: int, target: int, kind: int, taken: int, gap: int,
         raise TraceFormatError(f"gap {gap} exceeds format limit", index)
 
 
-# -- text (JSON lines) form ---------------------------------------------------
-
-def _write_jsonl(path, isa: IsaProfile, records: Iterable[Fields],
-                 count: Optional[int]) -> int:
-    if count is None:
-        records = list(records)
-        count = len(records)
-    dumps = json.dumps
-    written = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps({"format": "btbt", "version": VERSION,
-                        "isa_mode": isa.name,
-                        "record_count": count}) + "\n")
-        records = iter(records)
-        while lines := [dumps({"pc": hex(pc), "target": hex(target),
-                               "kind": KIND_NAMES[kind],
-                               "taken": taken, "gap": gap}) + "\n"
-                        for pc, target, kind, taken, gap
-                        in islice(records, _PACK_RECORDS)]:
-            fh.write("".join(lines))
-            written += len(lines)
-    if written != count:
-        raise ValueError(f"{path}: header declares {count} records, "
-                         f"{written} were written")
-    return written
-
-
-# JSON type of each record field; pc and target are hex strings.
-_JSONL_FIELDS = {"pc": str, "target": str, "kind": str, "taken": bool, "gap": int}
-
-
-def _jsonl_record(line: str, isa: IsaProfile, index: int) -> Fields:
-    """The checked `Fields` of one record line."""
-    try:
-        obj = json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
-        raise TraceFormatError(str(exc), index) from None
-    if not isinstance(obj, dict):
-        raise TraceFormatError("record is not a JSON object", index)
-    for name, json_type in _JSONL_FIELDS.items():
-        if name not in obj:
-            raise TraceFormatError(f"missing field {name!r}", index)
-        value = obj[name]
-        if (not isinstance(value, json_type)
-                or (json_type is int and isinstance(value, bool))):
-            raise TraceFormatError(
-                f"{name} must be a JSON {json_type.__name__}, got {value!r}", index)
-    try:
-        fields = (int(obj["pc"], 16), int(obj["target"], 16),
-                  KINDS_BY_NAME[obj["kind"]], obj["taken"], obj["gap"])
-    except (KeyError, ValueError) as exc:
-        raise TraceFormatError(f"bad field value: {exc}", index) from None
-    _checked_record(*fields, 0, isa, index)
-    return fields
-
-
-def _utf8(line: str) -> bool:
-    """Whether a line read with errors="surrogateescape" was valid UTF-8:
-    that handler turns each undecodable byte into a lone surrogate, which
-    valid UTF-8 never decodes to."""
-    if line.isascii():
-        return True
-    try:
-        line.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
-def _read_jsonl_header(fh) -> TraceHeader:
-    head_line = fh.readline()
-    if not _utf8(head_line):
-        raise TraceFormatError("bad header line: not valid UTF-8")
-    try:
-        head = json.loads(head_line)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise TraceFormatError(f"bad header line: {exc}") from None
-    if not isinstance(head, dict) or head.get("format") != "btbt":
-        raise TraceFormatError("missing btbt header object")
-    try:
-        isa = profile_named(head.get("isa_mode"))
-    except ValueError as exc:
-        raise TraceFormatError(str(exc)) from None
-    declared = head.get("record_count")
-    if "record_count" in head and (not isinstance(declared, int)
-                                   or isinstance(declared, bool)
-                                   or declared < 0):
-        raise TraceFormatError(
-            f"record_count must be a non-negative JSON int, got {declared!r}")
-    return TraceHeader(isa.mode, declared)
-
-
-def _jsonl_fields(fh, header: TraceHeader) -> Iterator[Fields]:
-    """The checked `Fields` of a text trace's record lines, read after its
-    header line; the declared count is checked after the last line."""
-    isa = header.isa
-    found = 0  # records read so far: the index of the next one
-    for line in fh:
-        if not _utf8(line):
-            raise TraceFormatError("line is not valid UTF-8", found)
-        if not line.strip():
-            continue
-        yield _jsonl_record(line, isa, found)
-        found += 1
-    declared = header.record_count
-    if declared is not None and declared != found:
-        raise TraceFormatError(
-            f"header declares {declared} records, found {found}")
-
-
 # -- synthetic workloads ------------------------------------------------------
 
 # Offset-width class shares for generated working sets.  Short offsets
@@ -429,10 +310,8 @@ class GeneratorSpecError(ValueError):
     """Infeasible or inconsistent generator parameters."""
 
 
-@dataclass
-class GeneratorSpec:
-    static_branches: int
-    records: int
+class GeneratorSpec(SimpleNamespace):
+    # Each default is also a class attribute, which the CLI reads.
     width_buckets: Tuple = DEFAULT_WIDTH_BUCKETS
     kind_mix: Tuple = DEFAULT_KIND_MIX
     taken_rate: float = 0.9
@@ -441,6 +320,18 @@ class GeneratorSpec:
     zipf_s: float = 1.2
     seed: int = 0
     isa_mode: int = 0
+
+    def __init__(self, static_branches: int, records: int,
+                 width_buckets: Tuple = width_buckets,
+                 kind_mix: Tuple = kind_mix, taken_rate: float = taken_rate,
+                 gap_mean: int = gap_mean, pattern: str = pattern,
+                 zipf_s: float = zipf_s, seed: int = seed,
+                 isa_mode: int = isa_mode):
+        super().__init__(
+            static_branches=static_branches, records=records,
+            width_buckets=width_buckets, kind_mix=kind_mix,
+            taken_rate=taken_rate, gap_mean=gap_mean, pattern=pattern,
+            zipf_s=zipf_s, seed=seed, isa_mode=isa_mode)
 
     def validate(self) -> None:
         isa = profile_for_mode(self.isa_mode)
@@ -479,7 +370,7 @@ class GeneratorSpec:
                 raise GeneratorSpecError("zipf_s overflows the weights") from None
 
     def to_dict(self) -> dict:
-        return {**asdict(self),
+        return {**vars(self),
                 "kind_mix": [[KIND_NAMES[k], p] for k, p in self.kind_mix]}
 
 

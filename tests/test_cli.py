@@ -1,8 +1,9 @@
 import argparse
 import ast
 import contextlib
-import dataclasses
+import hashlib
 import importlib
+import inspect
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import GOOD, raw_trace
 from btblab import cli as btblab_cli
+from btblab import jsonl as btblab_jsonl
 from btblab import models as btblab_models
 from btblab import trace as btrace
 from btblab.core import KIND_NAMES, MODEL_NAMES
@@ -101,7 +103,8 @@ class TestGenTrace:
     def test_defaults_are_the_generators(self):
         args = btblab_cli.build_parser().parse_args(
             ["gen-trace", "--branches", "1", "--records", "1", "-o", "ws.btbt"])
-        defaults = {f.name: f.default for f in dataclasses.fields(GeneratorSpec)}
+        defaults = {name: p.default for name, p
+                    in inspect.signature(GeneratorSpec).parameters.items()}
         assert args.pattern.replace("-", "_") == defaults["pattern"]
         for name in ("zipf_s", "taken_rate", "gap_mean", "seed"):
             assert getattr(args, name) == defaults[name], name
@@ -439,8 +442,8 @@ class TestStreamedRuns:
             (workdir / "t.jsonl").write_text(json.dumps(head) + "\n"
                                              + "".join(lines))
         parsed = []
-        parse = btrace._jsonl_record
-        monkeypatch.setattr(btrace, "_jsonl_record",
+        parse = btblab_jsonl._jsonl_record
+        monkeypatch.setattr(btblab_jsonl, "_jsonl_record",
                             lambda *args: parsed.append(None) or parse(*args))
         outputs = {}
         for name in ("t.btbt", "t.jsonl"):
@@ -495,20 +498,43 @@ class TestFuzzedInput:
             assert code == 2 and "btblab: input error:" in err
 
 
+def modules_after(workdir, *commands):
+    """The modules a fresh process has loaded once the CLI has run each of
+    `commands` in `workdir`, every one exiting 0."""
+    script = ("import json, sys\n"
+              "from btblab.cli import main\n"
+              f"codes = [main(args) for args in {list(commands)!r}]\n"
+              "print(json.dumps([codes, sorted(sys.modules)]))\n")
+    res = subprocess.run([sys.executable, "-c", script], cwd=workdir,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    codes, modules = json.loads(res.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    return set(modules)
+
+
 class TestLazyImports:
     def test_gen_trace_loads_no_model_stack(self, workdir):
-        script = ("import json, sys\n"
-                  "from btblab.cli import main\n"
-                  f"code = main({gen_args('ws.btbt')!r})\n"
-                  "print(json.dumps([code, sorted(sys.modules)]))\n")
-        res = subprocess.run([sys.executable, "-c", script], cwd=workdir,
-                             capture_output=True, text=True)
-        assert res.returncode == 0, res.stderr
-        code, modules = json.loads(res.stdout.splitlines()[-1])
-        assert code == 0 and "btblab.trace" in modules
+        modules = modules_after(workdir, gen_args("ws.btbt"))
+        assert "btblab.trace" in modules
         loaded = {"btblab.models", "btblab.sim", "btblab.storage",
-                  "logging"} & set(modules)
+                  "logging"} & modules
         assert not loaded
+
+    def test_binary_gen_trace_loads_no_dataclasses_or_jsonl(self, workdir):
+        modules = modules_after(workdir, gen_args("ws.btbt"))
+        assert not {"dataclasses", "btblab.jsonl"} & modules
+
+    def test_binary_replay_loads_no_dataclasses_or_jsonl(self, workdir):
+        trace = small_trace(workdir)
+        modules = modules_after(
+            workdir,
+            ["simulate", "--model", "btbx", "--budget-kb", "14.5", trace,
+             "-o", "m.json"],
+            ["compare", "--models", ",".join(MODEL_NAMES), "--budget-kb",
+             "14.5", trace, "-o", "c.csv"])
+        assert "btblab.sim" in modules
+        assert not {"dataclasses", "btblab.jsonl"} & modules
 
     def test_capacity_table_warning_reaches_stderr(self, workdir):
         res = cli(["capacity-table", "--budgets", "5"], workdir)
@@ -549,7 +575,7 @@ class TestReadme:
         readme = (Path(__file__).parent.parent / "README.md").read_text(
             encoding="utf-8")
         names = set(re.findall(
-            r"`((?:core|trace|sim|storage|cli|models)(?:\.\w+)+)", readme))
+            r"`((?:core|trace|jsonl|sim|storage|cli|models)(?:\.\w+)+)", readme))
         assert len(names) >= 10
         missing = []
         for name in sorted(names):
@@ -645,3 +671,116 @@ class TestUsage:
         res = cli(["--version"], workdir)
         assert res.returncode == 0
         assert res.stdout.strip()
+
+
+# Commands whose manifests are pinned, each with the output it writes: both
+# trace forms, the default and a custom width/kind mix in both ISAs, and
+# every other command on the traces they make.
+CUSTOM_MIX = ["--dist", "0-6:0.54,7-10:0.22,11-25:0.23,26-46:0.01",
+              "--kind-mix", "cond:0.6,uncond:0.1,call:0.1,ret:0.1,ind:0.1",
+              "--pattern", "zipf", "--zipf-s", "1.1", "--taken-rate", "0.7",
+              "--gap-mean", "5"]
+PINNED_COMMANDS = [
+    *[(gen_args(f"{mix}-{isa}.{form}", extra=["--isa", isa, *extra]),
+       f"{mix}-{isa}.{form}")
+      for mix, extra in (("default", []), ("custom", CUSTOM_MIX))
+      for isa in ("aligned4", "byte") for form in ("btbt", "jsonl")],
+    (["simulate", "--model", "btbx", "--budget-kb", "14.5",
+      "default-aligned4.btbt", "-o", "sim.json"], "sim.json"),
+    (["simulate", "--model", "pdede", "--budget-kb", "0.9296875", "--warmup",
+      "100", "custom-byte.jsonl", "-o", "sim-byte.json"], "sim-byte.json"),
+    (["compare", "--models", ",".join(MODEL_NAMES), "--budget-kb", "14.5",
+      "default-aligned4.btbt", "-o", "cmp.csv"], "cmp.csv"),
+    (["compare", "--models", "btbx,conv", "--budget-kb", "14.875", "--measure",
+      "1000", "custom-byte.jsonl", "-o", "cmp-byte.csv"], "cmp-byte.csv"),
+    (["analyze-offsets", "custom-aligned4.btbt", "-o", "offsets.csv"],
+     "offsets.csv"),
+    (["capacity-table", "--isa", "x86", "-o", "cap-byte.csv"], "cap-byte.csv"),
+    (["capacity-table", "--budgets", "0.90625,14.5", "--isa", "arm64", "-o",
+      "cap.csv"], "cap.csv"),
+]
+HELP_COMMANDS = [[], ["gen-trace"], ["analyze-offsets"], ["capacity-table"],
+                 ["simulate"], ["compare"]]
+
+
+def manifest_digests() -> dict:
+    """SHA-256 of the manifest of each pinned command, run in the working
+    directory."""
+    digests = {}
+    for args, output in PINNED_COMMANDS:
+        assert main_in_process(args) == (0, ""), args
+        digests[output] = hashlib.sha256(
+            Path(f"{output}.manifest.json").read_bytes()).hexdigest()
+    return digests
+
+
+def help_digests() -> dict:
+    """SHA-256 of `btblab --help` and of each command's, at 80 columns."""
+    digests = {}
+    for command in HELP_COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            btblab_cli.main([*command, "--help"])
+        digests[" ".join(["btblab", *command])] = hashlib.sha256(
+            out.getvalue().encode()).hexdigest()
+    return digests
+
+
+# Recorded before the records stopped being dataclasses and the text form
+# moved to `jsonl`; the help texts under Python 3.11's argparse.
+MANIFEST_DIGESTS = {
+    "default-aligned4.btbt":
+        "9a5088155d5cc170322ba77103e85fba5426fb233a091afd787597f6bb5c1574",
+    "default-aligned4.jsonl":
+        "a404b2e9570170e8df6da3cd108d89f9c558c55a19cf0da7afc399b3a849ec58",
+    "default-byte.btbt":
+        "9683f380642f74059066e4cea203926138f433b2ee7fbf491b31ecfd4f19fba9",
+    "default-byte.jsonl":
+        "21001563755c91cf248de4f600150a769f98d597d5c073d70e53c209564f223e",
+    "custom-aligned4.btbt":
+        "b4ecbebd4f73d219e79cfc2a272e576f31abef9d8f11896961af49f768716119",
+    "custom-aligned4.jsonl":
+        "258700cffd4138daa2fd4822a432ea5c278d548219bb162ec981745ed8b76d0a",
+    "custom-byte.btbt":
+        "b84360e37f7bfbc2fe08eebec3087cae33185d79dc1c4089f98da74bf924d04c",
+    "custom-byte.jsonl":
+        "2ae99db4e6a71c2b864fa20a03dfbec2f932c8be8b12113cb0bc83d4cb16f068",
+    "sim.json":
+        "4ef0fa9595205067e6f3c059dc181d0d76450bcacff65acc989f9c4c99b6a41a",
+    "sim-byte.json":
+        "ce4e4932fedc0b5648d542e47124adf48acbb1db78e9a0ccd305a10441b44c70",
+    "cmp.csv":
+        "7e4706f99e66e7d9e1d1b9e6f69a055dc27f5497580b8939e7eae733606ee56a",
+    "cmp-byte.csv":
+        "cafda4882429e0b45b746cc796a773b422e0c5e551e01580747aea7964587082",
+    "offsets.csv":
+        "4e803980a93afffd68702b92879c4449f5b88ec7077e2af48cb775237b3c06d4",
+    "cap-byte.csv":
+        "4e8c605a415d626aa7dced408456966a6740dd1510e75e6838624de48839554b",
+    "cap.csv":
+        "6e3bd940a8fb364e52b33218e87793dc238e71e93a43ecf09988f78d09f6ff10",
+}
+HELP_DIGESTS = {
+    "btblab":
+        "db8e0b72b0280029072f4fd1716e20febaf733992034b8f786c703754d2b380c",
+    "btblab gen-trace":
+        "a8e20560e55f4b169be725d217ee15032d9555483fdca6687ef88a4546a92461",
+    "btblab analyze-offsets":
+        "a7a1b01a07c352c8484b6bbf36d1e99f0561e2b2d903b328f1394a7cbd7804d9",
+    "btblab capacity-table":
+        "42c2aeeb423787077ef7f2ad737919cc76189ab4d91fadf444d8cd61c69aedd4",
+    "btblab simulate":
+        "e580f415ee2d1caa94e7756ed1ff874794f9289ec73ad8bab8bb8556de8c0dd3",
+    "btblab compare":
+        "99264b7cd45b924047143ea99075c21f41d9763fd0327b87838bb68842ac42d4",
+}
+
+
+class TestOutputPins:
+    def test_manifest_bytes(self, workdir, monkeypatch):
+        monkeypatch.chdir(workdir)
+        assert manifest_digests() == MANIFEST_DIGESTS
+
+    def test_help_texts(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert help_digests() == HELP_DIGESTS

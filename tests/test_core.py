@@ -6,10 +6,14 @@ from hypothesis import strategies as st
 
 from btblab import cli
 from btblab.core import (ALIGNED4, BYTE, PROFILES, BranchKind, BranchRecord,
-                         OffsetEncoding, decode_target, encode_offset,
+                         IsaProfile, OffsetEncoding, decode_target, encode_offset,
                          profile_for_mode, profile_named,
                          required_offset_width, xor_fold)
-from btblab.trace import load_trace, write_records
+from btblab.models import UpdateOutcome
+from btblab.sim import Metrics, OffsetHistogram, SimConfig
+from btblab.storage import BtbxGeometry, BudgetPreset, CapacityRow, PdedePreset
+from btblab.trace import (GeneratorSpec, TraceFile, TraceHeader, load_trace,
+                          write_records)
 
 # Worked example: pc/target differ first at bit 5 (1-based); with 4-byte
 # alignment the two trailing zeros are dropped, leaving the 3 bits "110".
@@ -162,3 +166,45 @@ class TestXorFold:
 
     def test_deterministic(self):
         assert xor_fold(0xABCDEF, 12) == xor_fold(0xABCDEF, 12)
+
+
+class TestRecordTypes:
+    """The records compare by value, and the frozen ones cannot change."""
+
+    FROZEN = [
+        (lambda: IsaProfile(0, "aligned4", 2), "align_shift"),
+        (lambda: TraceHeader(0, 5), "record_count"),
+        (lambda: BtbxGeometry(64, BYTE), "sets"),
+        (lambda: PdedePreset(0.90625, 0.078, 0.817, 32.0, 210, 32),
+         "region_entries"),
+        (lambda: BudgetPreset(
+            32, 1, PdedePreset(0.90625, 0.078, 0.817, 32.0, 210, 32)), "pdede"),
+        (lambda: CapacityRow(14.5, "14.5", 118784, 4160, 3190, 1856), "btbx"),
+        (lambda: UpdateOutcome("alloc", "main", 3, True), "victim_valid"),
+    ]
+
+    MUTABLE = [
+        (lambda: SimConfig(warmup_records=5), "debug"),
+        (lambda: Metrics(instructions=9, hits_by_source={"main": 2}),
+         "ras_underflows"),
+        (lambda: OffsetHistogram({0: 1}, 1), "total"),
+        (lambda: TraceFile(ALIGNED4, []), "records"),
+        (lambda: GeneratorSpec(10, 100, pattern="zipf"), "seed"),
+    ]
+
+    @pytest.mark.parametrize("make, field", FROZEN, ids=[
+        type(make()).__name__ for make, _ in FROZEN])
+    def test_frozen_records(self, make, field):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            setattr(a, field, 0)
+        assert a == b
+
+    @pytest.mark.parametrize("make, field", MUTABLE, ids=[
+        type(make()).__name__ for make, _ in MUTABLE])
+    def test_mutable_records(self, make, field):
+        a, b = make(), make()
+        assert a is not b and a == b
+        setattr(a, field, None)
+        assert a != b

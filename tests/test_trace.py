@@ -805,6 +805,20 @@ class TestOpenFields:
         assert all(type(fields) is tuple for fields in first)
         assert first == second == loaded
 
+    def test_a_pass_writes_the_text_of_the_loaded_records(self, path,
+                                                           tmp_path):
+        """Raw fields, whose kind and taken flag are int codes, write the
+        same text as the records they load as, which reads back equal."""
+        loaded = load_trace(path)
+        with open_fields(path) as (header, passes):
+            write_records(tmp_path / "raw.jsonl", header.isa_mode, passes(),
+                          header.record_count)
+        write_records(tmp_path / "loaded.jsonl", header.isa_mode,
+                      loaded.records)
+        assert ((tmp_path / "raw.jsonl").read_bytes()
+                == (tmp_path / "loaded.jsonl").read_bytes())
+        assert load_trace(tmp_path / "raw.jsonl") == loaded
+
 
 class TestLargeTrace:
     def test_million_record_stream_round_trip(self, tmp_path):
