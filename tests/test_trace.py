@@ -4,6 +4,7 @@ import json
 import random
 import struct
 import tracemalloc
+from itertools import starmap
 from pathlib import Path
 
 import pytest
@@ -600,6 +601,25 @@ PINNED_DIGESTS = {
     "call-ret.jsonl": "48714d50d68bea60bf5f9b88d9dc4e8deb0f13f654cf1a2f378d112e6939c4af",
     "wide-byte.btbt": "36a8daf8c7535ed3385c5f2dc3ed185465ffa177fdf12014662d49915db5f6b0",
 }
+# The two benchmark `gen-trace` specs at full scale, hashed as the packed
+# records of the `gen_fields` stream (no header): zipf over 16000 branches
+# with s = 1.0 for 16000 records, and round robin over 3000 branches for
+# 60000 records, each at two seeds in both ISA modes.
+BENCH_SPECS = {
+    "zipf16k": dict(static_branches=16_000, records=16_000, pattern="zipf",
+                    zipf_s=1.0),
+    "rr3k": dict(static_branches=3000, records=60_000, pattern="round_robin"),
+}
+BENCH_DIGESTS = {
+    ("zipf16k", 0, 0): "8cecb410c668e63f4cd45b45932fa7de0e459e779c6ece7f5f039f27732196df",
+    ("zipf16k", 0, 1): "33f7d46ee5bdc065347eb798a3f3936d3ce3a9a259d93fd89cc7547fafa8dc52",
+    ("zipf16k", 5, 0): "8dbecd1b45f781f859aac23d201023449a2f025a0dc728d424c1008fddd4de19",
+    ("zipf16k", 5, 1): "7b4c71af81b21f656be4b48e0eb84a14dd2fb919930829da754edb393492ccf1",
+    ("rr3k", 0, 0): "76b056adb0db8641f52286b2d8ddf4fd4b72f6957080e272473893f047517f45",
+    ("rr3k", 0, 1): "1fe1194d9b6bb7732ba74098729106593a2cc6095e935ef2cbef1485f74d46bc",
+    ("rr3k", 5, 0): "238cfa37d9f61414b1aee99b61875de7c5c7951e464983e154105888ebf79f03",
+    ("rr3k", 5, 1): "36f6b01c6bba9a731b4583cfa5e9e978080b268e23d1b694b71743bc8f7a4738",
+}
 
 
 def pinned_spec(name):
@@ -629,6 +649,14 @@ class TestPinnedGenerator:
                          "--seed", "3", "--isa", "byte", "-o", str(path)]) == 0
         assert (hashlib.sha256(path.read_bytes()).hexdigest()
                 == PINNED_DIGESTS["rr-byte.btbt"])
+
+    @pytest.mark.parametrize("name, seed, isa_mode", sorted(BENCH_DIGESTS))
+    def test_bench_scale_fields_match_pinned_digest(self, name, seed, isa_mode):
+        spec = GeneratorSpec(seed=seed, isa_mode=isa_mode, **BENCH_SPECS[name])
+        digest = hashlib.sha256()
+        for record in starmap(btrace._FIELDS.pack, gen_fields(spec)):
+            digest.update(record)
+        assert digest.hexdigest() == BENCH_DIGESTS[name, seed, isa_mode]
 
     @pytest.mark.parametrize("name", sorted(PINNED_SPECS))
     def test_records_are_the_generated_fields(self, name):
