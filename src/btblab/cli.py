@@ -25,7 +25,8 @@ from . import __version__
 from .core import (KINDS_BY_NAME, MODEL_NAMES, PROFILES, ConfigError,
                    InvariantError, profile_named)
 from .trace import (PATTERNS, GeneratorSpec, GeneratorSpecError,
-                    TraceFormatError, gen_fields, trace_header, write_records)
+                    TraceFormatError, gen_fields, open_output, trace_header,
+                    write_records)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,7 +70,7 @@ def write_manifest(output_path, command: str, config: dict,
         "outputs": {str(output_path): _sha256(output_path)},
     }
     path = f"{output_path}.manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -122,7 +123,7 @@ def _write_text(path: Optional[str], text: str, command: str, config: dict,
                 inputs: Optional[List[str]] = None) -> None:
     """Write a report to `path` and its manifest beside it, or to stdout."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_output(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         write_manifest(path, command, config, inputs)
     else:

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Optional
 
 from .core import Fields, IsaProfile, KIND_NAMES, KINDS_BY_NAME, profile_named
 from .trace import (_PACK_RECORDS, VERSION, TraceFormatError, TraceHeader,
-                    _checked_record, _write_binary)
+                    _checked_record, _write_binary, open_output)
 
 
 def open_text(path):
@@ -39,7 +39,7 @@ def write(path, isa: IsaProfile, records: Iterable[Fields],
         count = len(records)
     dumps = json.dumps
     written = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path, "w", encoding="utf-8") as fh:
         fh.write(dumps({"format": "btbt", "version": VERSION,
                         "isa_mode": isa.name,
                         "record_count": count}) + "\n")
@@ -52,9 +52,9 @@ def write(path, isa: IsaProfile, records: Iterable[Fields],
                         in islice(records, _PACK_RECORDS)]:
             fh.write("".join(lines))
             written += len(lines)
-    if written != count:
-        raise ValueError(f"{path}: header declares {count} records, "
-                         f"{written} were written")
+        if written != count:
+            raise ValueError(f"{path}: header declares {count} records, "
+                             f"{written} were written")
     return written
 
 

@@ -59,6 +59,11 @@ class BtbxGeometry(_BtbxShape):
             raise GeometryError(f"sets must be a power of two, got {sets}")
         return super().__new__(cls, sets, isa)
 
+    @classmethod
+    def _make(cls, iterable) -> "BtbxGeometry":
+        # NamedTuple's `_make`, which `_replace` calls, skips `__new__`.
+        return cls(*iterable)
+
     @property
     def way_widths(self) -> tuple:
         return WAY_WIDTHS[self.isa]

@@ -24,14 +24,14 @@ of them, so a trace of any length is written in constant memory.
 from __future__ import annotations
 
 import math
+import os
 import random
 import struct
 from array import array
 from bisect import bisect_left
-from contextlib import contextmanager
-from functools import partial
-from itertools import accumulate, chain, cycle, islice, starmap
-from operator import add
+from contextlib import contextmanager, suppress
+from itertools import accumulate, chain, cycle, islice, repeat, starmap
+from operator import add, truediv
 from types import SimpleNamespace
 from typing import (Callable, Iterable, Iterator, List, NamedTuple, Optional,
                     Tuple)
@@ -84,13 +84,36 @@ def _is_text(path) -> bool:
     return str(path).endswith((".jsonl", ".json"))
 
 
+@contextmanager
+def open_output(path, mode: str = "wb", **options) -> Iterator:
+    """`open(path, mode, **options)` for writing, under a temporary name in
+    `path`'s directory: the file is moved onto `path` once the block
+    completes, and removed if it raises, so `path` is never left partial.
+    A path that exists but is no regular file, such as /dev/null, is
+    written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **options) as fh:
+            yield fh
+        return
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, mode, **options) as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(temporary)
+        raise
+
+
 def write_records(path, isa_mode: int, records: Iterable[Fields],
                   count: Optional[int] = None) -> int:
     """Stream records to a trace file and return how many were written.
 
     Each record is read positionally, so `BranchRecord`s and plain field
     tuples write the same bytes.  A .jsonl/.json path selects the text
-    form, any other the binary form.
+    form, any other the binary form.  The file appears under `path` only
+    once it is complete (`open_output`).
     `count` is the header's record count: the binary writer patches it
     afterwards when it is missing or wrong, while the text form needs it up
     front, so without it the records are gathered into a list first.
@@ -99,7 +122,7 @@ def write_records(path, isa_mode: int, records: Iterable[Fields],
     if _is_text(path):
         from . import jsonl
         return jsonl.write(path, isa, records, count)
-    with open(path, "wb") as fh:
+    with open_output(path) as fh:
         return _write_binary(fh, isa, records, count)
 
 
@@ -416,40 +439,51 @@ class StaticBranch(NamedTuple):
     stored_width: int
 
 
-# Builds a StaticBranch from its fields' tuple in C, as `new_record` does.
-_new_static = partial(tuple.__new__, StaticBranch)
-
-
-def build_static_branches(spec: GeneratorSpec) -> List[StaticBranch]:
+def _static_fields(spec: GeneratorSpec) -> List[tuple]:
+    """The static branch set as the record loop reads it, one tuple (pc,
+    target, kind, is conditional, is a return, is a call, stored width) per
+    branch, built in one pass over the dealt kind and width classes.  Each
+    branch draws its width from its bucket (`_below`, inlined), then,
+    unless the width is 0, the low bits of its offset."""
     spec.validate()
-    isa = profile_for_mode(spec.isa_mode)
+    shift = profile_for_mode(spec.isa_mode).align_shift
     getrandbits = random.Random(spec.seed).getrandbits
     n = spec.static_branches
-    kinds = [spec.kind_mix[i][0]
-             for i in _deal([p for _, p in spec.kind_mix], n)]
-    # (lowest width, number of widths) of each bucket
-    spans = [(lo, hi - lo + 1) for lo, hi, _ in spec.width_buckets]
-    buckets = [spans[i] for i in _deal([p for _, _, p in spec.width_buckets], n)]
-    shift = isa.align_shift
+    kinds = [(kind, kind is BranchKind.CONDITIONAL, kind is BranchKind.RETURN,
+              kind in CALL_KINDS) for kind, _ in spec.kind_mix]
+    # (lowest width, number of widths, bits a draw takes) of each bucket
+    spans = [(lo, hi - lo + 1, (hi - lo + 1).bit_length())
+             for lo, hi, _ in spec.width_buckets]
+    classes = zip(map(kinds.__getitem__, _deal([p for _, p in spec.kind_mix], n)),
+                  map(spans.__getitem__,
+                      _deal([p for _, _, p in spec.width_buckets], n)))
     # One branch per page keeps target pages distinct, and the +1 moves each
     # branch to the next line within its page.  Set indices do not reach
     # every set: the stride shares a factor with many set counts (ROADMAP.md,
     # item 2).
     stride = (1 << (12 - shift)) + 1
-    branches = []
-    for j, kind, (lo, span) in zip(range(n), kinds, buckets):
-        line = BASE_LINE + j * stride
+    statics = []
+    append = statics.append
+    line = BASE_LINE
+    for (kind, is_cond, is_ret, is_call), (lo, span, bits) in classes:
         pc = line << shift
-        width = lo + _below(getrandbits, span)
-        if kind is BranchKind.RETURN:
-            width = RETURN_FALLBACK_WIDTH  # placeholder; real targets come from pairing
+        r = getrandbits(bits)
+        while r >= span:
+            r = getrandbits(bits)
+        # a return's width is a placeholder; real targets come from pairing
+        width = RETURN_FALLBACK_WIDTH if is_ret else lo + r
         if width == 0:
             target = pc
         else:
-            flip = (1 << (width - 1)) | getrandbits(width - 1)
-            target = (line ^ flip) << shift
-        branches.append(_new_static((pc, target, kind, width)))
-    return branches
+            target = (line ^ (1 << (width - 1)) ^ getrandbits(width - 1)) << shift
+        append((pc, target, kind, is_cond, is_ret, is_call, width))
+        line += stride
+    return statics
+
+
+def build_static_branches(spec: GeneratorSpec) -> List[StaticBranch]:
+    return [StaticBranch(pc, target, kind, width)
+            for pc, target, kind, _, _, _, width in _static_fields(spec)]
 
 
 def _index_stream(spec: GeneratorSpec, rng: random.Random) -> Iterator[int]:
@@ -460,10 +494,11 @@ def _index_stream(spec: GeneratorSpec, rng: random.Random) -> Iterator[int]:
     if spec.pattern == "uniform":
         getrandbits = rng.getrandbits
         return (_below(getrandbits, n) for _ in range(records))
-    # zipf over branch index (lower index = hotter)
-    cum = list(accumulate(1.0 / (r + 1) ** spec.zipf_s for r in range(n)))
-    total, draw = cum[-1], rng.random
-    return (bisect_left(cum, draw() * total) for _ in range(records))
+    # zipf over branch index (lower index = hotter): rank r weighs 1 / r**s
+    cum = list(accumulate(map(truediv, repeat(1.0),
+                              map(pow, range(1, n + 1), repeat(spec.zipf_s)))))
+    draws = starmap(rng.random, repeat((), records))
+    return map(bisect_left, repeat(cum), map(cum[-1].__rmul__, draws))
 
 
 def gen_fields(spec: GeneratorSpec) -> Iterator[Fields]:
@@ -475,10 +510,7 @@ def gen_fields(spec: GeneratorSpec) -> Iterator[Fields]:
     branch index (uniform and zipf only), the gap, then the direction of a
     conditional branch.
     """
-    # (pc, target, kind, is conditional, is a return, is a call)
-    statics = [(pc, target, kind, kind is BranchKind.CONDITIONAL,
-                kind is BranchKind.RETURN, kind in CALL_KINDS)
-               for pc, target, kind, _ in build_static_branches(spec)]
+    statics = _static_fields(spec)
     rng = random.Random(spec.seed + 1)  # stream draws, distinct from static draws
     getrandbits, draw = rng.getrandbits, rng.random
     taken_rate = spec.taken_rate
@@ -488,7 +520,7 @@ def gen_fields(spec: GeneratorSpec) -> Iterator[Fields]:
     # returns), so it holds packed u64s rather than int objects.
     shadow = array("Q")
     for idx in _index_stream(spec, rng):
-        pc, target, kind, is_cond, is_ret, is_call = statics[idx]
+        pc, target, kind, is_cond, is_ret, is_call, _ = statics[idx]
         gap = 0
         if gaps > 1:  # _below(getrandbits, gaps), inlined
             gap = getrandbits(gap_bits)

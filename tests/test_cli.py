@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,25 @@ class TestGenTrace:
                 == (workdir / "b" / "ws.btbt").read_bytes())
         assert ((workdir / "a" / "ws.btbt.manifest.json").read_bytes()
                 == (workdir / "b" / "ws.btbt.manifest.json").read_bytes())
+
+    @pytest.mark.parametrize("name", ["ws.btbt", "ws.jsonl"])
+    @pytest.mark.parametrize("existing", [None, b"an earlier trace"])
+    def test_failure_mid_stream_leaves_no_partial_output(
+            self, workdir, monkeypatch, capsys, name, existing):
+        def failing(spec):  # two binary blocks' worth of records, then a fault
+            yield from islice(btrace.gen_fields(spec), 2 * btrace._PACK_RECORDS)
+            raise OSError("device full")
+
+        monkeypatch.setattr(btblab_cli, "gen_fields", failing)
+        path = workdir / name
+        if existing is not None:
+            path.write_bytes(existing)
+        assert btblab_cli.main(gen_args(str(path), records=20_000)) == 2
+        assert "device full" in capsys.readouterr().err
+        assert [p.name for p in workdir.iterdir()] == ([] if existing is None
+                                                       else [name])
+        if existing is not None:
+            assert path.read_bytes() == existing
 
     def test_bad_dist_is_usage_error(self, workdir):
         res = cli(gen_args("ws.btbt", extra=["--dist", "nonsense"]), workdir)

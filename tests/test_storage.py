@@ -54,6 +54,14 @@ class TestGeometryValidation:
         with pytest.raises(GeometryError):
             BtbxGeometry(sets=48)
 
+    def test_replace_and_make_check_the_set_count(self):
+        with pytest.raises(GeometryError):
+            BtbxGeometry(64)._replace(sets=3)
+        with pytest.raises(GeometryError):
+            BtbxGeometry._make((5, ALIGNED4))
+        assert BtbxGeometry(64)._replace(sets=128) == BtbxGeometry(128)
+        assert type(BtbxGeometry._make((8, BYTE))) is BtbxGeometry
+
     def test_tiny_geometry_keeps_one_companion_slot(self):
         assert BtbxGeometry(sets=2).xc_entries == 1
 

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import os
 import random
 import struct
 import tracemalloc
@@ -90,6 +91,14 @@ class TestBinaryFormat:
         assert n == 321
         assert trace_header(path).record_count == 321
         assert len(load_trace(path).records) == 321
+
+    def test_path_to_a_device_written_in_place(self, tmp_path):
+        # A complete file replaces a regular output; a device stays itself.
+        link = tmp_path / "null.btbt"
+        link.symlink_to(os.devnull)
+        spec = GeneratorSpec(static_branches=10, records=50, seed=1)
+        assert write_records(link, 0, gen_fields(spec), spec.records) == 50
+        assert link.is_symlink() and sorted(tmp_path.iterdir()) == [link]
 
 
 CHUNK = btrace._CHUNK_RECORDS
@@ -729,6 +738,14 @@ class TestStreamingGenTrace:
         # A list of 10x the records would add megabytes; the shadow call
         # stack's slow growth (about 1% of records) stays well below this.
         assert large - small < 256 * 1024, (small, large)
+
+    def test_static_set_built_once(self):
+        # Building the static set is all a first record costs.  One list of
+        # 7-tuples, their pcs and targets, measures about 185 B per branch;
+        # a second list of the same branches (as once built) adds about 70.
+        spec = GeneratorSpec(static_branches=50_000, records=1, seed=1)
+        peak = traced_peak(lambda: next(gen_fields(spec)))
+        assert peak < 200 * spec.static_branches, peak
 
     def test_binary_writer_packs_small_blocks(self, tmp_path):
         # One block of 4096 packed records peaks at about 0.7 MB under
