@@ -742,7 +742,8 @@ class TestStreamingGenTrace:
     def test_static_set_built_once(self):
         # Building the static set is all a first record costs.  One list of
         # 7-tuples, their pcs and targets, measures about 185 B per branch;
-        # a second list of the same branches (as once built) adds about 70.
+        # keeping a second list of the branches as `StaticBranch`es reads
+        # about 250.
         spec = GeneratorSpec(static_branches=50_000, records=1, seed=1)
         peak = traced_peak(lambda: next(gen_fields(spec)))
         assert peak < 200 * spec.static_branches, peak
