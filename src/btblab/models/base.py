@@ -80,11 +80,16 @@ def outcome_table(structure: str, slots: int) -> dict:
 INVALID = -1  # tag of an empty way: folded tags, page bits and regions are >= 0
 
 
+MEMO_LINES = 1 << 14  # the most lines a LineMemo stores
+
+
 class LineMemo(dict):
     """line -> (set, tag) of one table.  A line's set and tag are computed
-    on its first probe and kept for the life of the table, so the memo grows
-    with the distinct lines seen, not with the number of probes, and a probe
-    is `s, tag = memo[line]`."""
+    on its first probe and kept for the life of the table, so a probe is
+    `s, tag = memo[line]`.  The memo stores the first MEMO_LINES distinct
+    lines it sees and no more: a later line's set and tag are computed on
+    each of its probes, so memory stays bounded however large the code
+    footprint, and the early (hot) lines stay memoized."""
 
     __slots__ = ("sets", "tag_bits")
 
@@ -93,7 +98,9 @@ class LineMemo(dict):
         self.sets, self.tag_bits = sets, tag_bits
 
     def __missing__(self, line: int):
-        st = self[line] = self.set_tag(line)
+        st = self.set_tag(line)
+        if len(self) < MEMO_LINES:
+            self[line] = st
         return st
 
     def set_tag(self, line: int):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Optional
 
-from ..core import ALIGNED4, RETURN, Fields, IsaProfile
+from ..core import ALIGNED4, RETURN, Fields, IsaProfile, required_offset_width
 from ..storage import BtbxGeometry
 from .base import (BtbModel, InvariantError, Prediction, SetArray,
                    UpdateOutcome, new_prediction, outcome_table)
@@ -40,12 +40,14 @@ class BtbX(BtbModel):
         self._xc_out = outcome_table("xc", n)
         self._caps = (self.sets,) * self.ways  # every way holds one entry per set
         self._offset = self._grid(0)
-        self._req_width = self._grid(0)
         # `_pred` holds the prediction an entry decodes to for the pc that
         # wrote it, and `_owner` that pc; another pc with the same set and
         # tag decodes its own.
         self._owner = self._grid(None)
-        self._xc = SetArray(n, 1, XC_TAG_BITS)  # direct-mapped: one way
+        # Direct-mapped: one way.  It is probed only after a main-array
+        # miss, and computes each probe's slot and tag (`set_tag`) rather
+        # than keeping a second memo of every line.
+        self._xc = SetArray(n, 1, XC_TAG_BITS)
         self._xc.changes = self.changes
         self._xc_pred = [None] * n  # full targets: the same for every pc
 
@@ -61,9 +63,8 @@ class BtbX(BtbModel):
         return new_prediction((target, kind, self._sources[way]))
 
     def _write(self, pc: int, s: int, way: int, kind: int,
-               target: int, req: int) -> None:
+               target: int) -> None:
         self._offset[s][way] = (target >> self._shift) & ((1 << self.widths[way]) - 1)
-        self._req_width[s][way] = req
         self._owner[s][way] = pc
         self._pred[s][way] = self._predict(pc, s, way, kind)
 
@@ -82,7 +83,7 @@ class BtbX(BtbModel):
             if self._owner[s][way] == pc:
                 return self._pred[s][way]
             return self._predict(pc, s, way, self._pred[s][way].kind)
-        slot, xtag = self._xc.memo[line]
+        slot, xtag = self._xc.set_tag(line)
         if self._xc.tags[slot][0] == xtag:  # direct-mapped: one way
             return self._xc_pred[slot]
         return None
@@ -103,7 +104,7 @@ class BtbX(BtbModel):
             if kind == RETURN:
                 if stored.kind == RETURN:
                     return self._hit[way]
-                self._write(pc, s, way, kind, target, 0)
+                self._write(pc, s, way, kind, target)
                 return self._rewrite[way]
             if stored.kind == kind and pred.target == target:
                 return self._hit[way]
@@ -111,7 +112,7 @@ class BtbX(BtbModel):
             req = n - self._shift if n else 0
             if req <= self.widths[way]:
                 # Target changed but still fits this way: refresh in place.
-                self._write(pc, s, way, kind, target, req)
+                self._write(pc, s, way, kind, target)
                 return self._rewrite[way]
             # Outgrew its way: drop the entry and re-allocate.
             main.invalidate(s, way)
@@ -120,7 +121,7 @@ class BtbX(BtbModel):
         # stores no offset bits.
         n = 0 if kind == RETURN else (pc ^ target).bit_length()
         req = n - self._shift if n else 0
-        slot, xtag = self._xc.memo[line]
+        slot, xtag = self._xc.set_tag(line)
         if self._xc.tags[slot][0] == xtag:
             self.predicted = stored = self._xc_pred[slot]
             if stored.kind == kind and stored.target == target:
@@ -143,12 +144,12 @@ class BtbX(BtbModel):
         # Way widths never decrease, so the ways wide enough are a suffix.
         first = bisect_left(self.widths, req)
         if first == self.ways:
-            slot, xtag = xc or self._xc.memo[pc >> self._shift]
+            slot, xtag = xc or self._xc.set_tag(pc >> self._shift)
             _, victim_valid = self._xc.fill(slot, xtag)
             self._xc_pred[slot] = new_prediction((target, kind, "xc"))
             return self._xc_out[outcome][slot][victim_valid]
         way, victim_valid = self._main.fill(s, tag, first)
-        self._write(pc, s, way, kind, target, req)
+        self._write(pc, s, way, kind, target)
         return self._out[outcome][way][victim_valid]
 
     def occupancy_items(self):
@@ -161,14 +162,16 @@ class BtbX(BtbModel):
         self._xc.check()
         for s, way in self._main.occupied():
             width = self.widths[way]
-            if self._req_width[s][way] > width:
+            owner, pred = self._owner[s][way], self._pred[s][way]
+            req = (0 if pred.target is None
+                   else required_offset_width(owner, pred.target, self.isa))
+            if req > width:
                 raise InvariantError(
-                    f"set {s} way {way}: stored width {self._req_width[s][way]} "
-                    f"exceeds way width {width}")
+                    f"set {s} way {way}: its owner's target needs {req} "
+                    f"offset bits, more than the way's {width}")
             if self._offset[s][way] >> width:
                 raise InvariantError(f"set {s} way {way}: offset field overflow")
-            pred = self._pred[s][way]
-            if pred != self._predict(self._owner[s][way], s, way, pred.kind):
+            if pred != self._predict(owner, s, way, pred.kind):
                 raise InvariantError(f"set {s} way {way}: stored prediction "
                                      f"{pred} differs from its payload")
         for slot, _ in self._xc.occupied():

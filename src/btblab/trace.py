@@ -76,12 +76,36 @@ class TraceFile(SimpleNamespace):
         super().__init__(isa=isa, records=records)
 
 
-_CHUNK_RECORDS = 1 << 14  # records the binary reader takes at a time
-_PACK_RECORDS = 1 << 12  # records either writer formats and writes at a time
+_CHUNK_RECORDS = 1 << 12  # records the binary reader takes at a time
+_PACK_RECORDS = 1 << 10  # records either writer formats and writes at a time
 
 
 def _is_text(path) -> bool:
     return str(path).endswith((".jsonl", ".json"))
+
+
+def _remove_stale_temporaries(path) -> None:
+    """Remove each `<path>.<pid>.tmp` whose writer no longer runs, as one
+    killed outright leaves it.  A file whose pid runs, or cannot be
+    checked, is kept."""
+    directory, name = os.path.split(os.fspath(path))
+    prefix = f"{name}."
+    try:
+        entries = os.listdir(directory or ".")
+    except OSError:
+        return  # opening the output reports what is wrong with it
+    for entry in entries:
+        pid = entry[len(prefix):-len(".tmp")]
+        if not (entry.startswith(prefix) and entry.endswith(".tmp")
+                and pid.isdecimal()):
+            continue
+        try:
+            os.kill(int(pid), 0)  # signal 0: only checks that pid runs
+        except ProcessLookupError:
+            with suppress(OSError):
+                os.remove(os.path.join(directory, entry))
+        except (OSError, OverflowError):
+            pass  # it runs under another user, or is no pid at all
 
 
 @contextmanager
@@ -89,12 +113,14 @@ def open_output(path, mode: str = "wb", **options) -> Iterator:
     """`open(path, mode, **options)` for writing, under a temporary name in
     `path`'s directory: the file is moved onto `path` once the block
     completes, and removed if it raises, so `path` is never left partial.
-    A path that exists but is no regular file, such as /dev/null, is
-    written in place."""
+    Temporary files of `path` that earlier writers killed outright left
+    behind are removed first.  A path that exists but is no regular file,
+    such as /dev/null, is written in place."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, mode, **options) as fh:
             yield fh
         return
+    _remove_stale_temporaries(path)
     temporary = f"{path}.{os.getpid()}.tmp"
     try:
         with open(temporary, mode, **options) as fh:

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,12 +9,12 @@ from conftest import rec, taken_branch_trace
 from btblab.core import (ALIGNED4, BYTE, MODEL_NAMES, BranchKind, IsaProfile,
                          xor_fold)
 from btblab.models import ConfigError, build_model
-from btblab.models.base import InvariantError, LineMemo, SetArray
+from btblab.models.base import MEMO_LINES, InvariantError, SetArray
 from btblab.models.btbx import BtbX
 from btblab.models.conv import ConvBtb
 from btblab.models.paged import PdedeBtb, RBtb
 from btblab import storage
-from btblab.sim import SimConfig
+from btblab.sim import SimConfig, run
 from btblab.storage import BtbxGeometry, arm64_geometry
 from btblab.trace import GeneratorSpec, gen_records
 
@@ -215,6 +216,53 @@ class TestLocateMemo:
         assert len(table.memo) == len(set(lines))
         table.check()
 
+    def test_memo_stops_storing_at_its_bound(self):
+        sets, tag_bits = 64, 12
+        table = SetArray(sets, 4, tag_bits)
+        lines = range(1 << 20, (1 << 20) + MEMO_LINES + 100)
+        for line in [*lines, *lines]:  # the second pass reads stored lines
+            assert table.memo[line] == (line % sets,
+                                        xor_fold(line // sets, tag_bits))
+        assert len(table.memo) == MEMO_LINES
+        assert all(line in table.memo for line in lines[:MEMO_LINES])
+        table.check()
+
+    def test_btbx_companion_keeps_no_memo(self):
+        m = BtbX(BtbxGeometry(sets=8))
+        spec = GeneratorSpec(static_branches=200, records=3000,
+                             pattern="uniform", seed=5,
+                             width_buckets=((0, 6, 0.5), (7, 20, 0.3),
+                                            (21, 30, 0.2)))
+        run(m, list(gen_records(spec)))
+        assert m.occupancy_items()[-1][1] > 0  # the companion holds entries
+        assert len(m._xc.memo) == 0 and len(m._main.memo) > 0
+        m.check_invariants()
+
+    @staticmethod
+    def round_robin(lines, passes=2):
+        """Taken branches on `lines` distinct lines, visited in turn; every
+        eighth target is too far for the main array's widest way."""
+        for _ in range(passes):
+            for i in range(lines):
+                pc = ((1 << 22) + 1025 * i) << 2
+                far = 40 if i % 8 == 0 else 6
+                yield pc, pc ^ (1 << far), BranchKind.CONDITIONAL, True, 0
+
+    def test_btbx_memory_flat_past_the_bound(self):
+        """Ten times the distinct lines add at most the bound's worth of
+        memo: 1 << 14 lines at about 200 B each."""
+        peaks = []
+        for lines in (4_000, 40_000):
+            tracemalloc.start()
+            try:
+                m = build_model("btbx", budget_kb=0.9)
+                for record in self.round_robin(lines):
+                    m.commit_update(record)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 3.3e6, peaks
+
     def test_check_rejects_corrupted_memo(self):
         table = SetArray(64, 4, 12)
         s, tag = table.memo[0x12345]
@@ -307,6 +355,18 @@ class TestStoredPredictions:
                 m.check_invariants()
 
 
+    def test_btbx_check_rejects_an_owner_whose_target_outgrows_its_way(self):
+        m = BtbX(arm64_geometry(32))
+        pc, target = pair_with_width(1 << 20, 9)
+        m.commit_update(rec(pc, target))
+        m.check_invariants()
+        s, tag = m._main.memo[pc >> 2]
+        way = m._main.probe(s, tag)
+        m._owner[s][way] = pc ^ (1 << 40)  # its target needs 39 offset bits
+        with pytest.raises(InvariantError, match="offset bits"):
+            m.check_invariants()
+
+
 def churn_models():
     return [BtbX(BtbxGeometry(sets=8)), ConvBtb(entries=32),
             RBtb(main_entries=32, page_entries=4),
@@ -371,15 +431,13 @@ class TestProbeReuse:
     def test_btbx_one_companion_probe_per_record(self):
         m = BtbX(arm64_geometry(32))
         lines = []
+        set_tag = m._xc.set_tag
 
-        class CountingMemo(LineMemo):
-            __slots__ = ()
+        def counting_set_tag(line):
+            lines.append(line)
+            return set_tag(line)
 
-            def __getitem__(self, line):
-                lines.append(line)
-                return LineMemo.__getitem__(self, line)
-
-        m._xc.memo = CountingMemo(m._xc.sets, m._xc.tag_bits)
+        m._xc.set_tag = counting_set_tag
         wide = rec(0x1000, 0x1000 ^ (1 << 40))  # wider than way 7
         assert m.commit_update(wide).structure == "xc"
         assert m.predicted is None

@@ -4,6 +4,8 @@ import json
 import os
 import random
 import struct
+import subprocess
+import sys
 import tracemalloc
 from itertools import starmap
 from pathlib import Path
@@ -99,6 +101,22 @@ class TestBinaryFormat:
         spec = GeneratorSpec(static_branches=10, records=50, seed=1)
         assert write_records(link, 0, gen_fields(spec), spec.records) == 50
         assert link.is_symlink() and sorted(tmp_path.iterdir()) == [link]
+
+    def test_temporary_of_a_writer_gone_removed(self, tmp_path):
+        # A writer killed outright leaves <path>.<pid>.tmp; the next write
+        # to that path removes it once no process has that pid.
+        dead = subprocess.Popen([sys.executable, "-S", "-c", "pass"])
+        dead.wait()  # reaped, so its pid no longer runs
+        path = tmp_path / "t.btbt"
+        gone = tmp_path / f"t.btbt.{dead.pid}.tmp"
+        live = tmp_path / f"t.btbt.{os.getppid()}.tmp"
+        other = tmp_path / f"u.btbt.{dead.pid}.tmp"  # another output's
+        for left in (gone, live, other):
+            left.write_bytes(b"partial")
+        spec = GeneratorSpec(static_branches=10, records=50, seed=1)
+        assert write_records(path, 0, gen_fields(spec), spec.records) == 50
+        assert sorted(tmp_path.iterdir()) == sorted([path, live, other])
+        assert live.read_bytes() == b"partial"
 
 
 CHUNK = btrace._CHUNK_RECORDS
