@@ -354,7 +354,6 @@ class TestStoredPredictions:
             with pytest.raises(InvariantError, match="prediction"):
                 m.check_invariants()
 
-
     def test_btbx_check_rejects_an_owner_whose_target_outgrows_its_way(self):
         m = BtbX(arm64_geometry(32))
         pc, target = pair_with_width(1 << 20, 9)
