@@ -314,6 +314,9 @@ class TestProfile:
 
 
 CHUNK = btrace._CHUNK_RECORDS
+# The reader's first chunk boundary, and one several chunks into the file.
+LATER = 1 << 14
+assert LATER % CHUNK == 0 and LATER > CHUNK
 
 
 class TestStreamedPath:
@@ -324,9 +327,9 @@ class TestStreamedPath:
                     ids=lambda isa: isa.name)
     def traces(self, request, tmp_path_factory):
         """{records: (path, loaded TraceFile)}: one trace a little longer
-        than a chunk, and a short one for invariant-checked runs."""
+        than several chunks, and a short one for invariant-checked runs."""
         isa, out = request.param, {}
-        for records in (CHUNK + 16, 1000):
+        for records in (LATER + 16, 1000):
             spec = GeneratorSpec(static_branches=300, records=records,
                                  pattern="uniform", taken_rate=0.7, seed=9,
                                  isa_mode=isa.mode)
@@ -341,13 +344,12 @@ class TestStreamedPath:
         return run(model, trace, config).to_dict()
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    @pytest.mark.parametrize("warmup, measure", [
-        (None, None),
-        (CHUNK - 1, None), (CHUNK, None), (CHUNK + 1, None),
-        (0, CHUNK - 1), (0, CHUNK), (0, CHUNK + 1),
-    ])
+    @pytest.mark.parametrize("warmup, measure", [(None, None)] + [
+        case for b in (CHUNK, LATER) for case in (
+            (b - 1, None), (b, None), (b + 1, None),
+            (0, b - 1), (0, b), (0, b + 1))])
     def test_path_equals_loaded_records(self, traces, name, warmup, measure):
-        path, loaded = traces[CHUNK + 16]
+        path, loaded = traces[LATER + 16]
         config = SimConfig(warmup_records=warmup, measure_records=measure)
         assert (self.metrics(name, path, loaded.isa, config)
                 == self.metrics(name, loaded, loaded.isa, config))

@@ -120,6 +120,11 @@ class TestBinaryFormat:
 
 
 CHUNK = btrace._CHUNK_RECORDS
+# The reader's first chunk boundary, and one several chunks into the file,
+# where its running offsets have moved on.
+LATER = 1 << 14
+assert LATER % CHUNK == 0 and LATER > CHUNK
+BOUNDARIES = (CHUNK, LATER)
 
 
 def decoded(read, path):
@@ -152,32 +157,36 @@ MISALIGNED = (0x1001,) + GOOD[1:]
 
 
 class TestChunkedDecode:
-    @pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("count", [
+        count for b in BOUNDARIES for count in (b - 1, b, b + 1)])
     def test_counts_around_the_chunk_size(self, tmp_path, count):
         path = tmp_path / "t.btbt"
         path.write_bytes(raw_trace([GOOD] * count))
         status, header, records = agree(path)
         assert status == "ok" and len(records) == header.record_count == count
 
-    @pytest.mark.parametrize("index", [CHUNK - 1, CHUNK])
+    @pytest.mark.parametrize("index", [
+        index for b in BOUNDARIES for index in (b - 1, b)])
     def test_defect_on_either_side_of_a_chunk_boundary(self, tmp_path, index):
-        records = [GOOD] * (CHUNK + 2)
+        records = [GOOD] * (index + 3)
         records[index] = MISALIGNED
         path = tmp_path / "t.btbt"
         path.write_bytes(raw_trace(records))
         assert agree(path)[2] == index
 
     @pytest.mark.parametrize("count, cut, index", [
-        (CHUNK + 1, 5, CHUNK),        # final record cut short
-        (CHUNK + 1, RECORD_BYTES, CHUNK),  # file ends on the chunk boundary
-        (CHUNK, 1, CHUNK - 1),        # last record of a full chunk cut short
-    ])
+        case for b in BOUNDARIES for case in (
+            (b + 1, 5, b),        # final record cut short
+            (b + 1, RECORD_BYTES, b),  # file ends on the chunk boundary
+            (b, 1, b - 1),        # last record of a full chunk cut short
+        )])
     def test_truncated_final_record(self, tmp_path, count, cut, index):
         path = tmp_path / "t.btbt"
         path.write_bytes(raw_trace([GOOD] * count, cut=cut))
         assert agree(path) == ("error", f"record {index}: truncated record", index)
 
-    @pytest.mark.parametrize("count", [CHUNK - 1, CHUNK])
+    @pytest.mark.parametrize("count", [
+        count for b in BOUNDARIES for count in (b - 1, b)])
     def test_trailing_bytes(self, tmp_path, count):
         path = tmp_path / "t.btbt"
         path.write_bytes(raw_trace([GOOD] * count, tail=b"\x00"))
