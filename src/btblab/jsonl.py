@@ -110,6 +110,10 @@ def read_header(fh) -> TraceHeader:
         raise TraceFormatError(f"bad header line: {exc}") from None
     if not isinstance(head, dict) or head.get("format") != "btbt":
         raise TraceFormatError("missing btbt header object")
+    # A header may leave out its version; one it states is the JSON int 1.
+    version = head.get("version", VERSION)
+    if type(version) is not int or version != VERSION:
+        raise TraceFormatError(f"unsupported version {version!r}")
     try:
         isa = profile_named(head.get("isa_mode"))
     except ValueError as exc:

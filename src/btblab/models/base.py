@@ -206,7 +206,8 @@ class BtbModel:
     `sets` x `ways` in `self._main`, the prediction sources "way0", "way1",
     ..., the main array's outcome table, and one stored prediction per way
     in `self._pred`.  An organization adds its sizing rule, its other
-    payload lists (see `_grid`) and its placement policy.
+    payload lists (see `_grid`), its placement policy and, where a hit's
+    target is rebuilt or needs a live link, its `_predict_at`.
 
     A taken branch costs one call.  `commit_update` probes the main array
     (btbx also its companion), applies the recency touch a lookup's hit
@@ -240,7 +241,25 @@ class BtbModel:
         return [[value] * self.ways for _ in range(self.sets)]
 
     def lookup(self, pc: int) -> Optional[Prediction]:
-        raise NotImplementedError
+        """The front end's probe: the main array's tag search, then what the
+        hit way predicts for pc (`_predict_at`).  A hit that predicts
+        something becomes its set's most recently used way."""
+        main = self._main
+        s, tag = main.memo[pc >> self._shift]
+        row = main.tags[s]
+        if tag not in row:
+            return None
+        way = row.index(tag)
+        pred = self._predict_at(pc, s, way)
+        if pred is not None:
+            main.stamps[s][way] = main.clock = main.clock + 1
+        return pred
+
+    def _predict_at(self, pc: int, s: int, way: int) -> Optional[Prediction]:
+        """What the entry at (s, way) predicts for pc, or None when a link
+        it needs has died (a miss, never a wrong target).  By default, the
+        prediction stored with the entry."""
+        return self._pred[s][way]
 
     def commit_update(self, record: Fields) -> UpdateOutcome:
         raise NotImplementedError

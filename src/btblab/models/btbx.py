@@ -70,23 +70,20 @@ class BtbX(BtbModel):
 
     # -- model interface ----------------------------------------------------
 
+    def _predict_at(self, pc: int, s: int, way: int) -> Prediction:
+        if self._owner[s][way] == pc:
+            return self._pred[s][way]
+        return self._predict(pc, s, way, self._pred[s][way].kind)
+
     def lookup(self, pc: int) -> Optional[Prediction]:
-        main = self._main
-        line = pc >> self._shift
-        s, tag = main.memo[line]
-        row = main.tags[s]
-        if tag in row:
-            # All ways and the companion are probed in parallel; a main-array
-            # hit wins over a simultaneous companion hit.
-            way = row.index(tag)
-            main.stamps[s][way] = main.clock = main.clock + 1
-            if self._owner[s][way] == pc:
-                return self._pred[s][way]
-            return self._predict(pc, s, way, self._pred[s][way].kind)
-        slot, xtag = self._xc.set_tag(line)
-        if self._xc.tags[slot][0] == xtag:  # direct-mapped: one way
-            return self._xc_pred[slot]
-        return None
+        # All ways and the companion are probed in parallel; a main-array
+        # hit, never None here, wins over a simultaneous companion hit.
+        pred = super().lookup(pc)
+        if pred is None:
+            slot, xtag = self._xc.set_tag(pc >> self._shift)
+            if self._xc.tags[slot][0] == xtag:  # direct-mapped: one way
+                return self._xc_pred[slot]
+        return pred
 
     def commit_update(self, record: Fields) -> UpdateOutcome:
         main = self._main

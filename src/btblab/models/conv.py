@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..core import ALIGNED4, RETURN, Fields, IsaProfile
 from ..storage import conv_tag_bits
-from .base import (BtbModel, InvariantError, Prediction, UpdateOutcome,
-                   divisor_ways, new_prediction)
+from .base import (BtbModel, InvariantError, UpdateOutcome, divisor_ways,
+                   new_prediction)
 
 
 class ConvBtb(BtbModel):
@@ -32,16 +30,6 @@ class ConvBtb(BtbModel):
         ways = divisor_ways(entries)
         super().__init__(entries // ways, ways, conv_tag_bits(isa), isa)
         self.entries = entries
-
-    def lookup(self, pc: int) -> Optional[Prediction]:
-        main = self._main
-        s, tag = main.memo[pc >> self._shift]
-        row = main.tags[s]
-        if tag not in row:
-            return None
-        way = row.index(tag)
-        main.stamps[s][way] = main.clock = main.clock + 1
-        return self._pred[s][way]
 
     def commit_update(self, record: Fields) -> UpdateOutcome:
         main = self._main

@@ -57,25 +57,15 @@ class RBtb(BtbModel):
         self._pt_gen = [0] * page_entries
         self._pt_map = OrderedDict()  # page number -> slot
 
-    def _live(self, s: int, way: int) -> bool:
-        """Whether an entry needs no page (a return) or its page pointer's
-        generation still matches the slot's.  A pointer's generation is at
-        least 1, so it never matches a slot that is still empty."""
+    def _predict_at(self, pc: int, s: int, way: int) -> Optional[Prediction]:
+        """The stored prediction, if the entry needs no page (a return) or
+        its page pointer's generation still matches the slot's.  A pointer's
+        generation is at least 1, so it never matches a slot that is still
+        empty.  The stored target is absolute, so pc plays no part."""
         ptr = self._page_ptr[s][way]
-        return ptr == NO_PAGE or self._pt_gen[ptr] == self._page_gen[s][way]
-
-    def lookup(self, pc: int) -> Optional[Prediction]:
-        main = self._main
-        s, tag = main.memo[pc >> self._shift]
-        row = main.tags[s]
-        if tag not in row:
-            return None
-        way = row.index(tag)
-        ptr = self._page_ptr[s][way]
-        if ptr != NO_PAGE and self._pt_gen[ptr] != self._page_gen[s][way]:
-            return None  # dangling page pointer: miss, never a wrong target
-        main.stamps[s][way] = main.clock = main.clock + 1
-        return self._pred[s][way]
+        if ptr == NO_PAGE or self._pt_gen[ptr] == self._page_gen[s][way]:
+            return self._pred[s][way]
+        return None  # dangling page pointer: miss, never a wrong target
 
     def commit_update(self, record: Fields) -> UpdateOutcome:
         main = self._main
@@ -137,12 +127,12 @@ class RBtb(BtbModel):
             if (page != INVALID) != (self._pt_map.get(page) == slot):
                 raise InvariantError(f"page map out of sync at slot {slot}")
         for s, way in self._main.occupied():
-            if not self._live(s, way):
+            pred = self._predict_at(None, s, way)
+            if pred is None:
                 continue
             ptr = self._page_ptr[s][way]
             target = (None if ptr == NO_PAGE else
                       (self._pt_page[ptr] << self.page_shift) | self._in_off[s][way])
-            pred = self._pred[s][way]
             if (pred.target != target or pred.source != self._sources[way]
                     or (pred.kind == RETURN) != (ptr == NO_PAGE)):
                 raise InvariantError(f"set {s} way {way}: stored prediction "
@@ -243,13 +233,6 @@ class PdedeBtb(BtbModel):
         self._pt_rgen[ptr] = rgen
         return ptr, self._pt_gen[ptr]
 
-    def _live(self, s: int, way: int) -> bool:
-        """Whether a different-page entry's page link, and that page slot's
-        region link, still hold."""
-        ptr = self._page_ptr[s][way]
-        return (self._pt_gen[ptr] == self._page_gen[s][way]
-                and self._rt_gen[self._pt_rptr[ptr]] == self._pt_rgen[ptr])
-
     # -- main table -------------------------------------------------------
 
     def _same_page_prediction(self, pc: int, s: int, way: int) -> Prediction:
@@ -260,19 +243,17 @@ class PdedeBtb(BtbModel):
                   ((pc >> self.page_shift) << self.page_shift) | self._in_off[s][way])
         return new_prediction((target, kind, self._sources[way]))
 
-    def lookup(self, pc: int) -> Optional[Prediction]:
-        main = self._main
-        s, tag = main.memo[pc >> self._shift]
-        row = main.tags[s]
-        if tag not in row:
-            return None
-        way = row.index(tag)
-        same = self._page_ptr[s][way] == NO_PAGE
-        if not same and not self._live(s, way):
+    def _predict_at(self, pc: int, s: int, way: int) -> Optional[Prediction]:
+        """A same-page or return entry rebuilds its target from pc; a
+        different-page entry's stored target holds while its page link, and
+        that page slot's region link, still do."""
+        ptr = self._page_ptr[s][way]
+        if ptr == NO_PAGE:
+            if self._owner[s][way] != pc:
+                return self._same_page_prediction(pc, s, way)
+        elif (self._pt_gen[ptr] != self._page_gen[s][way]
+              or self._rt_gen[self._pt_rptr[ptr]] != self._pt_rgen[ptr]):
             return None  # stale page or region link: miss, never a wrong target
-        main.stamps[s][way] = main.clock = main.clock + 1
-        if same and self._owner[s][way] != pc:
-            return self._same_page_prediction(pc, s, way)
         return self._pred[s][way]
 
     def _write(self, s: int, way: int, pc: int, target: int, kind: int,
@@ -306,14 +287,8 @@ class PdedeBtb(BtbModel):
             return self._allocate(pc, target, kind, s, tag, same, "alloc")
         way = row.index(tag)
         # A stale page or region link is a lookup miss and never a hit.
+        self.predicted = pred = self._predict_at(pc, s, way)
         ptr = self._page_ptr[s][way]
-        if ptr != NO_PAGE and not self._live(s, way):
-            pred = None
-        elif ptr == NO_PAGE and self._owner[s][way] != pc:
-            pred = self._same_page_prediction(pc, s, way)
-        else:
-            pred = self._pred[s][way]
-        self.predicted = pred
         if not same and way < self.reserved_ways:
             # Target moved off-page but a reserved way cannot hold the
             # pointer: drop the entry and re-allocate in a general way.
@@ -353,7 +328,7 @@ class PdedeBtb(BtbModel):
             pred = self._pred[s][way]
             if same:
                 rebuilt = self._same_page_prediction(self._owner[s][way], s, way)
-            elif self._live(s, way):
+            elif self._predict_at(None, s, way) is not None:
                 page = self._page_slot_number(self._page_ptr[s][way])
                 rebuilt = Prediction((page << self.page_shift) | self._in_off[s][way],
                                      pred.kind, self._sources[way])

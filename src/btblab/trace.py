@@ -458,13 +458,6 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     return r
 
 
-class StaticBranch(NamedTuple):
-    pc: int
-    target: int
-    kind: BranchKind
-    stored_width: int
-
-
 def _static_fields(spec: GeneratorSpec) -> List[tuple]:
     """The static branch set as the record loop reads it, one tuple (pc,
     target, kind, is conditional, is a return, is a call, stored width) per
@@ -505,11 +498,6 @@ def _static_fields(spec: GeneratorSpec) -> List[tuple]:
         append((pc, target, kind, is_cond, is_ret, is_call, width))
         line += stride
     return statics
-
-
-def build_static_branches(spec: GeneratorSpec) -> List[StaticBranch]:
-    return [StaticBranch(pc, target, kind, width)
-            for pc, target, kind, _, _, _, width in _static_fields(spec)]
 
 
 def _index_stream(spec: GeneratorSpec, rng: random.Random) -> Iterator[int]:

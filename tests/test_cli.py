@@ -262,6 +262,18 @@ class TestSimulate:
         assert res.returncode == 2, res.stderr
         assert message in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("version", ["2", '"1"', "true", "1.0"])
+    def test_unsupported_jsonl_version_exit_2(self, workdir, version):
+        (workdir / "v.jsonl").write_text(
+            f'{{"format": "btbt", "version": {version}, "isa_mode": "aligned4"}}\n'
+            '{"pc": "0x1000", "target": "0x2000", "kind": "cond", '
+            '"taken": true, "gap": 0}\n')
+        res = cli(["simulate", "--model", "conv", "--budget-kb", "0.9",
+                   "v.jsonl"], workdir)
+        assert res.returncode == 2, res.stderr
+        assert "unsupported version" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_repeat_runs_identical(self, workdir):
         cli(gen_args("ws.btbt", branches=200, records=4000), workdir)
         outs = []
@@ -624,6 +636,40 @@ class TestStdlibOnly:
                 foreign += [f"{path.name}: {name}" for name in names
                             if name.partition(".")[0] not in allowed]
         assert not foreign
+
+
+class TestUnusedImports:
+    def test_every_import_is_used_or_exported(self):
+        """Each name a package module imports is read somewhere in that
+        module or listed in its literal `__all__`, so a name left behind
+        when its last use goes fails here rather than lingering."""
+        import btblab
+        unused = []
+        for path in sorted(Path(btblab.__file__).parent.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        bound = alias.asname or alias.name.partition(".")[0]
+                        imported[bound] = node.lineno
+                elif (isinstance(node, ast.ImportFrom)
+                      and node.module != "__future__"):
+                    for alias in node.names:
+                        imported[alias.asname or alias.name] = node.lineno
+            used = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+            for node in tree.body:
+                if (isinstance(node, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__all__"
+                                for t in node.targets)
+                        and isinstance(node.value, (ast.List, ast.Tuple))):
+                    used.update(elt.value for elt in node.value.elts
+                                if isinstance(elt, ast.Constant))
+            unused += [f"{path.name}:{line}: {name}"
+                       for name, line in sorted(imported.items())
+                       if name not in used]
+        assert not unused
 
 
 class TestUsage:

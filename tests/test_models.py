@@ -655,6 +655,70 @@ class TestPdede:
         assert m.lookup(near.pc) is not None  # reserved ways unaffected
 
 
+def main_recency(m, pc):
+    """The main array's clock and the recency stamps of pc's set."""
+    s, _ = m._main.memo[pc >> m._shift]
+    return m._main.clock, list(m._main.stamps[s])
+
+
+class TestLookupRecency:
+    """A lookup's live hit makes its way the most recently used; a probe
+    that meets a dead link, or hits only btbx's companion, changes no
+    recency in the main array."""
+
+    @pytest.mark.parametrize("model, far", [
+        (lambda: ConvBtb(64), True), (lambda: RBtb(64, 8), True),
+        (lambda: PdedeBtb(64, 32), True), (lambda: PdedeBtb(64, 32), False),
+        (lambda: BtbX(arm64_geometry(32)), False)],
+        ids=["conv", "rbtb", "pdede-far", "pdede-near", "btbx"])
+    def test_live_hit_stamps_its_way_with_the_new_clock(self, model, far):
+        m = model()
+        pc = 0x1000
+        target = (900 << 12) | 0x24 if far else pc + 0x40
+        m.commit_update(rec(pc, target))
+        m.commit_update(rec(pc + 4 * m.sets, target))  # same set
+        s, tag = m._main.memo[pc >> m._shift]
+        way = m._main.tags[s].index(tag)
+        clock, stamps = main_recency(m, pc)
+        assert m.lookup(pc).target == target
+        assert m._main.clock == clock + 1
+        stamps[way] = clock + 1
+        assert main_recency(m, pc) == (clock + 1, stamps)
+
+    def test_rbtb_dead_page_link_touches_nothing(self):
+        m = RBtb(main_entries=64, page_entries=1)
+        a = rec(0x1000, (5 << 12) | 0x10)
+        m.commit_update(a)
+        m.commit_update(rec(0x2000, (6 << 12) | 0x20))  # refills the page slot
+        before = main_recency(m, a.pc)
+        assert m.lookup(a.pc) is None
+        assert main_recency(m, a.pc) == before
+
+    @pytest.mark.parametrize("link", ["page", "region"])
+    def test_pdede_dead_link_touches_nothing(self, link):
+        if link == "page":  # one page slot, so the second page refills it
+            m = PdedeBtb(main_entries=64, page_entries=1)
+            targets = [(900 << 12) | 0x24, (901 << 12) | 0x24]
+        else:  # five regions over four region slots refill the first's
+            m = PdedeBtb(main_entries=64, page_entries=32, region_entries=4)
+            targets = [(i + 1) << 20 | 0x10 for i in range(5)]
+        a = rec(0x1000, targets[0])
+        for i, target in enumerate(targets):
+            m.commit_update(rec(a.pc + 8 * i, target))
+        before = main_recency(m, a.pc)
+        assert m.lookup(a.pc) is None
+        assert main_recency(m, a.pc) == before
+
+    def test_btbx_companion_hit_leaves_main_clock(self):
+        m = BtbX(arm64_geometry(32))
+        pc, target = pair_with_width(1 << 20, 26)
+        m.commit_update(rec(0x1000, 0x1040))  # a main-array entry
+        m.commit_update(rec(pc, target))  # too wide: the companion
+        before = main_recency(m, pc)
+        assert m.lookup(pc).source == "xc"
+        assert main_recency(m, pc) == before
+
+
 class TestConservationAndDeterminism:
     @pytest.mark.parametrize("name", ["conv", "rbtb", "pdede", "btbx"])
     def test_random_churn_keeps_invariants(self, name):

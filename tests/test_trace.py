@@ -21,9 +21,9 @@ from btblab import cli
 from btblab import trace as btrace
 from btblab.core import CALL_KINDS, BranchKind, BranchRecord, new_record
 from btblab.trace import (RECORD_BYTES, GeneratorSpec, GeneratorSpecError,
-                          TraceFormatError, build_static_branches, gen_fields,
-                          gen_records, generate, load_trace, open_fields,
-                          save_trace, trace_header, write_records)
+                          TraceFormatError, gen_fields, gen_records, generate,
+                          load_trace, open_fields, save_trace, trace_header,
+                          write_records)
 
 
 @pytest.fixture
@@ -367,6 +367,27 @@ class TestJsonlFormat:
             load_trace(path)
         assert err.value.record_index is None
 
+    @pytest.mark.parametrize("version", ["2", '"1"', "true", "1.0", "null"])
+    def test_version_other_than_json_int_1_rejected(self, tmp_path, version):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"format": "btbt", "isa_mode": "aligned4", '
+                        f'"version": {version}}}\n'
+                        '{"pc": "0x1000", "target": "0x2000", "kind": "cond", '
+                        '"taken": true, "gap": 3}\n')
+        for read in (trace_header, load_trace):
+            with pytest.raises(TraceFormatError, match="unsupported version") as err:
+                read(path)
+            assert err.value.record_index is None
+
+    @pytest.mark.parametrize("version", ["", ', "version": 1'])
+    def test_header_with_version_1_or_none_loads(self, tmp_path, version):
+        path = tmp_path / "t.jsonl"
+        path.write_text(f'{{"format": "btbt", "isa_mode": "aligned4"{version}}}\n'
+                        '{"pc": "0x1000", "target": "0x2000", "kind": "cond", '
+                        '"taken": true, "gap": 3}\n')
+        assert trace_header(path).record_count is None
+        assert len(load_trace(path).records) == 1
+
     def test_blank_line_does_not_shift_the_record_index(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"format": "btbt", "isa_mode": "aligned4"}\n\n'
@@ -417,7 +438,7 @@ JSONL_HEADERS = st.fixed_dictionaries(
     {"format": st.sampled_from(["btbt", "btbt", "x"]) | JSON_VALUES},
     optional={"isa_mode": st.sampled_from(["aligned4", "byte"]) | JSON_VALUES,
               "record_count": st.integers(0, 3) | JSON_VALUES,
-              "version": JSON_VALUES})
+              "version": st.just(1) | JSON_VALUES})
 JSONL_RECORDS = st.fixed_dictionaries(
     {}, optional={"pc": st.sampled_from(["0x1000", "0x2000"]) | JSON_VALUES,
                   "target": st.sampled_from(["0x1000", "0x2000"]) | JSON_VALUES,
@@ -491,10 +512,10 @@ class TestGenerator:
         spec = GeneratorSpec(static_branches=100_000, records=1,
                              width_buckets=buckets,
                              kind_mix=((BranchKind.CONDITIONAL, 1.0),))
-        statics = build_static_branches(spec)
+        statics = btrace._static_fields(spec)  # stored width at index 6
         n = len(statics)
         for lo, hi, p in buckets:
-            share = sum(lo <= b.stored_width <= hi for b in statics) / n
+            share = sum(lo <= b[6] <= hi for b in statics) / n
             assert share == pytest.approx(p, abs=0.015)
 
     def test_all_return_spec(self):
@@ -540,8 +561,8 @@ class TestGenerator:
                 assert load_trace(tmp_path / name).records == trace.records
 
     def test_static_pcs_distinct_pages(self):
-        statics = build_static_branches(GeneratorSpec(static_branches=3000, records=1))
-        pages = {b.pc >> 12 for b in statics}
+        statics = btrace._static_fields(GeneratorSpec(static_branches=3000, records=1))
+        pages = {b[0] >> 12 for b in statics}  # pc at index 0
         assert len(pages) == 3000
 
     def test_gap_mean(self):
@@ -596,8 +617,8 @@ class TestGenerator:
         counts = {}
         for r in gen_records(spec):
             counts[r.pc] = counts.get(r.pc, 0) + 1
-        statics = build_static_branches(spec)
-        assert counts[statics[0].pc] > 10 * counts.get(statics[99].pc, 1)
+        statics = btrace._static_fields(spec)  # pc at index 0
+        assert counts[statics[0][0]] > 10 * counts.get(statics[99][0], 1)
 
 
 # Generator specs whose traces were hashed before the generator was rewritten
@@ -769,8 +790,8 @@ class TestStreamingGenTrace:
     def test_static_set_built_once(self):
         # Building the static set is all a first record costs.  One list of
         # 7-tuples, their pcs and targets, measures about 185 B per branch;
-        # keeping a second list of the branches as `StaticBranch`es reads
-        # about 250.
+        # keeping a second list of the branches as named tuples reads about
+        # 250.
         spec = GeneratorSpec(static_branches=50_000, records=1, seed=1)
         peak = traced_peak(lambda: next(gen_fields(spec)))
         assert peak < 200 * spec.static_branches, peak
