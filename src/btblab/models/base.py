@@ -1,11 +1,15 @@
 """Shared lookup/update contract and set-associative tables for all BTB models.
 
-Every organization exposes the same two entry points.  `commit_update(record)`
-is the only path that changes contents, driven by taken branches at commit:
-it first does what the front end's probe of that branch would do, leaving
-the result in `predicted`, then commits.  `lookup(pc)` is that probe on its
-own, for a branch that is not taken (it may refresh recency on a valid hit
-but never allocates or evicts).  The record is a tuple
+Every organization exposes the same two entry points, written in `BtbModel`.
+`commit_update(record)` is the only path that changes contents, driven by
+taken branches at commit: it first does what the front end's probe of that
+branch would do, leaving the result in `predicted`, then commits.
+`lookup(pc)` is that probe on its own, for a branch that is not taken (it
+may refresh recency on a valid hit but never allocates or evicts).  An
+organization states what an entry stores: how a hit rebuilds its target
+(`_predict_at`), and how an entry is written (`_write`), changed
+(`_change`) and placed (`_miss`).  btbx adds its companion to `lookup`;
+pdede keeps its own `commit_update`.  The record is a tuple
 `pc, target, kind, taken, gap`, read positionally: a `BranchRecord` or the
 raw fields of a binary trace, whose kind is a plain int code.  So kinds
 compare by value, with `core.RETURN` and `core.CALL_KINDS`.
@@ -16,7 +20,7 @@ from __future__ import annotations
 from functools import partial
 from typing import NamedTuple, Optional
 
-from ..core import Fields, InvariantError, IsaProfile, xor_fold
+from ..core import RETURN, Fields, InvariantError, IsaProfile, xor_fold
 
 
 class Prediction(NamedTuple):
@@ -206,13 +210,16 @@ class BtbModel:
     `sets` x `ways` in `self._main`, the prediction sources "way0", "way1",
     ..., the main array's outcome table, and one stored prediction per way
     in `self._pred`.  An organization adds its sizing rule, its other
-    payload lists (see `_grid`), its placement policy and, where a hit's
-    target is rebuilt or needs a live link, its `_predict_at`.
+    payload lists (see `_grid`) and, where a hit's target is rebuilt or
+    needs a live link, its `_predict_at`; it overrides `_write`, `_change`
+    or `_miss` where an entry stores more than its prediction, a changed
+    target may outgrow its way, or a new entry has a placement policy.
 
-    A taken branch costs one call.  `commit_update` probes the main array
-    (btbx also its companion), applies the recency touch a lookup's hit
-    would, and leaves in `predicted` exactly what `lookup(pc)` would have
-    returned just before it; then it commits.  A lookup's touch followed by
+    A taken branch costs one call.  `commit_update` probes the main array,
+    applies the recency touch a lookup's hit would, and leaves in
+    `predicted` exactly what `lookup(pc)` would have returned just before
+    it (btbx's `_miss` fills in its companion's hit); then it commits: a
+    hit, a `_change` of the entry, or a `_miss`.  A lookup's touch followed by
     the commit's touch of the same way leaves the same LRU order as the one
     touch, so a model driven by commits alone goes through the same states
     and outcomes as one that is also looked up before each commit.
@@ -262,7 +269,40 @@ class BtbModel:
         return self._pred[s][way]
 
     def commit_update(self, record: Fields) -> UpdateOutcome:
-        raise NotImplementedError
+        """Probe as `lookup(pc)` would and leave its result in `predicted`;
+        a hit needs that prediction's kind and, but for a return, target.
+        Else `_change` the entry, or on a tag miss place it with `_miss`."""
+        main = self._main
+        pc, target, kind, _, _ = record
+        s, tag = main.memo[pc >> self._shift]
+        row = main.tags[s]
+        if tag not in row:
+            self.predicted = None
+            return self._miss(pc, target, kind, s, tag)
+        way = row.index(tag)
+        main.stamps[s][way] = main.clock = main.clock + 1
+        self.predicted = pred = self._predict_at(pc, s, way)
+        if pred is not None and pred.kind == kind and (
+                kind == RETURN or pred.target == target):
+            return self._hit[way]
+        return self._change(pc, target, kind, s, tag, way)
+
+    def _miss(self, pc: int, target: int, kind: int, s: int, tag: int):
+        """Fill the set's LRU way and `_write` it."""
+        way, victim_valid = self._main.fill(s, tag)
+        self._write(s, way, pc, target, kind)
+        return self._alloc[way][victim_valid]
+
+    def _change(self, pc: int, target: int, kind: int, s: int, tag: int,
+                way: int):
+        """Rewrite the entry in place."""
+        self._write(s, way, pc, target, kind)
+        return self._rewrite[way]
+
+    def _write(self, s: int, way: int, pc: int, target: int, kind: int):
+        """Store the entry; a return takes its target from the RAS."""
+        self._pred[s][way] = new_prediction(
+            (None if kind == RETURN else target, kind, self._sources[way]))
 
     def occupancy_items(self):
         """[(structure name, currently valid entries, capacity), ...]"""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Optional
 
-from ..core import ALIGNED4, RETURN, Fields, IsaProfile, required_offset_width
+from ..core import ALIGNED4, RETURN, IsaProfile, required_offset_width
 from ..storage import BtbxGeometry
 from .base import (BtbModel, InvariantError, Prediction, SetArray,
                    UpdateOutcome, new_prediction, outcome_table)
@@ -62,8 +62,7 @@ class BtbX(BtbModel):
                   else self._decode(pc, way, self._offset[s][way]))
         return new_prediction((target, kind, self._sources[way]))
 
-    def _write(self, pc: int, s: int, way: int, kind: int,
-               target: int) -> None:
+    def _write(self, s: int, way: int, pc: int, target: int, kind: int):
         self._offset[s][way] = (target >> self._shift) & ((1 << self.widths[way]) - 1)
         self._owner[s][way] = pc
         self._pred[s][way] = self._predict(pc, s, way, kind)
@@ -85,40 +84,24 @@ class BtbX(BtbModel):
                 return self._xc_pred[slot]
         return pred
 
-    def commit_update(self, record: Fields) -> UpdateOutcome:
-        main = self._main
-        pc, target, kind, _, _ = record
-        line = pc >> self._shift
-        s, tag = main.memo[line]
-        row = main.tags[s]
-        if tag in row:
-            way = row.index(tag)
-            main.stamps[s][way] = main.clock = main.clock + 1
-            stored = self._pred[s][way]
-            self.predicted = pred = (
-                stored if self._owner[s][way] == pc
-                else self._predict(pc, s, way, stored.kind))
-            if kind == RETURN:
-                if stored.kind == RETURN:
-                    return self._hit[way]
-                self._write(pc, s, way, kind, target)
-                return self._rewrite[way]
-            if stored.kind == kind and pred.target == target:
-                return self._hit[way]
-            n = (pc ^ target).bit_length()  # required_offset_width, inlined
-            req = n - self._shift if n else 0
-            if req <= self.widths[way]:
-                # Target changed but still fits this way: refresh in place.
-                self._write(pc, s, way, kind, target)
-                return self._rewrite[way]
-            # Outgrew its way: drop the entry and re-allocate.
-            main.invalidate(s, way)
-            return self._allocate(pc, target, kind, s, tag, req, "migrate")
+    def _change(self, pc: int, target: int, kind: int, s: int, tag: int,
+                way: int):
+        n = 0 if kind == RETURN else (pc ^ target).bit_length()
+        req = n - self._shift if n else 0  # required_offset_width, inlined
+        if req <= self.widths[way]:
+            # Target changed but still fits this way: refresh in place.
+            self._write(s, way, pc, target, kind)
+            return self._rewrite[way]
+        # Outgrew its way: drop the entry and re-allocate.
+        self._main.invalidate(s, way)
+        return self._allocate(pc, target, kind, s, tag, req, "migrate")
+
+    def _miss(self, pc: int, target: int, kind: int, s: int, tag: int):
         # Not in the main array, so the companion is probed; a return
         # stores no offset bits.
         n = 0 if kind == RETURN else (pc ^ target).bit_length()
         req = n - self._shift if n else 0
-        slot, xtag = self._xc.set_tag(line)
+        slot, xtag = self._xc.set_tag(pc >> self._shift)
         if self._xc.tags[slot][0] == xtag:
             self.predicted = stored = self._xc_pred[slot]
             if stored.kind == kind and stored.target == target:
@@ -130,7 +113,6 @@ class BtbX(BtbModel):
                 return self._allocate(pc, target, kind, s, tag, req, "migrate")
             self._xc_pred[slot] = new_prediction((target, kind, "xc"))
             return self._xc_out["rewrite"][slot]
-        self.predicted = None
         return self._allocate(pc, target, kind, s, tag, req, "alloc",
                               (slot, xtag))
 
@@ -146,7 +128,7 @@ class BtbX(BtbModel):
             self._xc_pred[slot] = new_prediction((target, kind, "xc"))
             return self._xc_out[outcome][slot][victim_valid]
         way, victim_valid = self._main.fill(s, tag, first)
-        self._write(pc, s, way, kind, target)
+        self._write(s, way, pc, target, kind)
         return self._out[outcome][way][victim_valid]
 
     def occupancy_items(self):
@@ -155,7 +137,7 @@ class BtbX(BtbModel):
         return items
 
     def check_invariants(self):
-        self._main.check()
+        super().check_invariants()
         self._xc.check()
         for s, way in self._main.occupied():
             width = self.widths[way]

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from ..core import ALIGNED4, RETURN, Fields, IsaProfile
+from ..core import ALIGNED4, RETURN, IsaProfile
 from ..storage import conv_tag_bits
-from .base import (BtbModel, InvariantError, UpdateOutcome, divisor_ways,
-                   new_prediction)
+from .base import BtbModel, InvariantError, divisor_ways
 
 
 class ConvBtb(BtbModel):
@@ -31,32 +30,11 @@ class ConvBtb(BtbModel):
         super().__init__(entries // ways, ways, conv_tag_bits(isa), isa)
         self.entries = entries
 
-    def commit_update(self, record: Fields) -> UpdateOutcome:
-        main = self._main
-        pc, target, kind, _, _ = record
-        s, tag = main.memo[pc >> self._shift]
-        row = main.tags[s]
-        if tag in row:
-            way = row.index(tag)
-            main.stamps[s][way] = main.clock = main.clock + 1
-            self.predicted = pred = self._pred[s][way]
-            if pred.kind == kind and (kind == RETURN or pred.target == target):
-                return self._hit[way]
-            outcome = self._rewrite[way]
-        else:
-            self.predicted = None
-            way, victim_valid = main.fill(s, tag)
-            outcome = self._alloc[way][victim_valid]
-        if kind == RETURN:
-            target = None
-        self._pred[s][way] = new_prediction((target, kind, self._sources[way]))
-        return outcome
-
     def occupancy_items(self):
         return [("main", self._main.valid(), self.entries)]
 
     def check_invariants(self):
-        self._main.check()
+        super().check_invariants()
         for s, way in self._main.occupied():
             pred = self._pred[s][way]
             if (pred.source != self._sources[way]

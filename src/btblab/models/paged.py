@@ -67,28 +67,7 @@ class RBtb(BtbModel):
             return self._pred[s][way]
         return None  # dangling page pointer: miss, never a wrong target
 
-    def commit_update(self, record: Fields) -> UpdateOutcome:
-        main = self._main
-        pc, target, kind, _, _ = record
-        s, tag = main.memo[pc >> self._shift]
-        row = main.tags[s]
-        if tag in row:
-            way = row.index(tag)
-            main.stamps[s][way] = main.clock = main.clock + 1
-            # A hit needs a page pointer that still holds (a return needs
-            # none), the same kind and, for a non-return, the same target.
-            ptr = self._page_ptr[s][way]
-            if ptr == NO_PAGE or self._pt_gen[ptr] == self._page_gen[s][way]:
-                self.predicted = pred = self._pred[s][way]
-                if pred.kind == kind and (kind == RETURN or pred.target == target):
-                    return self._hit[way]
-            else:
-                self.predicted = None
-            outcome = self._rewrite[way]
-        else:
-            self.predicted = None
-            way, victim_valid = main.fill(s, tag)
-            outcome = self._alloc[way][victim_valid]
+    def _write(self, s: int, way: int, pc: int, target: int, kind: int):
         if kind == RETURN:
             target = None
             self._in_off[s][way] = 0
@@ -115,14 +94,13 @@ class RBtb(BtbModel):
             self._page_ptr[s][way] = slot
             self._page_gen[s][way] = self._pt_gen[slot]
         self._pred[s][way] = new_prediction((target, kind, self._sources[way]))
-        return outcome
 
     def occupancy_items(self):
         return [("main", self._main.valid(), self.main_entries),
                 ("page", len(self._pt_map), self.page_entries)]
 
     def check_invariants(self):
-        self._main.check()
+        super().check_invariants()
         for slot, page in enumerate(self._pt_page):
             if (page != INVALID) != (self._pt_map.get(page) == slot):
                 raise InvariantError(f"page map out of sync at slot {slot}")
@@ -256,18 +234,18 @@ class PdedeBtb(BtbModel):
             return None  # stale page or region link: miss, never a wrong target
         return self._pred[s][way]
 
-    def _write(self, s: int, way: int, pc: int, target: int, kind: int,
-               same: bool):
-        if same is False and way < self.reserved_ways:
-            raise InvariantError(f"different-page entry written to reserved way {way}")
+    def _write(self, s: int, way: int, pc: int, target: int, kind: int):
         if kind == RETURN:
             target = None
             self._in_off[s][way] = 0
             self._page_ptr[s][way] = NO_PAGE
         else:
             self._in_off[s][way] = target & ((1 << self.page_shift) - 1)
-            if same:
+            if (pc >> self.page_shift) == (target >> self.page_shift):
                 self._page_ptr[s][way] = NO_PAGE
+            elif way < self.reserved_ways:
+                raise InvariantError(
+                    f"different-page entry written to reserved way {way}")
             else:
                 ptr, gen = self._ensure_page(target >> self.page_shift)
                 self._page_ptr[s][way] = ptr
@@ -300,7 +278,7 @@ class PdedeBtb(BtbModel):
         if pred is not None and pred.kind == kind and (kind == RETURN or (
                 (ptr == NO_PAGE) == same and pred.target == target)):
             return self._hit[way]
-        self._write(s, way, pc, target, kind, same)
+        self._write(s, way, pc, target, kind)
         return self._rewrite[way]
 
     def _allocate(self, pc: int, target: int, kind: int, s: int, tag: int,
@@ -309,7 +287,7 @@ class PdedeBtb(BtbModel):
         # fills the reserved (lowest-index) half before the general ways.
         first = 0 if same else self.reserved_ways
         way, victim_valid = self._main.fill(s, tag, first)
-        self._write(s, way, pc, target, kind, same)
+        self._write(s, way, pc, target, kind)
         return self._out[outcome][way][victim_valid]
 
     def occupancy_items(self):
@@ -318,8 +296,9 @@ class PdedeBtb(BtbModel):
                 ("region", self._rt.valid(), self.region_entries)]
 
     def check_invariants(self):
-        for table in (self._main, self._pt, self._rt):
-            table.check()
+        super().check_invariants()
+        self._pt.check()
+        self._rt.check()
         for s, way in self._main.occupied():
             same = self._page_ptr[s][way] == NO_PAGE
             if way < self.reserved_ways and not same:

@@ -12,7 +12,7 @@ from btblab.models import ConfigError, build_model
 from btblab.models.base import MEMO_LINES, InvariantError, SetArray
 from btblab.models.btbx import BtbX
 from btblab.models.conv import ConvBtb
-from btblab.models.paged import PdedeBtb, RBtb
+from btblab.models.paged import NO_PAGE, PdedeBtb, RBtb
 from btblab import storage
 from btblab.sim import SimConfig, run
 from btblab.storage import BtbxGeometry, arm64_geometry
@@ -310,6 +310,26 @@ class TestStoredPredictions:
         assert m.commit_update(rec(pb, tb)).kind == "hit"
         m.check_invariants()
 
+    def test_pdede_far_entry_committed_by_a_pc_on_its_page_is_rewritten(self):
+        """A pdede hit also needs the entry's page handling to be the
+        committing pc's: pb, on the page of pa's far target, commits that
+        target and turns pa's entry into its own same-page entry."""
+        m = PdedeBtb(main_entries=64, page_entries=16)
+        pa = 0x40000 << 2
+        pb = aliasing_line(m._main, pa >> 2) << 2
+        assert pa // PAGE != pb // PAGE
+        t = (pb & ~(PAGE - 1)) | 0x10
+        m.commit_update(rec(pa, t))
+        s, tag = m._main.memo[pa >> 2]
+        way = m._main.probe(s, tag)
+        assert m._page_ptr[s][way] != NO_PAGE
+        assert m.lookup(pb).target == t  # the same kind and target
+        out = m.commit_update(rec(pb, t))
+        assert (out.kind, out.way) == ("rewrite", way)
+        assert (m._page_ptr[s][way], m._owner[s][way]) == (NO_PAGE, pb)
+        assert m.lookup(pa).target == (pa & ~(PAGE - 1)) | 0x10
+        m.check_invariants()
+
     @pytest.mark.parametrize("model", [
         lambda: RBtb(main_entries=64, page_entries=1),
         lambda: PdedeBtb(main_entries=64, page_entries=1),
@@ -366,10 +386,10 @@ class TestStoredPredictions:
             m.check_invariants()
 
 
-def churn_models():
-    return [BtbX(BtbxGeometry(sets=8)), ConvBtb(entries=32),
-            RBtb(main_entries=32, page_entries=4),
-            PdedeBtb(main_entries=32, page_entries=16, region_entries=2)]
+def churn_models(isa=ALIGNED4):
+    return [BtbX(BtbxGeometry(sets=8, isa=isa), isa), ConvBtb(entries=32, isa=isa),
+            RBtb(main_entries=32, page_entries=4, isa=isa),
+            PdedeBtb(main_entries=32, page_entries=16, region_entries=2, isa=isa)]
 
 
 class TestProbeReuse:
@@ -453,18 +473,22 @@ class TestProbeReuse:
         assert lines[3:] == [pc >> 2] * 2
         m.check_invariants()
 
-    @pytest.mark.parametrize("index", range(4))
-    def test_random_interleaving_matches_fresh_probes(self, index):
+    @pytest.mark.parametrize("index, isa", [
+        *(pytest.param(i, ALIGNED4, id=str(i)) for i in range(4)),
+        *(pytest.param(i, BYTE, id=f"byte-{i}") for i in range(4))])
+    def test_random_interleaving_matches_fresh_probes(self, index, isa):
         rng = random.Random(index)
         spec = GeneratorSpec(static_branches=120, records=3000,
                              pattern="uniform", seed=index,
                              width_buckets=((0, 6, 0.5), (7, 20, 0.3),
-                                            (21, 30, 0.2)))
+                                            (21, 30, 0.2)),
+                             isa_mode=isa.mode)
         records = list(gen_records(spec))
-        twin, alone = churn_models()[index], churn_models()[index]
+        twin, alone = churn_models(isa)[index], churn_models(isa)[index]
         # Branches whose pc aliases another's set and tag, so a probe may
         # hit an entry that another pc wrote.
-        records += [r._replace(pc=aliasing_line(twin._main, r.pc >> 2) << 2)
+        shift = isa.align_shift
+        records += [r._replace(pc=aliasing_line(twin._main, r.pc >> shift) << shift)
                     for r in records[:30]]
         for step in range(4000):
             r = rng.choice(records)
@@ -483,6 +507,80 @@ class TestProbeReuse:
                 alone.check_invariants()
         twin.check_invariants()
         alone.check_invariants()
+
+
+class TestOneProbe:
+    def test_only_btbx_lookup_and_pdede_commit_are_written_again(self):
+        """The front end's probe and the commit are written once, in
+        `BtbModel`: btbx adds its companion to the lookup, and pdede's
+        commit keeps its migrate-before-touch and page-handling rules."""
+        own = [f"{cls.__name__}.{name}"
+               for cls in (ConvBtb, RBtb, PdedeBtb, BtbX)
+               for name in ("lookup", "commit_update") if name in vars(cls)]
+        assert own == ["PdedeBtb.commit_update", "BtbX.lookup"]
+
+
+class TestInvariantChecks:
+    """Each check fails on a model whose state it guards is corrupted."""
+
+    def test_set_array_rejects_valid_count_drift(self):
+        table = full_set(())
+        table.check()
+        table.way_valid[3] -= 1
+        with pytest.raises(InvariantError, match="per-way valid drift"):
+            table.check()
+
+    def test_btbx_rejects_an_offset_field_overflow(self):
+        m = BtbX(arm64_geometry(32))
+        pc, target = pair_with_width(1 << 20, 4)
+        out = m.commit_update(rec(pc, target))
+        m.check_invariants()
+        s, _ = m._main.memo[pc >> 2]
+        m._offset[s][out.way] |= 1 << m.widths[out.way]
+        with pytest.raises(InvariantError, match="offset field overflow"):
+            m.check_invariants()
+
+    def test_btbx_rejects_a_bad_companion_prediction(self):
+        m = BtbX(arm64_geometry(32))
+        pc, target = pair_with_width(1 << 20, 26)  # wider than way 7
+        out = m.commit_update(rec(pc, target))
+        assert out.structure == "xc"
+        m.check_invariants()
+        pred = m._xc_pred[out.way]
+        for bad in (pred._replace(source="way7"), pred._replace(target=None)):
+            m._xc_pred[out.way] = bad
+            with pytest.raises(InvariantError,
+                               match=f"xc slot {out.way}: bad prediction"):
+                m.check_invariants()
+
+    def test_rbtb_rejects_a_page_map_out_of_sync(self):
+        m = RBtb(main_entries=64, page_entries=8)
+        m.commit_update(rec(0x1000, (5 << 12) | 0x10))  # page 5 in slot 0
+        m.commit_update(rec(0x2000, (6 << 12) | 0x20))  # page 6 in slot 1
+        m.check_invariants()
+        m._pt_map[5], m._pt_map[6] = m._pt_map[6], m._pt_map[5]
+        with pytest.raises(InvariantError, match="page map out of sync at slot 0"):
+            m.check_invariants()
+
+    def test_pdede_write_rejects_a_far_target_in_a_reserved_way(self):
+        m = PdedeBtb(main_entries=64, page_entries=16)
+        s, tag = m._main.memo[0x5000 >> 2]
+        way, _ = m._main.fill(s, tag)  # a placement that skips the reservation
+        assert way < m.reserved_ways
+        with pytest.raises(InvariantError,
+                           match=f"different-page entry written to reserved way {way}"):
+            m._write(s, way, 0x5000, (900 << 12) | 0x24, BranchKind.INDIRECT)
+
+    def test_pdede_rejects_a_far_entry_in_a_reserved_way(self):
+        m = PdedeBtb(main_entries=64, page_entries=16)
+        out = m.commit_update(rec(0x5000, 0x5100))  # same page
+        assert out.way < m.reserved_ways
+        m.check_invariants()
+        s, _ = m._main.memo[0x5000 >> 2]
+        m._page_ptr[s][out.way] = 0
+        with pytest.raises(InvariantError, match=f"set {s} reserved way {out.way} "
+                                                 "holds a different-page entry"):
+            m.check_invariants()
 
 
 class TestConv:
