@@ -6,13 +6,13 @@ taken branches at commit: it first does what the front end's probe of that
 branch would do, leaving the result in `predicted`, then commits.
 `lookup(pc)` is that probe on its own, for a branch that is not taken (it
 may refresh recency on a valid hit but never allocates or evicts).  An
-organization states what an entry stores: how a hit rebuilds its target
-(`_predict_at`), and how an entry is written (`_write`), changed
-(`_change`) and placed (`_miss`).  btbx adds its companion to `lookup`;
-pdede keeps its own `commit_update`.  The record is a tuple
-`pc, target, kind, taken, gap`, read positionally: a `BranchRecord` or the
-raw fields of a binary trace, whose kind is a plain int code.  So kinds
-compare by value, with `core.RETURN` and `core.CALL_KINDS`.
+organization states what its entry, one value per way, stores: how a hit
+rebuilds its target (`_predict_at`), and how an entry is written
+(`_write`), changed (`_change`) and placed (`_miss`).  btbx adds its
+companion to `lookup`; pdede keeps its own `commit_update`.  The record is
+a tuple `pc, target, kind, taken, gap`, read positionally: a `BranchRecord`
+or the raw fields of a binary trace, whose kind is a plain int code.  So
+kinds compare by value, with `core.RETURN` and `core.CALL_KINDS`.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class LineMemo(dict):
 class SetArray:
     """Tags, true-LRU recency and per-way valid counts of one set-associative
     table.  An empty way holds the tag INVALID, so a probe is one list
-    search.  What an entry stores lives in the owning model's payload lists;
+    search.  What an entry stores lives in the owning model's `_entry`;
     which ways an entry may use is the `first` argument of `fill`.  `memo`
     gives each line's set and tag (see `LineMemo`).
 
@@ -208,12 +208,16 @@ class BtbModel:
 
     The constructor builds what every organization has: a main array of
     `sets` x `ways` in `self._main`, the prediction sources "way0", "way1",
-    ..., the main array's outcome table, and one stored prediction per way
-    in `self._pred`.  An organization adds its sizing rule, its other
-    payload lists (see `_grid`) and, where a hit's target is rebuilt or
-    needs a live link, its `_predict_at`; it overrides `_write`, `_change`
-    or `_miss` where an entry stores more than its prediction, a changed
-    target may outgrow its way, or a new entry has a placement policy.
+    ..., the main array's outcome table, and `self._entry`, which holds one
+    stored entry per way: conv's is its `Prediction`; the others' is a
+    plain tuple, read by position, that starts with that prediction:
+      rbtb   (prediction, page_ptr, page_gen, in_page_offset)
+      pdede  (prediction, page_ptr, page_gen, in_page_offset, owner_pc)
+      btbx   (prediction, offset_field, owner_pc)
+    An organization adds its sizing rule and, where a hit's target is
+    rebuilt or needs a live link, its `_predict_at`; it overrides `_write`,
+    `_change` or `_miss` where an entry stores more than its prediction, a
+    changed target may outgrow its way, or a new entry has a placement policy.
 
     A taken branch costs one call.  `commit_update` probes the main array,
     applies the recency touch a lookup's hit would, and leaves in
@@ -241,11 +245,7 @@ class BtbModel:
         self._sources = tuple(f"way{w}" for w in range(ways))
         self._out = out = outcome_table("main", ways)
         self._hit, self._rewrite, self._alloc = out["hit"], out["rewrite"], out["alloc"]
-        self._pred = self._grid(None)
-
-    def _grid(self, value) -> list:
-        """A payload list: `value` in every way of every main set."""
-        return [[value] * self.ways for _ in range(self.sets)]
+        self._entry = [[None] * ways for _ in range(sets)]
 
     def lookup(self, pc: int) -> Optional[Prediction]:
         """The front end's probe: the main array's tag search, then what the
@@ -265,8 +265,8 @@ class BtbModel:
     def _predict_at(self, pc: int, s: int, way: int) -> Optional[Prediction]:
         """What the entry at (s, way) predicts for pc, or None when a link
         it needs has died (a miss, never a wrong target).  By default, the
-        prediction stored with the entry."""
-        return self._pred[s][way]
+        prediction that is the entry."""
+        return self._entry[s][way]
 
     def commit_update(self, record: Fields) -> UpdateOutcome:
         """Probe as `lookup(pc)` would and leave its result in `predicted`;
@@ -300,8 +300,8 @@ class BtbModel:
         return self._rewrite[way]
 
     def _write(self, s: int, way: int, pc: int, target: int, kind: int):
-        """Store the entry; a return takes its target from the RAS."""
-        self._pred[s][way] = new_prediction(
+        """Store the entry, its prediction; a return's target is the RAS's."""
+        self._entry[s][way] = new_prediction(
             (None if kind == RETURN else target, kind, self._sources[way]))
 
     def occupancy_items(self):

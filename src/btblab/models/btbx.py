@@ -39,11 +39,9 @@ class BtbX(BtbModel):
         self.xc_entries = n = geometry.xc_entries
         self._xc_out = outcome_table("xc", n)
         self._caps = (self.sets,) * self.ways  # every way holds one entry per set
-        self._offset = self._grid(0)
-        # `_pred` holds the prediction an entry decodes to for the pc that
-        # wrote it, and `_owner` that pc; another pc with the same set and
-        # tag decodes its own.
-        self._owner = self._grid(None)
+        # An entry is (prediction, offset_field, owner_pc): what it decodes
+        # to for owner_pc, the pc that wrote it, and the way-width offset
+        # field; another pc with the same set and tag decodes its own.
         # Direct-mapped: one way.  It is probed only after a main-array
         # miss, and computes each probe's slot and tag (`set_tag`) rather
         # than keeping a second memo of every line.
@@ -53,26 +51,24 @@ class BtbX(BtbModel):
 
     # -- address plumbing ---------------------------------------------------
 
-    def _decode(self, pc: int, way: int, offset_bits: int) -> int:
-        n = self.widths[way] + self._shift
-        return (pc & ~((1 << n) - 1)) | (offset_bits << self._shift)
-
-    def _predict(self, pc: int, s: int, way: int, kind: int) -> Prediction:
-        target = (None if kind == RETURN
-                  else self._decode(pc, way, self._offset[s][way]))
+    def _predict(self, pc: int, way: int, kind: int, offset: int) -> Prediction:
+        target = None  # a return's target comes from the RAS
+        if kind != RETURN:  # the pc above the way width, the field below it
+            n = self.widths[way] + self._shift
+            target = (pc & ~((1 << n) - 1)) | (offset << self._shift)
         return new_prediction((target, kind, self._sources[way]))
 
     def _write(self, s: int, way: int, pc: int, target: int, kind: int):
-        self._offset[s][way] = (target >> self._shift) & ((1 << self.widths[way]) - 1)
-        self._owner[s][way] = pc
-        self._pred[s][way] = self._predict(pc, s, way, kind)
+        offset = (target >> self._shift) & ((1 << self.widths[way]) - 1)
+        self._entry[s][way] = (self._predict(pc, way, kind, offset), offset, pc)
 
     # -- model interface ----------------------------------------------------
 
     def _predict_at(self, pc: int, s: int, way: int) -> Prediction:
-        if self._owner[s][way] == pc:
-            return self._pred[s][way]
-        return self._predict(pc, s, way, self._pred[s][way].kind)
+        pred, offset, owner = self._entry[s][way]
+        if owner == pc:
+            return pred
+        return self._predict(pc, way, pred.kind, offset)
 
     def lookup(self, pc: int) -> Optional[Prediction]:
         # All ways and the companion are probed in parallel; a main-array
@@ -141,16 +137,16 @@ class BtbX(BtbModel):
         self._xc.check()
         for s, way in self._main.occupied():
             width = self.widths[way]
-            owner, pred = self._owner[s][way], self._pred[s][way]
+            pred, offset, owner = self._entry[s][way]
             req = (0 if pred.target is None
                    else required_offset_width(owner, pred.target, self.isa))
             if req > width:
                 raise InvariantError(
                     f"set {s} way {way}: its owner's target needs {req} "
                     f"offset bits, more than the way's {width}")
-            if self._offset[s][way] >> width:
+            if offset >> width:
                 raise InvariantError(f"set {s} way {way}: offset field overflow")
-            if pred != self._predict(owner, s, way, pred.kind):
+            if pred != self._predict(owner, way, pred.kind, offset):
                 raise InvariantError(f"set {s} way {way}: stored prediction "
                                      f"{pred} differs from its payload")
         for slot, _ in self._xc.occupied():

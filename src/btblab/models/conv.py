@@ -16,8 +16,8 @@ class ConvBtb(BtbModel):
     over 29 sets) and indexes sets by modulo, which also covers
     non-power-of-two set counts.
 
-    A full target does not depend on the pc, so an entry's only payload is
-    the prediction its hits return.  The tag is as wide as the profile's
+    A full target does not depend on the pc, so an entry is just the
+    prediction its hits return.  The tag is as wide as the profile's
     64-bit entry leaves room for (`storage.conv_tag_bits`).
     """
 
@@ -36,7 +36,7 @@ class ConvBtb(BtbModel):
     def check_invariants(self):
         super().check_invariants()
         for s, way in self._main.occupied():
-            pred = self._pred[s][way]
+            pred = self._entry[s][way]
             if (pred.source != self._sources[way]
                     or (pred.target is None) != (pred.kind == RETURN)):
                 raise InvariantError(f"set {s} way {way}: bad prediction {pred}")

@@ -1,6 +1,6 @@
 """BTB organizations that deduplicate page (and region) numbers.
 
-Both keep full reconstruction exact: main entries hold the in-page byte
+Both keep full reconstruction exact: a main entry holds the in-page byte
 offset plus a pointer into a side table, and the side tables hold real page
 or region numbers (partitioned bit ranges, never hashes), so a fresh hit
 always rebuilds the original target.  Eviction from a side table bumps a
@@ -44,11 +44,9 @@ class RBtb(BtbModel):
         self.page_shift = PAGE_SHIFT  # an instance attribute reads fastest
         self.main_entries = main_entries
         self.page_entries = page_entries
-        # `_pred` holds what an entry predicts while its page pointer holds;
-        # its target is absolute, so it does not depend on the lookup pc.
-        self._in_off = self._grid(0)
-        self._page_ptr = self._grid(NO_PAGE)
-        self._page_gen = self._grid(0)
+        # An entry is (prediction, page_ptr, page_gen, in_page_offset); the
+        # prediction holds while the pointer's generation does, and its
+        # target is absolute, so it does not depend on the lookup pc.
         # The page table is searched through a map, which beats a list
         # search over its hundreds of slots.  The map's order is also the
         # table's true-LRU order, least recently used first: a hit moves its
@@ -62,17 +60,14 @@ class RBtb(BtbModel):
         its page pointer's generation still matches the slot's.  A pointer's
         generation is at least 1, so it never matches a slot that is still
         empty.  The stored target is absolute, so pc plays no part."""
-        ptr = self._page_ptr[s][way]
-        if ptr == NO_PAGE or self._pt_gen[ptr] == self._page_gen[s][way]:
-            return self._pred[s][way]
+        pred, ptr, gen, _ = self._entry[s][way]
+        if ptr == NO_PAGE or self._pt_gen[ptr] == gen:
+            return pred
         return None  # dangling page pointer: miss, never a wrong target
 
     def _write(self, s: int, way: int, pc: int, target: int, kind: int):
         if kind == RETURN:
-            target = None
-            self._in_off[s][way] = 0
-            self._page_ptr[s][way] = NO_PAGE
-            self._page_gen[s][way] = 0
+            target, slot, gen, in_off = None, NO_PAGE, 0, 0
         else:
             # Find or allocate the target page's slot (associative search);
             # eviction bumps the slot generation, orphaning old dependents.
@@ -90,10 +85,10 @@ class RBtb(BtbModel):
                 self._pt_gen[slot] += 1
                 self._pt_page[slot] = page
                 pt_map[page] = slot
-            self._in_off[s][way] = target & ((1 << self.page_shift) - 1)
-            self._page_ptr[s][way] = slot
-            self._page_gen[s][way] = self._pt_gen[slot]
-        self._pred[s][way] = new_prediction((target, kind, self._sources[way]))
+            gen = self._pt_gen[slot]
+            in_off = target & ((1 << self.page_shift) - 1)
+        self._entry[s][way] = (new_prediction((target, kind, self._sources[way])),
+                               slot, gen, in_off)
 
     def occupancy_items(self):
         return [("main", self._main.valid(), self.main_entries),
@@ -108,9 +103,9 @@ class RBtb(BtbModel):
             pred = self._predict_at(None, s, way)
             if pred is None:
                 continue
-            ptr = self._page_ptr[s][way]
+            _, ptr, _, in_off = self._entry[s][way]
             target = (None if ptr == NO_PAGE else
-                      (self._pt_page[ptr] << self.page_shift) | self._in_off[s][way])
+                      (self._pt_page[ptr] << self.page_shift) | in_off)
             if (pred.target != target or pred.source != self._sources[way]
                     or (pred.kind == RETURN) != (ptr == NO_PAGE)):
                 raise InvariantError(f"set {s} way {way}: stored prediction "
@@ -136,6 +131,8 @@ class PdedeBtb(BtbModel):
                  region_entries: int = 4, isa: IsaProfile = ALIGNED4):
         if main_entries < ASSOC:
             raise ValueError(f"need at least {ASSOC} main entries")
+        if page_entries < 1 or region_entries < 1:
+            raise ValueError("page_entries and region_entries must be >= 1")
         super().__init__(main_entries // ASSOC, ASSOC, TAG_BITS, isa)
         self.page_shift = PAGE_SHIFT  # an instance attribute reads fastest
         self.region_pages_log2 = 8  # a region spans 256 pages
@@ -145,14 +142,10 @@ class PdedeBtb(BtbModel):
         self.page_sets = ps = max(1, page_entries // pa)
         self.page_entries = ps * pa
         self.region_entries = region_entries
-        self._in_off = self._grid(0)
-        self._page_ptr = self._grid(NO_PAGE)
-        self._page_gen = self._grid(0)
-        # `_pred` holds the prediction an entry rebuilds to for the pc that
-        # wrote it, and `_owner` that pc.  A different-page target is
-        # absolute; a same-page one takes its page from the lookup pc, so
-        # another pc rebuilds its own.
-        self._owner = self._grid(None)
+        # An entry is (prediction, page_ptr, page_gen, in_page_offset,
+        # owner_pc), the prediction being what it rebuilds to for owner_pc.
+        # A different-page target is absolute; a same-page one takes its
+        # page from the lookup pc, so another pc rebuilds its own.
         # Page slots are tagged by the page's low bits within its region; a
         # page pointer is set * page_assoc + way, which indexes the lists.
         self._pt = SetArray(ps, pa)
@@ -213,45 +206,40 @@ class PdedeBtb(BtbModel):
 
     # -- main table -------------------------------------------------------
 
-    def _same_page_prediction(self, pc: int, s: int, way: int) -> Prediction:
+    def _same_page_prediction(self, pc: int, kind: int, in_off: int,
+                              way: int) -> Prediction:
         """What a same-page or return entry predicts for pc: page bits come
         straight from the pc, with no side-table access."""
-        kind = self._pred[s][way].kind
         target = (None if kind == RETURN else
-                  ((pc >> self.page_shift) << self.page_shift) | self._in_off[s][way])
+                  ((pc >> self.page_shift) << self.page_shift) | in_off)
         return new_prediction((target, kind, self._sources[way]))
 
     def _predict_at(self, pc: int, s: int, way: int) -> Optional[Prediction]:
         """A same-page or return entry rebuilds its target from pc; a
         different-page entry's stored target holds while its page link, and
         that page slot's region link, still do."""
-        ptr = self._page_ptr[s][way]
+        pred, ptr, gen, in_off, owner = self._entry[s][way]
         if ptr == NO_PAGE:
-            if self._owner[s][way] != pc:
-                return self._same_page_prediction(pc, s, way)
-        elif (self._pt_gen[ptr] != self._page_gen[s][way]
+            if owner != pc:
+                return self._same_page_prediction(pc, pred.kind, in_off, way)
+        elif (self._pt_gen[ptr] != gen
               or self._rt_gen[self._pt_rptr[ptr]] != self._pt_rgen[ptr]):
             return None  # stale page or region link: miss, never a wrong target
-        return self._pred[s][way]
+        return pred
 
     def _write(self, s: int, way: int, pc: int, target: int, kind: int):
+        ptr, gen, in_off = NO_PAGE, 0, 0
         if kind == RETURN:
             target = None
-            self._in_off[s][way] = 0
-            self._page_ptr[s][way] = NO_PAGE
         else:
-            self._in_off[s][way] = target & ((1 << self.page_shift) - 1)
-            if (pc >> self.page_shift) == (target >> self.page_shift):
-                self._page_ptr[s][way] = NO_PAGE
-            elif way < self.reserved_ways:
-                raise InvariantError(
-                    f"different-page entry written to reserved way {way}")
-            else:
+            in_off = target & ((1 << self.page_shift) - 1)
+            if (pc >> self.page_shift) != (target >> self.page_shift):
+                if way < self.reserved_ways:
+                    raise InvariantError(
+                        f"different-page entry written to reserved way {way}")
                 ptr, gen = self._ensure_page(target >> self.page_shift)
-                self._page_ptr[s][way] = ptr
-                self._page_gen[s][way] = gen
-        self._owner[s][way] = pc
-        self._pred[s][way] = new_prediction((target, kind, self._sources[way]))
+        self._entry[s][way] = (new_prediction((target, kind, self._sources[way])),
+                               ptr, gen, in_off, pc)
 
     def commit_update(self, record: Fields) -> UpdateOutcome:
         main = self._main
@@ -266,7 +254,6 @@ class PdedeBtb(BtbModel):
         way = row.index(tag)
         # A stale page or region link is a lookup miss and never a hit.
         self.predicted = pred = self._predict_at(pc, s, way)
-        ptr = self._page_ptr[s][way]
         if not same and way < self.reserved_ways:
             # Target moved off-page but a reserved way cannot hold the
             # pointer: drop the entry and re-allocate in a general way.
@@ -276,7 +263,8 @@ class PdedeBtb(BtbModel):
         # A hit needs what the lookup predicted to have the same kind and,
         # for a non-return, the same page handling and the same target.
         if pred is not None and pred.kind == kind and (kind == RETURN or (
-                (ptr == NO_PAGE) == same and pred.target == target)):
+                pred.target == target
+                and (self._entry[s][way][1] == NO_PAGE) == same)):
             return self._hit[way]
         self._write(s, way, pc, target, kind)
         return self._rewrite[way]
@@ -300,16 +288,16 @@ class PdedeBtb(BtbModel):
         self._pt.check()
         self._rt.check()
         for s, way in self._main.occupied():
-            same = self._page_ptr[s][way] == NO_PAGE
+            pred, ptr, _, in_off, owner = self._entry[s][way]
+            same = ptr == NO_PAGE
             if way < self.reserved_ways and not same:
                 raise InvariantError(
                     f"set {s} reserved way {way} holds a different-page entry")
-            pred = self._pred[s][way]
             if same:
-                rebuilt = self._same_page_prediction(self._owner[s][way], s, way)
+                rebuilt = self._same_page_prediction(owner, pred.kind, in_off, way)
             elif self._predict_at(None, s, way) is not None:
-                page = self._page_slot_number(self._page_ptr[s][way])
-                rebuilt = Prediction((page << self.page_shift) | self._in_off[s][way],
+                page = self._page_slot_number(ptr)
+                rebuilt = Prediction((page << self.page_shift) | in_off,
                                      pred.kind, self._sources[way])
             else:
                 continue

@@ -672,6 +672,29 @@ class TestUnusedImports:
         assert not unused
 
 
+class TestUnusedAttributes:
+    def test_every_stored_private_attribute_is_read(self):
+        """Each `self._name` a package module stores is loaded somewhere in
+        the package, so state left behind when its last reader goes (a
+        payload grid, say) fails here rather than lingering."""
+        import btblab
+        stored, loaded = {}, set()
+        for path in sorted(Path(btblab.__file__).parent.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if (not isinstance(node, ast.Attribute)
+                        or not node.attr.startswith("_")):
+                    continue
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+                elif (isinstance(node.ctx, ast.Store)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "self"):
+                    stored.setdefault(node.attr, f"{path.name}:{node.lineno}")
+        assert [f"{where}: self.{name}" for name, where in sorted(stored.items())
+                if name not in loaded] == []
+
+
 class TestUsage:
     def test_no_command_exit_1(self, workdir):
         res = cli([], workdir)

@@ -322,11 +322,12 @@ class TestStoredPredictions:
         m.commit_update(rec(pa, t))
         s, tag = m._main.memo[pa >> 2]
         way = m._main.probe(s, tag)
-        assert m._page_ptr[s][way] != NO_PAGE
+        assert m._entry[s][way][1] != NO_PAGE  # its page pointer
         assert m.lookup(pb).target == t  # the same kind and target
         out = m.commit_update(rec(pb, t))
         assert (out.kind, out.way) == ("rewrite", way)
-        assert (m._page_ptr[s][way], m._owner[s][way]) == (NO_PAGE, pb)
+        _, ptr, _, _, owner = m._entry[s][way]
+        assert (ptr, owner) == (NO_PAGE, pb)
         assert m.lookup(pa).target == (pa & ~(PAGE - 1)) | 0x10
         m.check_invariants()
 
@@ -365,12 +366,13 @@ class TestStoredPredictions:
         m.check_invariants()
         s, tag = m._main.memo[r.pc >> 2]
         way = m._main.probe(s, tag)
-        pred = m._pred[s][way]
+        entry = m._entry[s][way]
+        pred = entry if m.name == "conv" else entry[0]
         wrong = [pred._replace(source="way7" if way != 7 else "way6")]
         if m.name != "conv":  # conv's payload is the prediction itself
             wrong.append(pred._replace(target=pred.target + 4))
         for bad in wrong:
-            m._pred[s][way] = bad
+            m._entry[s][way] = bad if m.name == "conv" else (bad, *entry[1:])
             with pytest.raises(InvariantError, match="prediction"):
                 m.check_invariants()
 
@@ -381,7 +383,9 @@ class TestStoredPredictions:
         m.check_invariants()
         s, tag = m._main.memo[pc >> 2]
         way = m._main.probe(s, tag)
-        m._owner[s][way] = pc ^ (1 << 40)  # its target needs 39 offset bits
+        pred, offset, _ = m._entry[s][way]
+        # Owned by a pc whose target needs 39 offset bits.
+        m._entry[s][way] = (pred, offset, pc ^ (1 << 40))
         with pytest.raises(InvariantError, match="offset bits"):
             m.check_invariants()
 
@@ -520,6 +524,25 @@ class TestOneProbe:
         assert own == ["PdedeBtb.commit_update", "BtbX.lookup"]
 
 
+class TestOneEntryPerWay:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("budget_kb", [14.5, 58.0])
+    def test_only_per_set_lists_are_tags_stamps_and_entries(self, name, budget_kb):
+        """Each way stores one entry, in `_entry`: besides the main array's
+        tags and recency stamps, a model keeps no list of per-way lists."""
+        m = build_model(name, budget_kb=budget_kb)
+        attrs = dict(vars(m))
+        for attr, value in vars(m).items():
+            if isinstance(value, SetArray):
+                attrs.update((f"{attr}.{slot}", getattr(value, slot))
+                             for slot in SetArray.__slots__)
+        per_set = sorted(attr for attr, v in attrs.items()
+                         if isinstance(v, list) and len(v) == m.sets
+                         and all(isinstance(row, list) and len(row) == m.ways
+                                 for row in v))
+        assert per_set == ["_entry", "_main.stamps", "_main.tags"]
+
+
 class TestInvariantChecks:
     """Each check fails on a model whose state it guards is corrupted."""
 
@@ -536,7 +559,8 @@ class TestInvariantChecks:
         out = m.commit_update(rec(pc, target))
         m.check_invariants()
         s, _ = m._main.memo[pc >> 2]
-        m._offset[s][out.way] |= 1 << m.widths[out.way]
+        pred, offset, owner = m._entry[s][out.way]
+        m._entry[s][out.way] = (pred, offset | 1 << m.widths[out.way], owner)
         with pytest.raises(InvariantError, match="offset field overflow"):
             m.check_invariants()
 
@@ -577,7 +601,8 @@ class TestInvariantChecks:
         assert out.way < m.reserved_ways
         m.check_invariants()
         s, _ = m._main.memo[0x5000 >> 2]
-        m._page_ptr[s][out.way] = 0
+        pred, _, gen, in_off, owner = m._entry[s][out.way]
+        m._entry[s][out.way] = (pred, 0, gen, in_off, owner)  # page pointer 0
         with pytest.raises(InvariantError, match=f"set {s} reserved way {out.way} "
                                                  "holds a different-page entry"):
             m.check_invariants()
@@ -678,6 +703,15 @@ class TestRBtb:
 
 
 class TestPdede:
+    @pytest.mark.parametrize("sizes", [
+        dict(page_entries=0), dict(page_entries=-1),
+        dict(region_entries=0), dict(region_entries=-1),
+    ], ids=["page0", "page-1", "region0", "region-1"])
+    def test_rejects_empty_side_tables(self, sizes):
+        with pytest.raises(ValueError,
+                           match="page_entries and region_entries must be >= 1"):
+            PdedeBtb(**{"main_entries": 64, "page_entries": 16, **sizes})
+
     def test_same_page_lookup_skips_page_table(self):
         m = PdedeBtb(main_entries=64, page_entries=32)
         pc = 0x5000
