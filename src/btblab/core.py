@@ -56,6 +56,7 @@ KINDS_BY_NAME = {name: kind for kind, name in KIND_NAMES.items()}
 
 
 VA_BITS = 48  # virtual address width of both ISA profiles
+PAGE_SHIFT = 12  # 4 KB pages: the paged models' page, the generator's stride
 
 
 class IsaProfile(NamedTuple):

@@ -7,9 +7,10 @@ branch would do, leaving the result in `predicted`, then commits.
 `lookup(pc)` is that probe on its own, for a branch that is not taken (it
 may refresh recency on a valid hit but never allocates or evicts).  An
 organization states what its entry, one value per way, stores: how a hit
-rebuilds its target (`_predict_at`), and how an entry is written
-(`_write`), changed (`_change`) and placed (`_miss`).  btbx adds its
-companion to `lookup`; pdede keeps its own `commit_update`.  The record is
+rebuilds its target (`_predict_at`), how an entry is written (`_write`)
+and `first`, the lowest way it may use: only `BtbModel` places (`_place`)
+or moves (`_change`) an entry.  btbx adds its companion to `lookup` and
+`_place`; pdede keeps its own `commit_update`.  The record is
 a tuple `pc, target, kind, taken, gap`, read positionally: a `BranchRecord`
 or the raw fields of a binary trace, whose kind is a plain int code.  So
 kinds compare by value, with `core.RETURN` and `core.CALL_KINDS`.
@@ -63,22 +64,6 @@ def divisor_ways(entries: int) -> int:
     """The largest associativity, at most ASSOC, that divides `entries`."""
     return next(a for a in range(min(ASSOC, entries), 0, -1)
                 if entries % a == 0)
-
-
-def outcome_table(structure: str, slots: int) -> dict:
-    """Every outcome a structure's commits can return, built once per model.
-    table["hit"][slot] and table["rewrite"][slot] never have a victim; the
-    "migrate" and "alloc" entries are read as table[kind][slot][victim_valid].
-    Outcomes are frozen, so a commit hands out one of these instead of
-    allocating its own."""
-    table = {kind: tuple(UpdateOutcome(kind, structure, slot)
-                         for slot in range(slots))
-             for kind in ("hit", "rewrite")}
-    for kind in ("migrate", "alloc"):
-        table[kind] = tuple((UpdateOutcome(kind, structure, slot, False),
-                             UpdateOutcome(kind, structure, slot, True))
-                            for slot in range(slots))
-    return table
 
 
 INVALID = -1  # tag of an empty way: folded tags, page bits and regions are >= 0
@@ -215,9 +200,12 @@ class BtbModel:
       pdede  (prediction, page_ptr, page_gen, in_page_offset, owner_pc)
       btbx   (prediction, offset_field, owner_pc)
     An organization adds its sizing rule and, where a hit's target is
-    rebuilt or needs a live link, its `_predict_at`; it overrides `_write`,
-    `_change` or `_miss` where an entry stores more than its prediction, a
-    changed target may outgrow its way, or a new entry has a placement policy.
+    rebuilt or needs a live link, its `_predict_at`; it overrides `_write`
+    where an entry stores more than its prediction.  A placement policy
+    (btbx's way widths, pdede's same-page ways) only computes `first`, the
+    lowest way an entry may use: `_place` fills the LRU of the ways from
+    `first` on, and `_change` rewrites in place or, below `first`, moves
+    the entry: it invalidates the way and `_place`s it with "migrate".
 
     A taken branch costs one call.  `commit_update` probes the main array,
     applies the recency touch a lookup's hit would, and leaves in
@@ -243,8 +231,15 @@ class BtbModel:
         self._main = SetArray(sets, ways, tag_bits)
         self.changes = self._main.changes
         self._sources = tuple(f"way{w}" for w in range(ways))
-        self._out = out = outcome_table("main", ways)
-        self._hit, self._rewrite, self._alloc = out["hit"], out["rewrite"], out["alloc"]
+        # Every outcome a commit can return, built once and frozen, so a
+        # commit hands one out: _hit[way], _out[kind][way][victim_valid].
+        self._hit, self._rewrite = (
+            tuple(UpdateOutcome(kind, "main", way) for way in range(ways))
+            for kind in ("hit", "rewrite"))
+        self._out = {kind: tuple((UpdateOutcome(kind, "main", way, False),
+                                  UpdateOutcome(kind, "main", way, True))
+                                 for way in range(ways))
+                     for kind in ("migrate", "alloc")}
         self._entry = [[None] * ways for _ in range(sets)]
 
     def lookup(self, pc: int) -> Optional[Prediction]:
@@ -287,15 +282,23 @@ class BtbModel:
             return self._hit[way]
         return self._change(pc, target, kind, s, tag, way)
 
-    def _miss(self, pc: int, target: int, kind: int, s: int, tag: int):
-        """Fill the set's LRU way and `_write` it."""
-        way, victim_valid = self._main.fill(s, tag)
+    def _place(self, pc: int, target: int, kind: int, s: int, tag: int,
+               first: int = 0, outcome: str = "alloc"):
+        """Fill the LRU of the set's ways at or after `first` (an empty one
+        first), `_write` the entry there and return `outcome`."""
+        way, victim_valid = self._main.fill(s, tag, first)
         self._write(s, way, pc, target, kind)
-        return self._alloc[way][victim_valid]
+        return self._out[outcome][way][victim_valid]
+
+    _miss = _place  # a new entry may use any way
 
     def _change(self, pc: int, target: int, kind: int, s: int, tag: int,
-                way: int):
-        """Rewrite the entry in place."""
+                way: int, first: int = 0):
+        """Rewrite the entry in place or, if its way is below `first`, move
+        it: invalidate the way and `_place` the entry with "migrate"."""
+        if way < first:
+            self._main.invalidate(s, way)
+            return self._place(pc, target, kind, s, tag, first, "migrate")
         self._write(s, way, pc, target, kind)
         return self._rewrite[way]
 

@@ -2,10 +2,11 @@
 
 Each of the 8 ways in a set stores target offsets up to a fixed width
 (0/4/5/7/9/11/19/25 bits in 4-byte-aligned mode), so a branch is only
-eligible for the ways wide enough to hold its offset; victim selection is
-LRU restricted to those ways, with recency bookkeeping for the whole set
-unchanged from baseline LRU.  Branches whose offset exceeds the widest way
-live in the direct-mapped companion, which keeps full targets.
+eligible for the ways from its `first`, the first wide enough to hold its
+offset; victim selection is LRU restricted to those ways, with recency
+bookkeeping for the whole set unchanged from baseline LRU.  Branches whose
+offset exceeds the widest way live in the direct-mapped companion, which
+keeps full targets.
 
 An entry's stored offset field always carries the low way-width bits of the
 shifted target, so reconstruction concatenates the PC above the way width
@@ -21,7 +22,7 @@ from typing import Optional
 from ..core import ALIGNED4, RETURN, IsaProfile, required_offset_width
 from ..storage import BtbxGeometry
 from .base import (BtbModel, InvariantError, Prediction, SetArray,
-                   UpdateOutcome, new_prediction, outcome_table)
+                   UpdateOutcome, new_prediction)
 
 XC_TAG_BITS = 15
 
@@ -37,7 +38,6 @@ class BtbX(BtbModel):
         self.geometry = geometry
         self.widths = geometry.way_widths
         self.xc_entries = n = geometry.xc_entries
-        self._xc_out = outcome_table("xc", n)
         self._caps = (self.sets,) * self.ways  # every way holds one entry per set
         # An entry is (prediction, offset_field, owner_pc): what it decodes
         # to for owner_pc, the pc that wrote it, and the way-width offset
@@ -80,52 +80,48 @@ class BtbX(BtbModel):
                 return self._xc_pred[slot]
         return pred
 
+    def _first(self, pc: int, target: int, kind: int) -> int:
+        """The first way wide enough for the branch's offset (widths never
+        decrease), or `ways`, the companion, if none is; a return has none."""
+        n = 0 if kind == RETURN else (pc ^ target).bit_length()
+        return bisect_left(self.widths, n - self._shift if n else 0)
+
     def _change(self, pc: int, target: int, kind: int, s: int, tag: int,
                 way: int):
-        n = 0 if kind == RETURN else (pc ^ target).bit_length()
-        req = n - self._shift if n else 0  # required_offset_width, inlined
-        if req <= self.widths[way]:
-            # Target changed but still fits this way: refresh in place.
-            self._write(s, way, pc, target, kind)
-            return self._rewrite[way]
-        # Outgrew its way: drop the entry and re-allocate.
-        self._main.invalidate(s, way)
-        return self._allocate(pc, target, kind, s, tag, req, "migrate")
+        return BtbModel._change(self, pc, target, kind, s, tag, way,
+                                self._first(pc, target, kind))
 
     def _miss(self, pc: int, target: int, kind: int, s: int, tag: int):
-        # Not in the main array, so the companion is probed; a return
-        # stores no offset bits.
-        n = 0 if kind == RETURN else (pc ^ target).bit_length()
-        req = n - self._shift if n else 0
+        # Not in the main array, so the companion is probed.
+        first = self._first(pc, target, kind)
         slot, xtag = self._xc.set_tag(pc >> self._shift)
         if self._xc.tags[slot][0] == xtag:
             self.predicted = stored = self._xc_pred[slot]
             if stored.kind == kind and stored.target == target:
-                return self._xc_out["hit"][slot]
-            if req <= self.widths[-1]:
-                # Shrunk enough for the main array; the companion copy dies
-                # so a branch never lives in both structures for long.
-                self._xc.invalidate(slot, 0)
-                return self._allocate(pc, target, kind, s, tag, req, "migrate")
-            self._xc_pred[slot] = new_prediction((target, kind, "xc"))
-            return self._xc_out["rewrite"][slot]
-        return self._allocate(pc, target, kind, s, tag, req, "alloc",
-                              (slot, xtag))
+                return UpdateOutcome("hit", "xc", slot)
+            if first == self.ways:
+                self._xc_pred[slot] = new_prediction((target, kind, "xc"))
+                return UpdateOutcome("rewrite", "xc", slot)
+            # Shrunk enough for the main array; the companion copy dies
+            # so a branch never lives in both structures for long.
+            self._xc.invalidate(slot, 0)
+            return self._place(pc, target, kind, s, tag, first, "migrate")
+        if first < self.ways:  # `_place`'s test, without its call
+            return BtbModel._place(self, pc, target, kind, s, tag, first)
+        return self._place(pc, target, kind, s, tag, first, "alloc",
+                           (slot, xtag))
 
-    def _allocate(self, pc: int, target: int, kind: int, s: int, tag: int,
-                  req: int, outcome: str, xc=None) -> UpdateOutcome:
-        """Place a branch that is in neither structure; `xc` is its
-        companion (slot, tag), if the commit has probed the companion."""
-        # Way widths never decrease, so the ways wide enough are a suffix.
-        first = bisect_left(self.widths, req)
-        if first == self.ways:
-            slot, xtag = xc or self._xc.set_tag(pc >> self._shift)
-            _, victim_valid = self._xc.fill(slot, xtag)
-            self._xc_pred[slot] = new_prediction((target, kind, "xc"))
-            return self._xc_out[outcome][slot][victim_valid]
-        way, victim_valid = self._main.fill(s, tag, first)
-        self._write(s, way, pc, target, kind)
-        return self._out[outcome][way][victim_valid]
+    def _place(self, pc: int, target: int, kind: int, s: int, tag: int,
+               first: int = 0, outcome: str = "alloc", xc=None):
+        if first < self.ways:
+            return BtbModel._place(self, pc, target, kind, s, tag, first,
+                                   outcome)
+        # No way is wide enough: the companion takes the full target.  `xc`
+        # is its (slot, tag), if the commit has probed the companion.
+        slot, xtag = xc or self._xc.set_tag(pc >> self._shift)
+        _, victim_valid = self._xc.fill(slot, xtag)
+        self._xc_pred[slot] = new_prediction((target, kind, "xc"))
+        return UpdateOutcome(outcome, "xc", slot, victim_valid)
 
     def occupancy_items(self):
         items = list(zip(self._sources, self._main.way_valid, self._caps))

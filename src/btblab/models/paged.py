@@ -18,8 +18,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-from ..core import ALIGNED4, RETURN, Fields, IsaProfile, xor_fold
-from ..storage import PAGE_SHIFT, TAG_BITS
+from ..core import ALIGNED4, PAGE_SHIFT, RETURN, Fields, IsaProfile, xor_fold
+from ..storage import TAG_BITS
 from .base import (ASSOC, INVALID, BtbModel, InvariantError, Prediction,
                    SetArray, UpdateOutcome, divisor_ways, new_prediction)
 
@@ -246,37 +246,26 @@ class PdedeBtb(BtbModel):
         pc, target, kind, _, _ = record
         same = (kind == RETURN
                 or (pc >> self.page_shift) == (target >> self.page_shift))
+        # Same-page entries may use every way, the reserved (lowest) half
+        # first; a different-page one only the general ways, which hold a
+        # page pointer.
+        first = 0 if same else self.reserved_ways
         s, tag = main.memo[pc >> self._shift]
         row = main.tags[s]
         if tag not in row:
             self.predicted = None
-            return self._allocate(pc, target, kind, s, tag, same, "alloc")
+            return self._place(pc, target, kind, s, tag, first)
         way = row.index(tag)
+        main.stamps[s][way] = main.clock = main.clock + 1
         # A stale page or region link is a lookup miss and never a hit.
         self.predicted = pred = self._predict_at(pc, s, way)
-        if not same and way < self.reserved_ways:
-            # Target moved off-page but a reserved way cannot hold the
-            # pointer: drop the entry and re-allocate in a general way.
-            main.invalidate(s, way)
-            return self._allocate(pc, target, kind, s, tag, same, "migrate")
-        main.stamps[s][way] = main.clock = main.clock + 1
         # A hit needs what the lookup predicted to have the same kind and,
         # for a non-return, the same page handling and the same target.
         if pred is not None and pred.kind == kind and (kind == RETURN or (
                 pred.target == target
                 and (self._entry[s][way][1] == NO_PAGE) == same)):
             return self._hit[way]
-        self._write(s, way, pc, target, kind)
-        return self._rewrite[way]
-
-    def _allocate(self, pc: int, target: int, kind: int, s: int, tag: int,
-                  same: bool, outcome: str) -> UpdateOutcome:
-        # Same-page entries may use every way, and empty-first placement
-        # fills the reserved (lowest-index) half before the general ways.
-        first = 0 if same else self.reserved_ways
-        way, victim_valid = self._main.fill(s, tag, first)
-        self._write(s, way, pc, target, kind)
-        return self._out[outcome][way][victim_valid]
+        return self._change(pc, target, kind, s, tag, way, first)
 
     def occupancy_items(self):
         return [("main", self._main.valid(), self.main_entries),

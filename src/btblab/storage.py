@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .core import ALIGNED4, BYTE, IsaProfile
+from .core import ALIGNED4, BYTE, PAGE_SHIFT, IsaProfile
 
 BITS_PER_KB = 8192
 
 TAG_BITS = 12                      # main-array tag of every organization
 PER_ENTRY_OVERHEAD_BITS = 18       # valid 1 + tag 12 + type 2 + lru 3
 XC_ENTRY_BITS = 64                 # valid 1 + tag 15 + type 2 + target 46
-PAGE_SHIFT = 12                    # 4 KB pages for the paged organizations
 RBTB_PAGE_ENTRY_BITS = 37          # valid 1 + page number 36
 
 CONV_ENTRY_BITS = 64               # overhead 18 + target, tag trimmed to fit

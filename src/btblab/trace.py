@@ -36,9 +36,9 @@ from types import SimpleNamespace
 from typing import (Callable, Iterable, Iterator, List, NamedTuple, Optional,
                     Tuple)
 
-from .core import (CALL_BYTES, CALL_KINDS, PROFILES, VA_BITS, BranchKind,
-                   BranchRecord, Fields, IsaProfile, KIND_NAMES, new_record,
-                   profile_for_mode)
+from .core import (CALL_BYTES, CALL_KINDS, PAGE_SHIFT, PROFILES, VA_BITS,
+                   BranchKind, BranchRecord, Fields, IsaProfile, KIND_NAMES,
+                   new_record, profile_for_mode)
 
 MAGIC = b"BTBT"
 VERSION = 1
@@ -480,7 +480,7 @@ def _static_fields(spec: GeneratorSpec) -> List[tuple]:
     # branch to the next line within its page.  Set indices do not reach
     # every set: the stride shares a factor with many set counts (ROADMAP.md,
     # item 2).
-    stride = (1 << (12 - shift)) + 1
+    stride = (1 << (PAGE_SHIFT - shift)) + 1
     statics = []
     append = statics.append
     line = BASE_LINE

@@ -695,6 +695,57 @@ class TestUnusedAttributes:
                 if name not in loaded] == []
 
 
+class TestUnusedPrivateNames:
+    # A NamedTuple hook: `_replace` calls it, so no module of the package does.
+    HOOKS = {"storage.BtbxGeometry._make"}
+
+    def test_every_private_definition_is_loaded(self):
+        """Each private function, method and class a package module defines,
+        and each private name bound at module or class level, is loaded
+        somewhere in the package, so a helper left behind when its last
+        caller goes (an `_allocate`, say) fails here rather than lingering."""
+        import btblab
+        root = Path(btblab.__file__).parent
+        defined, loaded = {}, set()
+
+        def private(name):
+            return name.startswith("_") and not name.endswith("__")
+
+        def visit(node, scope, where, in_function=False):
+            for child in ast.iter_child_nodes(node):
+                names = []
+                function = isinstance(child, (ast.FunctionDef,
+                                              ast.AsyncFunctionDef))
+                if function or isinstance(child, ast.ClassDef):
+                    names = [child.name]
+                elif isinstance(child, ast.Assign) and not in_function:
+                    names = [n.id for t in child.targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name)]
+                elif isinstance(child, ast.AnnAssign) and not in_function:
+                    names = [n.id for n in ast.walk(child.target)
+                             if isinstance(n, ast.Name)]
+                for name in filter(private, names):
+                    defined[f"{scope}.{name}"] = f"{where}:{child.lineno}"
+                inner = (f"{scope}.{child.name}"
+                         if isinstance(child, ast.ClassDef) else scope)
+                visit(child, inner, where, in_function or function)
+
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            module = ".".join(path.relative_to(root).with_suffix("").parts)
+            visit(tree, module, path.name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.id)
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Load)):
+                    loaded.add(node.attr)
+        assert [f"{where}: {name}" for name, where in sorted(defined.items())
+                if name.rpartition(".")[2] not in loaded
+                and name not in self.HOOKS] == []
+        assert self.HOOKS <= set(defined)
+
+
 class TestUsage:
     def test_no_command_exit_1(self, workdir):
         res = cli([], workdir)

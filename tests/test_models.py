@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import inspect
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -517,11 +519,36 @@ class TestOneProbe:
     def test_only_btbx_lookup_and_pdede_commit_are_written_again(self):
         """The front end's probe and the commit are written once, in
         `BtbModel`: btbx adds its companion to the lookup, and pdede's
-        commit keeps its migrate-before-touch and page-handling rules."""
+        commit keeps only its page-handling hit rule."""
         own = [f"{cls.__name__}.{name}"
                for cls in (ConvBtb, RBtb, PdedeBtb, BtbX)
                for name in ("lookup", "commit_update") if name in vars(cls)]
         assert own == ["PdedeBtb.commit_update", "BtbX.lookup"]
+
+
+class TestOnePlacement:
+    def test_only_base_fills_or_invalidates_a_main_array(self):
+        """Placement is written once, in `BtbModel`: `_place` fills a main
+        array and `_change` moves an entry between its ways, and the models
+        state only the first way an entry may use.  A call through a local
+        bound to `self._main` (`main = self._main`) counts too."""
+        import btblab.models
+        calls = []
+        for path in sorted(Path(btblab.models.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            main = {"self._main"} | {
+                ast.unparse(target) for node in ast.walk(tree)
+                if isinstance(node, ast.Assign)
+                and ast.unparse(node.value) == "self._main"
+                for target in node.targets}
+            calls += [f"{path.name}:{node.lineno}: {node.func.attr}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("fill", "invalidate")
+                      and ast.unparse(node.func.value) in main]
+        assert calls  # base.py's own, so the search does find such calls
+        assert [call for call in calls if not call.startswith("base.py:")] == []
 
 
 class TestOneEntryPerWay:
@@ -785,6 +812,28 @@ class TestPdede:
         near = rec(0x2000, 0x2100)
         m.commit_update(near)
         assert m.lookup(near.pc) is not None  # reserved ways unaffected
+
+    def test_reserved_way_migrate_and_the_fills_after_it(self):
+        """A same-page entry in a reserved way that commits an off-page
+        target migrates to the LRU general way; the fills after it take the
+        emptied reserved way first and then evict in LRU order, so where
+        the commit touches the way it leaves does not show."""
+        m = PdedeBtb(main_entries=8, page_entries=32)  # one set: 4 + 4 ways
+        far = (900 << 12) | 0x24
+        near = [rec(0x5000 + 4 * i, 0x5800) for i in range(4)]
+        off = [rec(0x5100 + 4 * i, far) for i in range(4)]
+        assert [m.commit_update(r).way for r in near + off] == list(range(8))
+        out = m.commit_update(rec(near[0].pc, far))
+        assert (out.kind, out.way >= m.reserved_ways) == ("migrate", True)
+        assert out == ("migrate", "main", 4, True)
+        assert m.lookup(near[0].pc).target == far
+        fills = [rec(0x5200, far), rec(0x5204, 0x5a00), rec(0x5208, 0x5a00),
+                 rec(0x520c, far), rec(0x5210, 0x5a00)]
+        assert [tuple(m.commit_update(r)) for r in fills] == [
+            ("alloc", "main", 5, True), ("alloc", "main", 0, False),
+            ("alloc", "main", 1, True), ("alloc", "main", 6, True),
+            ("alloc", "main", 2, True)]
+        m.check_invariants()
 
 
 def main_recency(m, pc):

@@ -67,7 +67,7 @@ class TestGeometryValidation:
 
 
 class TestWayWidthTables:
-    """BtbX's `_allocate` finds a branch's eligible ways by bisecting the
+    """BtbX's `_first` finds a branch's eligible ways by bisecting the
     widths, which needs exactly 8 non-decreasing widths per profile."""
 
     @pytest.mark.parametrize("isa, total", [(ALIGNED4, 80), (BYTE, 86)])
