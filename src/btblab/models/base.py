@@ -8,12 +8,12 @@ branch would do, leaving the result in `predicted`, then commits.
 may refresh recency on a valid hit but never allocates or evicts).  An
 organization states what its entry, one value per way, stores: how a hit
 rebuilds its target (`_predict_at`), how an entry is written (`_write`)
-and `first`, the lowest way it may use: only `BtbModel` places (`_place`)
-or moves (`_change`) an entry.  btbx adds its companion to `lookup` and
-`_place`; pdede keeps its own `commit_update`.  The record is
-a tuple `pc, target, kind, taken, gap`, read positionally: a `BranchRecord`
-or the raw fields of a binary trace, whose kind is a plain int code.  So
-kinds compare by value, with `core.RETURN` and `core.CALL_KINDS`.
+and `_first`, the lowest way it may use by offset length.  Only `BtbModel`
+commits, places (`_place`) or moves (`_change`) an entry; btbx adds its
+companion to `lookup`, `_miss` and `_place`, pdede a rewrite to `_hit_at`.
+The record is a tuple `pc, target, kind, taken, gap`, read positionally: a
+`BranchRecord` or the raw fields of a binary trace, whose kind is a plain
+int code.  So kinds compare by value, with `core.RETURN` and `core.CALL_KINDS`.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ class UpdateOutcome(NamedTuple):
 
 
 ASSOC = 8  # nominal ways of every main array
+ADDRESS_BITS = 64  # a trace record's pc and target are u64 fields
 
 
 def divisor_ways(entries: int) -> int:
@@ -202,19 +203,19 @@ class BtbModel:
     An organization adds its sizing rule and, where a hit's target is
     rebuilt or needs a live link, its `_predict_at`; it overrides `_write`
     where an entry stores more than its prediction.  A placement policy
-    (btbx's way widths, pdede's same-page ways) only computes `first`, the
-    lowest way an entry may use: `_place` fills the LRU of the ways from
-    `first` on, and `_change` rewrites in place or, below `first`, moves
-    the entry: it invalidates the way and `_place`s it with "migrate".
+    (btbx's way widths, pdede's same-page ways) is a table: `first`, the
+    lowest way an entry may use, is `_first[(pc ^ target).bit_length()]`
+    (a return's is 0).  `_place` fills the LRU of the ways from `first` on;
+    `_change` rewrites in place or, below `first`, moves the entry.
 
     A taken branch costs one call.  `commit_update` probes the main array,
     applies the recency touch a lookup's hit would, and leaves in
     `predicted` exactly what `lookup(pc)` would have returned just before
     it (btbx's `_miss` fills in its companion's hit); then it commits: a
-    hit, a `_change` of the entry, or a `_miss`.  A lookup's touch followed by
-    the commit's touch of the same way leaves the same LRU order as the one
-    touch, so a model driven by commits alone goes through the same states
-    and outcomes as one that is also looked up before each commit.
+    hit (`_hit_at`), a `_change` of the entry, or a `_miss`.  A lookup's
+    touch and then the commit's touch of the same way leave the LRU order
+    of the one touch, so a model driven by commits alone goes through the
+    same states and outcomes as one also looked up before each commit.
 
     `changes` is the model's change counter, a one-item list shared by all
     its tables: whenever a count in `occupancy_items()` may have moved, it
@@ -241,6 +242,7 @@ class BtbModel:
                                  for way in range(ways))
                      for kind in ("migrate", "alloc")}
         self._entry = [[None] * ways for _ in range(sets)]
+        self._first = (0,) * (ADDRESS_BITS + 1)  # any way, for any offset
 
     def lookup(self, pc: int) -> Optional[Prediction]:
         """The front end's probe: the main array's tag search, then what the
@@ -279,8 +281,13 @@ class BtbModel:
         self.predicted = pred = self._predict_at(pc, s, way)
         if pred is not None and pred.kind == kind and (
                 kind == RETURN or pred.target == target):
-            return self._hit[way]
+            return self._hit_at(pc, target, kind, s, tag, way)
         return self._change(pc, target, kind, s, tag, way)
+
+    def _hit_at(self, pc: int, target: int, kind: int, s: int, tag: int,
+                way: int):
+        """The outcome of a right prediction from (s, way): a hit."""
+        return self._hit[way]
 
     def _place(self, pc: int, target: int, kind: int, s: int, tag: int,
                first: int = 0, outcome: str = "alloc"):
@@ -290,12 +297,13 @@ class BtbModel:
         self._write(s, way, pc, target, kind)
         return self._out[outcome][way][victim_valid]
 
-    _miss = _place  # a new entry may use any way
+    _miss = _place  # any way: a model with a placement rule reads `_first`
 
     def _change(self, pc: int, target: int, kind: int, s: int, tag: int,
-                way: int, first: int = 0):
-        """Rewrite the entry in place or, if its way is below `first`, move
-        it: invalidate the way and `_place` the entry with "migrate"."""
+                way: int):
+        """Rewrite the entry in place or, if its way is below its first way,
+        move it: invalidate the way and `_place` the entry with "migrate"."""
+        first = 0 if kind == RETURN else self._first[(pc ^ target).bit_length()]
         if way < first:
             self._main.invalidate(s, way)
             return self._place(pc, target, kind, s, tag, first, "migrate")

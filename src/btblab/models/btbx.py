@@ -2,16 +2,16 @@
 
 Each of the 8 ways in a set stores target offsets up to a fixed width
 (0/4/5/7/9/11/19/25 bits in 4-byte-aligned mode), so a branch is only
-eligible for the ways from its `first`, the first wide enough to hold its
-offset; victim selection is LRU restricted to those ways, with recency
-bookkeeping for the whole set unchanged from baseline LRU.  Branches whose
-offset exceeds the widest way live in the direct-mapped companion, which
-keeps full targets.
+eligible for the ways from its first, the first wide enough to hold its
+offset, which `_first` gives by offset length; victim selection is LRU
+restricted to those ways, with recency bookkeeping for the whole set
+unchanged from baseline LRU.  Branches whose offset exceeds the widest way
+live in the direct-mapped companion, which keeps full targets.
 
-An entry's stored offset field always carries the low way-width bits of the
-shifted target, so reconstruction concatenates the PC above the way width
-with the field below it; that is exact for any branch whose required width
-fits the way.
+An entry's offset field carries the low way-width bits of the shifted
+target (a return's is 0), so reconstruction concatenates the PC above the
+way width with the field below it; that is exact for any branch whose
+required width fits the way.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import Optional
 
 from ..core import ALIGNED4, RETURN, IsaProfile, required_offset_width
 from ..storage import BtbxGeometry
-from .base import (BtbModel, InvariantError, Prediction, SetArray,
-                   UpdateOutcome, new_prediction)
+from .base import (ADDRESS_BITS, BtbModel, InvariantError, Prediction,
+                   SetArray, UpdateOutcome, new_prediction)
 
 XC_TAG_BITS = 15
 
@@ -39,6 +39,9 @@ class BtbX(BtbModel):
         self.widths = geometry.way_widths
         self.xc_entries = n = geometry.xc_entries
         self._caps = (self.sets,) * self.ways  # every way holds one entry per set
+        # The first way wide enough (widths never decrease), else `ways`.
+        self._first = tuple(bisect_left(self.widths, bits - self._shift)
+                            for bits in range(ADDRESS_BITS + 1))
         # An entry is (prediction, offset_field, owner_pc): what it decodes
         # to for owner_pc, the pc that wrote it, and the way-width offset
         # field; another pc with the same set and tag decodes its own.
@@ -59,8 +62,12 @@ class BtbX(BtbModel):
         return new_prediction((target, kind, self._sources[way]))
 
     def _write(self, s: int, way: int, pc: int, target: int, kind: int):
+        # The way is wide enough for the offset, so pc decodes to target.
         offset = (target >> self._shift) & ((1 << self.widths[way]) - 1)
-        self._entry[s][way] = (self._predict(pc, way, kind, offset), offset, pc)
+        if kind == RETURN:  # its target comes from the RAS
+            target, offset = None, 0
+        self._entry[s][way] = (new_prediction((target, kind, self._sources[way])),
+                               offset, pc)
 
     # -- model interface ----------------------------------------------------
 
@@ -80,20 +87,9 @@ class BtbX(BtbModel):
                 return self._xc_pred[slot]
         return pred
 
-    def _first(self, pc: int, target: int, kind: int) -> int:
-        """The first way wide enough for the branch's offset (widths never
-        decrease), or `ways`, the companion, if none is; a return has none."""
-        n = 0 if kind == RETURN else (pc ^ target).bit_length()
-        return bisect_left(self.widths, n - self._shift if n else 0)
-
-    def _change(self, pc: int, target: int, kind: int, s: int, tag: int,
-                way: int):
-        return BtbModel._change(self, pc, target, kind, s, tag, way,
-                                self._first(pc, target, kind))
-
     def _miss(self, pc: int, target: int, kind: int, s: int, tag: int):
         # Not in the main array, so the companion is probed.
-        first = self._first(pc, target, kind)
+        first = 0 if kind == RETURN else self._first[(pc ^ target).bit_length()]
         slot, xtag = self._xc.set_tag(pc >> self._shift)
         if self._xc.tags[slot][0] == xtag:
             self.predicted = stored = self._xc_pred[slot]
@@ -106,8 +102,6 @@ class BtbX(BtbModel):
             # so a branch never lives in both structures for long.
             self._xc.invalidate(slot, 0)
             return self._place(pc, target, kind, s, tag, first, "migrate")
-        if first < self.ways:  # `_place`'s test, without its call
-            return BtbModel._place(self, pc, target, kind, s, tag, first)
         return self._place(pc, target, kind, s, tag, first, "alloc",
                            (slot, xtag))
 
@@ -116,8 +110,7 @@ class BtbX(BtbModel):
         if first < self.ways:
             return BtbModel._place(self, pc, target, kind, s, tag, first,
                                    outcome)
-        # No way is wide enough: the companion takes the full target.  `xc`
-        # is its (slot, tag), if the commit has probed the companion.
+        # The companion takes the full target; `xc` is its probed (slot, tag).
         slot, xtag = xc or self._xc.set_tag(pc >> self._shift)
         _, victim_valid = self._xc.fill(slot, xtag)
         self._xc_pred[slot] = new_prediction((target, kind, "xc"))

@@ -18,10 +18,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-from ..core import ALIGNED4, PAGE_SHIFT, RETURN, Fields, IsaProfile, xor_fold
+from ..core import ALIGNED4, PAGE_SHIFT, RETURN, IsaProfile, xor_fold
 from ..storage import TAG_BITS
-from .base import (ASSOC, INVALID, BtbModel, InvariantError, Prediction,
-                   SetArray, UpdateOutcome, divisor_ways, new_prediction)
+from .base import (ADDRESS_BITS, ASSOC, INVALID, BtbModel, InvariantError,
+                   Prediction, SetArray, divisor_ways, new_prediction)
 
 NO_PAGE = -1  # page_ptr of entries that need no page: returns, pdede same-page
 
@@ -137,6 +137,9 @@ class PdedeBtb(BtbModel):
         self.page_shift = PAGE_SHIFT  # an instance attribute reads fastest
         self.region_pages_log2 = 8  # a region spans 256 pages
         self.reserved_ways = ASSOC // 2  # ways [0, reserved) are same-page only
+        # pc and target share a page when pc ^ target fits in the page bits.
+        self._first = tuple(0 if bits <= PAGE_SHIFT else self.reserved_ways
+                            for bits in range(ADDRESS_BITS + 1))
         self.main_entries = self.sets * ASSOC
         self.page_assoc = pa = min(self.PAGE_ASSOC, page_entries)
         self.page_sets = ps = max(1, page_entries // pa)
@@ -241,31 +244,17 @@ class PdedeBtb(BtbModel):
         self._entry[s][way] = (new_prediction((target, kind, self._sources[way])),
                                ptr, gen, in_off, pc)
 
-    def commit_update(self, record: Fields) -> UpdateOutcome:
-        main = self._main
-        pc, target, kind, _, _ = record
-        same = (kind == RETURN
-                or (pc >> self.page_shift) == (target >> self.page_shift))
-        # Same-page entries may use every way, the reserved (lowest) half
-        # first; a different-page one only the general ways, which hold a
-        # page pointer.
-        first = 0 if same else self.reserved_ways
-        s, tag = main.memo[pc >> self._shift]
-        row = main.tags[s]
-        if tag not in row:
-            self.predicted = None
-            return self._place(pc, target, kind, s, tag, first)
-        way = row.index(tag)
-        main.stamps[s][way] = main.clock = main.clock + 1
-        # A stale page or region link is a lookup miss and never a hit.
-        self.predicted = pred = self._predict_at(pc, s, way)
-        # A hit needs what the lookup predicted to have the same kind and,
-        # for a non-return, the same page handling and the same target.
-        if pred is not None and pred.kind == kind and (kind == RETURN or (
-                pred.target == target
-                and (self._entry[s][way][1] == NO_PAGE) == same)):
+    def _miss(self, pc: int, target: int, kind: int, s: int, tag: int):
+        return self._place(pc, target, kind, s, tag, 0 if kind == RETURN
+                           else self._first[(pc ^ target).bit_length()])
+
+    def _hit_at(self, pc: int, target: int, kind: int, s: int, tag: int,
+                way: int):
+        """A hit, but a different-page entry committed from its target's
+        page is rewritten as that pc's same-page entry."""
+        if self._entry[s][way][1] == NO_PAGE or (pc ^ target) >> self.page_shift:
             return self._hit[way]
-        return self._change(pc, target, kind, s, tag, way, first)
+        return self._change(pc, target, kind, s, tag, way)
 
     def occupancy_items(self):
         return [("main", self._main.valid(), self.main_entries),

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from conftest import rec, taken_branch_trace
-from btblab.core import (ALIGNED4, BYTE, MODEL_NAMES, BranchKind, IsaProfile,
-                         xor_fold)
+from btblab.core import (ALIGNED4, BYTE, MODEL_NAMES, PAGE_SHIFT, PROFILES,
+                         BranchKind, IsaProfile, xor_fold)
 from btblab.models import ConfigError, build_model
-from btblab.models.base import MEMO_LINES, InvariantError, SetArray
+from btblab.models.base import ASSOC, MEMO_LINES, InvariantError, SetArray
 from btblab.models.btbx import BtbX
 from btblab.models.conv import ConvBtb
 from btblab.models.paged import NO_PAGE, PdedeBtb, RBtb
@@ -138,6 +138,19 @@ class TestBtbxAllocation:
         m.commit_update(rec(WORKED_PC, WORKED_TARGET))
         out = m.commit_update(rec(WORKED_PC, WORKED_TARGET))
         assert out.kind == "hit"
+
+    def test_return_stores_offset_field_0(self):
+        """A return's target comes from the RAS, so its entry's offset field
+        is 0 in any way, as rbtb's and pdede's in-page offset is."""
+        m = BtbX(arm64_geometry(32))
+        pa = 0x1000
+        pb = pa + (m.sets << 2)  # the same set, another tag
+        assert m.commit_update(rec(pa, pa + 0x34, BranchKind.RETURN)).way == 0
+        out = m.commit_update(rec(pb, pb + 0x34, BranchKind.RETURN))
+        s, _ = m._main.memo[pb >> 2]
+        assert out.way == 1 and m.widths[out.way] > 0
+        assert m._entry[s][out.way][1] == 0
+        m.check_invariants()
 
 
 def full_set(touches):
@@ -516,14 +529,14 @@ class TestProbeReuse:
 
 
 class TestOneProbe:
-    def test_only_btbx_lookup_and_pdede_commit_are_written_again(self):
+    def test_only_btbx_lookup_is_written_again(self):
         """The front end's probe and the commit are written once, in
-        `BtbModel`: btbx adds its companion to the lookup, and pdede's
-        commit keeps only its page-handling hit rule."""
+        `BtbModel`, for all four models: btbx adds its companion to the
+        lookup, and no model writes its own commit."""
         own = [f"{cls.__name__}.{name}"
                for cls in (ConvBtb, RBtb, PdedeBtb, BtbX)
                for name in ("lookup", "commit_update") if name in vars(cls)]
-        assert own == ["PdedeBtb.commit_update", "BtbX.lookup"]
+        assert own == ["BtbX.lookup"]
 
 
 class TestOnePlacement:
@@ -549,6 +562,65 @@ class TestOnePlacement:
                       and ast.unparse(node.func.value) in main]
         assert calls  # base.py's own, so the search does find such calls
         assert [call for call in calls if not call.startswith("base.py:")] == []
+
+
+class TestOneCommit:
+    def test_only_base_commits_and_placement_is_a_table(self):
+        """The commit and the move of an entry are written once, in
+        `BtbModel`, and each model states where an entry may go as data:
+        `_first`, a tuple indexed by offset length, not a method."""
+        import btblab.models
+        defs = []
+        for path in sorted(Path(btblab.models.__file__).parent.glob("*.py")):
+            for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for node in cls.body:
+                    names = ([node.name] if isinstance(node, ast.FunctionDef)
+                             else [ast.unparse(t) for t in node.targets]
+                             if isinstance(node, ast.Assign) else [])
+                    defs += [f"{cls.name}.{name}" for name in names
+                             if name in ("commit_update", "_change", "_first")]
+        assert sorted(defs) == ["BtbModel._change", "BtbModel.commit_update"]
+        for name in MODEL_NAMES:
+            assert type(build_model(name, budget_kb=14.5)._first) is tuple
+
+
+def first_way_rule(name, isa):
+    """`_first[n]` for n = 0..64, stated from the way widths, the page size
+    and the associativity alone."""
+    rule = []
+    for n in range(65):
+        first = 0
+        if name == "btbx":
+            first = ASSOC
+            for k, width in enumerate(storage.WAY_WIDTHS[isa]):
+                if width >= n - isa.align_shift:
+                    first = k
+                    break
+        elif name == "pdede" and n > PAGE_SHIFT:
+            first = ASSOC // 2
+        rule.append(first)
+    return tuple(rule)
+
+
+class TestFirstWayTables:
+    @pytest.mark.parametrize("isa", PROFILES, ids=lambda isa: isa.name)
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_every_preset_follows_its_rule(self, name, isa):
+        rule = first_way_rule(name, isa)
+        for kb in storage.standard_budgets_kb(isa):
+            m = build_model(name, budget_kb=kb, isa=isa)
+            assert m._first == rule, kb
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_a_64_bit_offset_is_placed_then_hits(self, name):
+        """Records reach a model unchecked through the library, so the
+        table covers every offset of two u64 addresses."""
+        m = build_model(name, budget_kb=14.5)
+        r = rec(0x1000, 0x1000 ^ (1 << 63))
+        assert [m.commit_update(r).kind for _ in range(2)] == ["alloc", "hit"]
+        m.check_invariants()
 
 
 class TestOneEntryPerWay:
