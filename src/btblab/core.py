@@ -172,15 +172,18 @@ def xor_fold(value: int, bits: int) -> int:
 
     Used to hash full tags (and page numbers) into the short fields hardware
     actually stores; deterministic so aliasing is reproducible run to run.
+    A negative value has no fold and raises ValueError.
     """
+    if value < 0:
+        raise ValueError(f"cannot fold a negative value: {value}")
     if bits <= 0:
         return 0
     mask = (1 << bits) - 1
     acc = 0
-    while value:
+    while value > mask:
         acc ^= value & mask
         value >>= bits
-    return acc
+    return acc ^ value
 
 
 # A call's return address is its pc plus this many bytes in both ISA modes.

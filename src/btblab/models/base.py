@@ -8,7 +8,7 @@ branch would do, leaving the result in `predicted`, then commits.
 may refresh recency on a valid hit but never allocates or evicts).  An
 organization states what its entry, one value per way, stores: how a hit
 rebuilds its target (`_predict_at`), how an entry is written (`_write`)
-and `_first`, the lowest way it may use by offset length.  Only `BtbModel`
+and checked (`_rebuilt`), and its first way (`_first`).  Only `BtbModel`
 commits, places (`_place`) or moves (`_change`) an entry; btbx adds its
 companion to `lookup`, `_miss` and `_place`, pdede a rewrite to `_hit_at`.
 The record is a tuple `pc, target, kind, taken, gap`, read positionally: a
@@ -202,7 +202,8 @@ class BtbModel:
       btbx   (prediction, offset_field, owner_pc)
     An organization adds its sizing rule and, where a hit's target is
     rebuilt or needs a live link, its `_predict_at`; it overrides `_write`
-    where an entry stores more than its prediction.  A placement policy
+    and `_rebuilt` (what `check_invariants` compares each stored prediction
+    with) where an entry stores more than its prediction.  A placement policy
     (btbx's way widths, pdede's same-page ways) is a table: `first`, the
     lowest way an entry may use, is `_first[(pc ^ target).bit_length()]`
     (a return's is 0).  `_place` fills the LRU of the ways from `first` on;
@@ -268,7 +269,9 @@ class BtbModel:
     def commit_update(self, record: Fields) -> UpdateOutcome:
         """Probe as `lookup(pc)` would and leave its result in `predicted`;
         a hit needs that prediction's kind and, but for a return, target.
-        Else `_change` the entry, or on a tag miss place it with `_miss`."""
+        Else `_change` the entry, or on a tag miss place it with `_miss`.
+        The record's pc and target are u64 addresses, in [0, 2**64), as a
+        trace file's fields are; `sim` rejects a record list with others."""
         main = self._main
         pc, target, kind, _, _ = record
         s, tag = main.memo[pc >> self._shift]
@@ -317,7 +320,24 @@ class BtbModel:
 
     def occupancy_items(self):
         """[(structure name, currently valid entries, capacity), ...]"""
-        raise NotImplementedError
+        return [("main", self._main.valid(), self.sets * self.ways)]
 
     def check_invariants(self) -> None:
+        """Each valid entry's stored prediction is what `_rebuilt` rebuilds
+        from its payload, unless a link the entry needs has died."""
         self._main.check()
+        for s, way in self._main.occupied():
+            entry, rebuilt = self._entry[s][way], self._rebuilt(s, way)
+            pred = entry if isinstance(entry, Prediction) else entry[0]
+            if rebuilt is not None and pred != rebuilt:
+                raise InvariantError(f"set {s} way {way}: stored prediction "
+                                     f"{pred} differs from its payload")
+
+    def _rebuilt(self, s: int, way: int) -> Optional[Prediction]:
+        """The entry's prediction for the pc that wrote it, rebuilt from its
+        payload, or None when a page or region link has died; a model also
+        raises here on an entry that breaks its own rules.  By default: the
+        entry itself, with its way's source and no target for a return."""
+        pred = self._entry[s][way]
+        return new_prediction((None if pred.kind == RETURN else pred.target,
+                               pred.kind, self._sources[way]))

@@ -37,7 +37,6 @@ class BtbX(BtbModel):
         super().__init__(geometry.sets, geometry.ways, geometry.tag_bits, isa)
         self.geometry = geometry
         self.widths = geometry.way_widths
-        self.xc_entries = n = geometry.xc_entries
         self._caps = (self.sets,) * self.ways  # every way holds one entry per set
         # The first way wide enough (widths never decrease), else `ways`.
         self._first = tuple(bisect_left(self.widths, bits - self._shift)
@@ -48,9 +47,9 @@ class BtbX(BtbModel):
         # Direct-mapped: one way.  It is probed only after a main-array
         # miss, and computes each probe's slot and tag (`set_tag`) rather
         # than keeping a second memo of every line.
-        self._xc = SetArray(n, 1, XC_TAG_BITS)
+        self._xc = SetArray(geometry.xc_entries, 1, XC_TAG_BITS)
         self._xc.changes = self.changes
-        self._xc_pred = [None] * n  # full targets: the same for every pc
+        self._xc_pred = [None] * self._xc.sets  # full targets: any pc's
 
     # -- address plumbing ---------------------------------------------------
 
@@ -118,26 +117,26 @@ class BtbX(BtbModel):
 
     def occupancy_items(self):
         items = list(zip(self._sources, self._main.way_valid, self._caps))
-        items.append(("xc", self._xc.way_valid[0], self.xc_entries))
+        items.append(("xc", self._xc.way_valid[0], self._xc.sets))
         return items
+
+    def _rebuilt(self, s: int, way: int) -> Prediction:
+        """The owner's pc decoded with its offset field; both fit the way."""
+        width = self.widths[way]
+        pred, offset, owner = self._entry[s][way]
+        req = (0 if pred.target is None
+               else required_offset_width(owner, pred.target, self.isa))
+        if req > width:
+            raise InvariantError(
+                f"set {s} way {way}: its owner's target needs {req} "
+                f"offset bits, more than the way's {width}")
+        if offset >> width:
+            raise InvariantError(f"set {s} way {way}: offset field overflow")
+        return self._predict(owner, way, pred.kind, offset)
 
     def check_invariants(self):
         super().check_invariants()
         self._xc.check()
-        for s, way in self._main.occupied():
-            width = self.widths[way]
-            pred, offset, owner = self._entry[s][way]
-            req = (0 if pred.target is None
-                   else required_offset_width(owner, pred.target, self.isa))
-            if req > width:
-                raise InvariantError(
-                    f"set {s} way {way}: its owner's target needs {req} "
-                    f"offset bits, more than the way's {width}")
-            if offset >> width:
-                raise InvariantError(f"set {s} way {way}: offset field overflow")
-            if pred != self._predict(owner, way, pred.kind, offset):
-                raise InvariantError(f"set {s} way {way}: stored prediction "
-                                     f"{pred} differs from its payload")
         for slot, _ in self._xc.occupied():
             pred = self._xc_pred[slot]
             if pred.source != "xc" or pred.target is None:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from ..core import ALIGNED4, RETURN, IsaProfile
+from ..core import ALIGNED4, IsaProfile
 from ..storage import conv_tag_bits
-from .base import BtbModel, InvariantError, divisor_ways
+from .base import BtbModel, divisor_ways
 
 
 class ConvBtb(BtbModel):
@@ -29,14 +29,3 @@ class ConvBtb(BtbModel):
         ways = divisor_ways(entries)
         super().__init__(entries // ways, ways, conv_tag_bits(isa), isa)
         self.entries = entries
-
-    def occupancy_items(self):
-        return [("main", self._main.valid(), self.entries)]
-
-    def check_invariants(self):
-        super().check_invariants()
-        for s, way in self._main.occupied():
-            pred = self._entry[s][way]
-            if (pred.source != self._sources[way]
-                    or (pred.target is None) != (pred.kind == RETURN)):
-                raise InvariantError(f"set {s} way {way}: bad prediction {pred}")

@@ -51,8 +51,7 @@ class RBtb(BtbModel):
         # search over its hundreds of slots.  The map's order is also the
         # table's true-LRU order, least recently used first: a hit moves its
         # page to the end and an eviction pops the front.
-        self._pt_page = [INVALID] * page_entries
-        self._pt_gen = [0] * page_entries
+        self._pt_slot = [(INVALID, 0)] * page_entries  # (page, generation)
         self._pt_map = OrderedDict()  # page number -> slot
 
     def _predict_at(self, pc: int, s: int, way: int) -> Optional[Prediction]:
@@ -61,7 +60,7 @@ class RBtb(BtbModel):
         generation is at least 1, so it never matches a slot that is still
         empty.  The stored target is absolute, so pc plays no part."""
         pred, ptr, gen, _ = self._entry[s][way]
-        if ptr == NO_PAGE or self._pt_gen[ptr] == gen:
+        if ptr == NO_PAGE or self._pt_slot[ptr][1] == gen:
             return pred
         return None  # dangling page pointer: miss, never a wrong target
 
@@ -82,10 +81,9 @@ class RBtb(BtbModel):
                     self.changes[0] += 1
                 else:
                     slot = pt_map.popitem(last=False)[1]
-                self._pt_gen[slot] += 1
-                self._pt_page[slot] = page
+                self._pt_slot[slot] = (page, self._pt_slot[slot][1] + 1)
                 pt_map[page] = slot
-            gen = self._pt_gen[slot]
+            gen = self._pt_slot[slot][1]
             in_off = target & ((1 << self.page_shift) - 1)
         self._entry[s][way] = (new_prediction((target, kind, self._sources[way])),
                                slot, gen, in_off)
@@ -94,22 +92,20 @@ class RBtb(BtbModel):
         return [("main", self._main.valid(), self.main_entries),
                 ("page", len(self._pt_map), self.page_entries)]
 
+    def _rebuilt(self, s: int, way: int) -> Optional[Prediction]:
+        """A return needs no page; any other entry's target is on its page."""
+        pred, ptr, gen, in_off = self._entry[s][way]
+        if ptr == NO_PAGE:
+            return new_prediction((None, RETURN, self._sources[way]))
+        page, live = self._pt_slot[ptr]
+        return new_prediction(((page << self.page_shift) | in_off, pred.kind,
+                               self._sources[way])) if live == gen else None
+
     def check_invariants(self):
         super().check_invariants()
-        for slot, page in enumerate(self._pt_page):
+        for slot, (page, _) in enumerate(self._pt_slot):
             if (page != INVALID) != (self._pt_map.get(page) == slot):
                 raise InvariantError(f"page map out of sync at slot {slot}")
-        for s, way in self._main.occupied():
-            pred = self._predict_at(None, s, way)
-            if pred is None:
-                continue
-            _, ptr, _, in_off = self._entry[s][way]
-            target = (None if ptr == NO_PAGE else
-                      (self._pt_page[ptr] << self.page_shift) | in_off)
-            if (pred.target != target or pred.source != self._sources[way]
-                    or (pred.kind == RETURN) != (ptr == NO_PAGE)):
-                raise InvariantError(f"set {s} way {way}: stored prediction "
-                                     f"{pred} differs from its payload")
 
 
 class PdedeBtb(BtbModel):
@@ -150,11 +146,10 @@ class PdedeBtb(BtbModel):
         # A different-page target is absolute; a same-page one takes its
         # page from the lookup pc, so another pc rebuilds its own.
         # Page slots are tagged by the page's low bits within its region; a
-        # page pointer is set * page_assoc + way, which indexes the lists.
+        # page pointer is set * page_assoc + way, which indexes `_pt_slot`:
+        # (generation, region slot, the region slot's generation at the fill).
         self._pt = SetArray(ps, pa)
-        self._pt_rptr = [0] * self.page_entries
-        self._pt_rgen = [0] * self.page_entries
-        self._pt_gen = [0] * self.page_entries
+        self._pt_slot = [(0, 0, 0)] * self.page_entries
         # One set of region slots, tagged by region number.
         self._rt = SetArray(1, region_entries)
         self._rt_gen = [0] * region_entries
@@ -180,8 +175,8 @@ class PdedeBtb(BtbModel):
 
     def _page_slot_number(self, ptr: int) -> Optional[int]:
         """Page number held by a page slot, or None if its region link died."""
-        rptr = self._pt_rptr[ptr]
-        if self._rt_gen[rptr] != self._pt_rgen[ptr]:
+        _, rptr, rgen = self._pt_slot[ptr]
+        if self._rt_gen[rptr] != rgen:
             return None
         ps, slot = divmod(ptr, self.page_assoc)
         return ((self._rt.tags[0][rptr] << self.region_pages_log2)
@@ -198,14 +193,13 @@ class PdedeBtb(BtbModel):
         for slot in range(self.page_assoc):
             if row[slot] == low and self._page_slot_number(base + slot) == page:
                 self._pt.touch(ps, slot)
-                return base + slot, self._pt_gen[base + slot]
+                return base + slot, self._pt_slot[base + slot][0]
         rslot, rgen = self._ensure_region(page >> self.region_pages_log2)
         slot, _ = self._pt.fill(ps, low)
         ptr = base + slot
-        self._pt_gen[ptr] += 1
-        self._pt_rptr[ptr] = rslot
-        self._pt_rgen[ptr] = rgen
-        return ptr, self._pt_gen[ptr]
+        gen = self._pt_slot[ptr][0] + 1
+        self._pt_slot[ptr] = (gen, rslot, rgen)
+        return ptr, gen
 
     # -- main table -------------------------------------------------------
 
@@ -225,9 +219,10 @@ class PdedeBtb(BtbModel):
         if ptr == NO_PAGE:
             if owner != pc:
                 return self._same_page_prediction(pc, pred.kind, in_off, way)
-        elif (self._pt_gen[ptr] != gen
-              or self._rt_gen[self._pt_rptr[ptr]] != self._pt_rgen[ptr]):
-            return None  # stale page or region link: miss, never a wrong target
+        else:
+            live, rptr, rgen = self._pt_slot[ptr]
+            if live != gen or self._rt_gen[rptr] != rgen:
+                return None  # stale page or region link: never a wrong target
         return pred
 
     def _write(self, s: int, way: int, pc: int, target: int, kind: int):
@@ -261,24 +256,20 @@ class PdedeBtb(BtbModel):
                 ("page", self._pt.valid(), self.page_entries),
                 ("region", self._rt.valid(), self.region_entries)]
 
+    def _rebuilt(self, s: int, way: int) -> Optional[Prediction]:
+        """An entry rebuilds from its owner's page or, if it is a
+        different-page entry, from its live page slot's."""
+        pred, ptr, _, in_off, owner = self._entry[s][way]
+        if ptr != NO_PAGE:
+            if way < self.reserved_ways:
+                raise InvariantError(
+                    f"set {s} reserved way {way} holds a different-page entry")
+            if self._predict_at(owner, s, way) is None:
+                return None
+            owner = self._page_slot_number(ptr) << self.page_shift
+        return self._same_page_prediction(owner, pred.kind, in_off, way)
+
     def check_invariants(self):
         super().check_invariants()
         self._pt.check()
         self._rt.check()
-        for s, way in self._main.occupied():
-            pred, ptr, _, in_off, owner = self._entry[s][way]
-            same = ptr == NO_PAGE
-            if way < self.reserved_ways and not same:
-                raise InvariantError(
-                    f"set {s} reserved way {way} holds a different-page entry")
-            if same:
-                rebuilt = self._same_page_prediction(owner, pred.kind, in_off, way)
-            elif self._predict_at(None, s, way) is not None:
-                page = self._page_slot_number(ptr)
-                rebuilt = Prediction((page << self.page_shift) | in_off,
-                                     pred.kind, self._sources[way])
-            else:
-                continue
-            if pred != rebuilt:
-                raise InvariantError(f"set {s} way {way}: stored prediction "
-                                     f"{pred} differs from its payload")

@@ -642,6 +642,43 @@ class TestOneEntryPerWay:
         assert per_set == ["_entry", "_main.stamps", "_main.tags"]
 
 
+class TestOneEntryRule:
+    """The entry invariant is written once, in `BtbModel.check_invariants`:
+    each organization states how an entry rebuilds (`_rebuilt`), and each
+    side table keeps one record per slot beside its own tags or page map."""
+
+    def test_the_payload_check_is_written_once(self):
+        import btblab.models
+        models_dir = Path(btblab.models.__file__).parent
+        sources = {path.name: path.read_text(encoding="utf-8")
+                   for path in sorted(models_dir.glob("*.py"))}
+        raises = [name for name, text in sources.items()
+                  for _ in range(text.count("differs from its payload"))]
+        assert raises == ["base.py"]
+        loops = [name for name, text in sources.items()
+                 if "_main.occupied()" in text]
+        assert loops == ["base.py"]
+        assert [cls.__name__ for cls in (ConvBtb, RBtb, PdedeBtb, BtbX)
+                if "_rebuilt" in vars(cls)] == ["RBtb", "PdedeBtb", "BtbX"]
+        assert not {"check_invariants", "occupancy_items"} & set(vars(ConvBtb))
+
+    @pytest.mark.parametrize("budget_kb", [0.90625, 14.5, 58.0])
+    def test_one_list_per_side_table_slot(self, budget_kb):
+        slots = {"conv": [], "rbtb": ["_pt_slot"],
+                 "pdede": ["_pt_slot", "_rt_gen"], "btbx": ["_xc_pred"]}
+        for name in MODEL_NAMES:
+            m = build_model(name, budget_kb=budget_kb)
+            sizes = {getattr(m, attr) for attr in ("page_entries",
+                                                   "region_entries")
+                     if hasattr(m, attr)}
+            if hasattr(m, "_xc"):
+                sizes.add(m._xc.sets)
+            lists = sorted(attr for attr, value in vars(m).items()
+                           if isinstance(value, list) and attr != "_entry"
+                           and len(value) in sizes)
+            assert lists == slots[name], name
+
+
 class TestInvariantChecks:
     """Each check fails on a model whose state it guards is corrupted."""
 
@@ -1148,6 +1185,17 @@ class TestFactory:
         BtbX(BtbxGeometry(32, BYTE), BYTE)
         with pytest.raises(ValueError, match="byte profile"):
             BtbX(BtbxGeometry(32, BYTE), ALIGNED4)
+
+    @pytest.mark.parametrize("cls, sizes, message", [
+        (ConvBtb, (0,), "entries must be >= 1, got 0"),
+        (RBtb, (0, 8), "main_entries and page_entries must be >= 1"),
+        (RBtb, (64, 0), "main_entries and page_entries must be >= 1"),
+        (PdedeBtb, (ASSOC - 1, 16), f"need at least {ASSOC} main entries"),
+    ], ids=["conv", "rbtb-main", "rbtb-page", "pdede-main"])
+    def test_a_constructor_refuses_a_size_it_cannot_build(self, cls, sizes,
+                                                           message):
+        with pytest.raises(ValueError, match=message):
+            cls(*sizes)
 
     def test_sets_sizing(self):
         assert build_model("btbx", sets=64).sets == 64

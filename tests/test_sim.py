@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -547,3 +549,48 @@ class TestMetrics:
         keys = list(Metrics().to_dict())
         assert keys[:6] == ["instructions", "taken_branches", "taken_btb_misses",
                             "mpki", "hits_by_source", "occupancy_by_way"]
+
+
+class TestAddressDomain:
+    """A record list's pcs and targets must lie in [0, 2**64), as a trace
+    file's u64 fields do: `sim` rejects any other with the record's index
+    before a model sees it, for a bare list and a TraceFile's alike."""
+
+    def test_a_negative_pc_raises_instead_of_hanging(self):
+        # Its tag fold never returned, so the replay runs in a child.
+        script = (
+            "from btblab.core import xor_fold\n"
+            "from btblab.models import build_model\n"
+            "from btblab.sim import run\n"
+            "records = [(0x1000, 0x2000, 0, 1, 0), (-4, 0x2000, 0, 1, 0)]\n"
+            "for call in (lambda: xor_fold(-1, 12),\n"
+            "             lambda: run(build_model('conv', budget_kb=14.5),\n"
+            "                         records)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+        res = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == [
+            "cannot fold a negative value: -1",
+            "record 1: pc -0x4 and target 0x2000 must both lie in [0, 2**64)"]
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_a_target_beyond_u64_is_rejected_with_its_index(self, name):
+        records = [rec(0x1000, 0x2000)] * 3 + [(0x1000, 1 << 64, 0, 1, 0)]
+        message = "record 3: pc 0x1000 and target 0x1" + "0" * 16
+        with pytest.raises(ValueError, match=message):
+            run(build_model(name, budget_kb=14.5), records)
+        with pytest.raises(ValueError, match=message):
+            compare([name], TraceFile(ALIGNED4, records), 14.5)
+        with pytest.raises(ValueError, match=message):
+            offset_histogram(records)
+
+    def test_the_u64_bounds_themselves_replay(self):
+        top = (1 << 64) - 4
+        records = [rec(0, 0x2000), rec(top, top - 4), rec(0x1000, top)]
+        for name in MODEL_NAMES:
+            assert run(build_model(name, budget_kb=14.5), records,
+                       SimConfig(warmup_records=0)).taken_branches == 3
