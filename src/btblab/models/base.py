@@ -270,8 +270,8 @@ class BtbModel:
         """Probe as `lookup(pc)` would and leave its result in `predicted`;
         a hit needs that prediction's kind and, but for a return, target.
         Else `_change` the entry, or on a tag miss place it with `_miss`.
-        The record's pc and target are u64 addresses, in [0, 2**64), as a
-        trace file's fields are; `sim` rejects a record list with others."""
+        The record is one a trace of the model's profile may hold: `sim`
+        checks a record list by the format's rule (`trace.check_records`)."""
         main = self._main
         pc, target, kind, _, _ = record
         s, tag = main.memo[pc >> self._shift]

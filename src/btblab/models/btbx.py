@@ -19,7 +19,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Optional
 
-from ..core import ALIGNED4, RETURN, IsaProfile, required_offset_width
+from ..core import (ALIGNED4, RETURN, IsaProfile, OffsetEncoding, decode_target,
+                    required_offset_width)
 from ..storage import BtbxGeometry
 from .base import (ADDRESS_BITS, BtbModel, InvariantError, Prediction,
                    SetArray, UpdateOutcome, new_prediction)
@@ -56,8 +57,8 @@ class BtbX(BtbModel):
     def _predict(self, pc: int, way: int, kind: int, offset: int) -> Prediction:
         target = None  # a return's target comes from the RAS
         if kind != RETURN:  # the pc above the way width, the field below it
-            n = self.widths[way] + self._shift
-            target = (pc & ~((1 << n) - 1)) | (offset << self._shift)
+            target = decode_target(pc, OffsetEncoding(self.widths[way], offset),
+                                   self.isa)
         return new_prediction((target, kind, self._sources[way]))
 
     def _write(self, s: int, way: int, pc: int, target: int, kind: int):

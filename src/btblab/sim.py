@@ -22,7 +22,6 @@ from collections import deque
 from contextlib import contextmanager
 from functools import partial
 from itertools import islice
-from operator import itemgetter
 from os import PathLike
 from types import SimpleNamespace
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
@@ -31,8 +30,8 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 from .core import (ALIGNED4, CALL_BYTES, CALL_KINDS, RAS_CAPACITY, RETURN,
                    BranchRecord, Fields, IsaProfile, required_offset_width)
 from .models import build_model
-from .models.base import ADDRESS_BITS, BtbModel
-from .trace import TraceFile, open_fields
+from .models.base import BtbModel
+from .trace import TraceFile, check_records, open_fields
 
 # What `run`, `compare` and `offset_histogram` replay: a trace file's path
 # (str or PathLike), a TraceFile, or a bare list of records.
@@ -109,7 +108,8 @@ def _opened(trace: Trace, isa: IsaProfile) -> Iterator[
 
     A path is streamed from disk on every pass (`trace.open_fields`), so
     no more than a chunk of it is in memory.  A TraceFile brings its
-    own profile, and a bare record list takes `isa`.
+    own profile, and a bare record list takes `isa`; either is checked as
+    a trace file's records are (`trace.check_records`).
     """
     if isinstance(trace, (str, PathLike)):
         with open_fields(trace) as (header, passes):
@@ -117,24 +117,8 @@ def _opened(trace: Trace, isa: IsaProfile) -> Iterator[
         return
     if isinstance(trace, TraceFile):
         isa, trace = trace.isa, trace.records
-    _check_addresses(trace)
+    check_records(trace, isa)
     yield isa, len(trace), partial(iter, trace)
-
-
-def _check_addresses(records: Sequence[Fields]) -> None:
-    """Reject a record list whose pcs or targets leave [0, 2**64), the
-    range of a trace file's u64 fields, naming the first such record.
-    The bounds are taken in C, by `min` and `max` over each column; only
-    a list that fails them is scanned record by record."""
-    end = 1 << ADDRESS_BITS
-    if records and not all(
-            min(map(column, records)) >= 0 and max(map(column, records)) < end
-            for column in (itemgetter(0), itemgetter(1))):
-        index, (pc, target, *_) = next(
-            (i, r) for i, r in enumerate(records)
-            if not (0 <= r[0] < end and 0 <= r[1] < end))
-        raise ValueError(f"record {index}: pc {pc:#x} and target {target:#x} "
-                         f"must both lie in [0, 2**{ADDRESS_BITS})")
 
 
 def run(model: BtbModel, trace: Trace,

@@ -34,7 +34,7 @@ from itertools import accumulate, chain, cycle, islice, repeat, starmap
 from operator import add, truediv
 from types import SimpleNamespace
 from typing import (Callable, Iterable, Iterator, List, NamedTuple, Optional,
-                    Tuple)
+                    Sequence, Tuple)
 
 from .core import (CALL_BYTES, CALL_KINDS, PAGE_SHIFT, PROFILES, VA_BITS,
                    BranchKind, BranchRecord, Fields, IsaProfile, KIND_NAMES,
@@ -294,6 +294,21 @@ def _valid_chunks(fh, header: TraceHeader) -> Iterator[bytes]:
         raise TraceFormatError("trailing bytes after last record", count)
 
 
+def check_records(records: Sequence[Fields], isa: IsaProfile) -> None:
+    """Check a record list in `isa` as a binary trace's chunks are checked:
+    each block is packed as `_FIELDS` records, in one call, and tested
+    whole; one that fails, or has a field the format cannot store, goes
+    through the per-field checks, which raise with the bad record's index."""
+    for start in range(0, len(records), _CHUNK_RECORDS):
+        block = records[start:start + _CHUNK_RECORDS]
+        layout = "<" + _FIELDS.format[1:] * len(block)
+        with suppress(struct.error):
+            if _valid_chunk(struct.pack(layout, *chain.from_iterable(block)), isa):
+                continue
+        for index, fields in enumerate(block, start):
+            _checked_record(*fields, 0, isa, index)
+
+
 def _binary_fields(fh, header: TraceHeader) -> Iterator[Fields]:
     """The validated `Fields` of a binary trace's records, read a chunk at
     a time after its header."""
@@ -306,9 +321,9 @@ def _checked_record(pc: int, target: int, kind: int, taken: int, gap: int,
     the first field that fails: what a valid record is, in either form."""
     if pad != 0:
         raise TraceFormatError(f"nonzero pad {pad}", index)
-    if kind >= len(_KINDS):
+    if not 0 <= kind < len(_KINDS):
         raise TraceFormatError(f"unknown kind code {kind}", index)
-    if taken > 1:
+    if not 0 <= taken <= 1:
         raise TraceFormatError(f"bad taken flag {taken}", index)
     for what, address in (("pc", pc), ("target", target)):
         if not isa.valid_address(address):

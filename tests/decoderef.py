@@ -4,7 +4,8 @@ The production reader decodes in chunks with a combined fast test; this
 plain per-record loop is what it must agree with, record for record and
 error for error.  It states the per-field rule itself, from the format's
 description, rather than calling the production check, so a fault in
-either shows up as a disagreement.
+either shows up as a disagreement.  `check_records_reference` holds a
+record list to the same rule, one record at a time.
 """
 
 import struct
@@ -20,12 +21,12 @@ def _check(pc, target, kind, taken, gap, pad, align, index):
     """Raise for the first field of a record that breaks the format."""
     if pad != 0:
         raise TraceFormatError(f"nonzero pad {pad}", index)
-    if kind > 5:
+    if not 0 <= kind <= 5:  # a record list's fields may be negative
         raise TraceFormatError(f"unknown kind code {kind}", index)
-    if taken > 1:
+    if not 0 <= taken <= 1:
         raise TraceFormatError(f"bad taken flag {taken}", index)
     for what, address in (("pc", pc), ("target", target)):
-        if address >= 1 << 48 or address % align:
+        if not 0 <= address < 1 << 48 or address % align:
             raise TraceFormatError(f"{what} {address:#x} invalid for 48-bit "
                                    f"space with {align}-byte alignment", index)
     if gap < 0:  # a u16 gap passes both gap tests; they complete the rule
@@ -55,3 +56,10 @@ def read_binary_reference(path):
             raise TraceFormatError("trailing bytes after last record",
                                    header.record_count)
     return header, records
+
+
+def check_records_reference(records, align):
+    """Raise for the first record of a list that breaks the format, the
+    rule a list shares with a binary trace's records (its pad is 0)."""
+    for index, (pc, target, kind, taken, gap) in enumerate(records):
+        _check(pc, target, kind, taken, gap, 0, align, index)

@@ -1,4 +1,4 @@
-"""Brute-force reference model for the asymmetric-way BTB.
+"""Brute-force reference models for the asymmetric-way BTB and conv.
 
 Deliberately independent of the production implementation: each set is an
 explicit recency-ordered list of way indices (oldest first) and entries are
@@ -162,3 +162,73 @@ def drive_reference(ref, records):
             commit = "-"
         lines.append(f"{look} {commit}")
     return "\n".join(lines)
+
+
+class RefConv:
+    """Brute-force conventional BTB: full targets, plain LRU over every way.
+
+    Built like RefBtbX: each set is an explicit recency list of way indices
+    (oldest first) and entries are dicts.  The set is line % sets, since a
+    budget's entry count need not be a power of two, and the tag is
+    line // sets through the shared fold.  `entries` is split into the most
+    ways, up to 8, that divide it.
+    """
+
+    def __init__(self, entries, tag_bits, isa):
+        self.ways = max(w for w in range(1, 9) if entries % w == 0)
+        self.sets = entries // self.ways
+        self.tag_bits = tag_bits
+        self.align = isa.align_shift
+        self.entries = [[None] * self.ways for _ in range(self.sets)]
+        self.recency = [list(range(self.ways)) for _ in range(self.sets)]
+
+    def _where(self, pc):
+        line = pc >> self.align
+        return line % self.sets, xor_fold(line // self.sets, self.tag_bits)
+
+    def _touch(self, s, way):
+        order = self.recency[s]
+        order.remove(way)
+        order.append(way)
+
+    def _find(self, s, tag):
+        for way in range(self.ways):
+            e = self.entries[s][way]
+            if e is not None and e["tag"] == tag:
+                return way
+        return None
+
+    def _victim(self, s):
+        for way in range(self.ways):
+            if self.entries[s][way] is None:
+                return way
+        return self.recency[s][0]
+
+    def lookup(self, pc):
+        """Returns (source, kind, target-or-None) or None on miss."""
+        s, tag = self._where(pc)
+        way = self._find(s, tag)
+        if way is None:
+            return None
+        self._touch(s, way)
+        e = self.entries[s][way]
+        target = None if e["kind"] is BranchKind.RETURN else e["target"]
+        return (f"way{way}", e["kind"], target)
+
+    def commit_update(self, record):
+        pc, target, kind = record.pc, record.target, record.kind
+        s, tag = self._where(pc)
+        way = self._find(s, tag)
+        if way is not None:
+            self._touch(s, way)
+            e = self.entries[s][way]
+            if e["kind"] == kind and (kind is BranchKind.RETURN
+                                      or e["target"] == target):
+                return ("hit", "main", way, False)
+            e["kind"], e["target"] = kind, target
+            return ("rewrite", "main", way, False)
+        way = self._victim(s)
+        victim_valid = self.entries[s][way] is not None
+        self.entries[s][way] = {"tag": tag, "kind": kind, "target": target}
+        self._touch(s, way)
+        return ("alloc", "main", way, victim_valid)

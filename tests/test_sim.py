@@ -1,10 +1,11 @@
+import struct
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
-from conftest import rec, taken_branch_trace
+from conftest import raw_trace, rec, taken_branch_trace
 from btblab import trace as btrace
 from btblab.core import ALIGNED4, BYTE, MODEL_NAMES, BranchKind, BranchRecord
 from btblab.models import build_model
@@ -372,8 +373,9 @@ class TestStreamedPath:
 
 
 class TestBareByteList:
-    """A bare record list in the byte profile, as the traced benchmark
-    passes it, replays as the path of its trace does."""
+    """A bare record list in either profile, as the traced benchmark passes
+    it, replays as the path of its trace does; read in a profile it breaks,
+    it raises instead of running."""
 
     @pytest.fixture(scope="class")
     def byte_file(self, tmp_path_factory):
@@ -395,8 +397,44 @@ class TestBareByteList:
     def test_offset_histogram_equals_the_path(self, byte_file):
         path, trace = byte_file
         assert offset_histogram(trace.records, BYTE) == offset_histogram(path)
-        # the profile is the list's own: aligned4 reads its widths otherwise
-        assert offset_histogram(trace.records) != offset_histogram(path)
+        # the list's own profile: its first record is no aligned4 branch
+        with pytest.raises(btrace.TraceFormatError,
+                           match=r"^record 0: (pc|target) 0x[0-9a-f]+ invalid "
+                                 "for 48-bit space with 4-byte alignment$"):
+            offset_histogram(trace.records)
+
+    def test_byte_list_read_as_aligned4_raises(self, byte_file):
+        """The case that once ran silently, with 2,946 of its 2,953 misses
+        wrong-target."""
+        records = byte_file[1].records
+        for call in (lambda: run(build_model("btbx", budget_kb=14.5), records),
+                     lambda: compare(MODEL_NAMES, records, 14.5)):
+            with pytest.raises(btrace.TraceFormatError, match="^record 0: ") as err:
+                call()
+            assert err.value.record_index == 0
+
+    @pytest.fixture(scope="class")
+    def aligned4_file(self, tmp_path_factory):
+        spec = GeneratorSpec(static_branches=3000, records=12_000,
+                             pattern="zipf", seed=6)
+        path = tmp_path_factory.mktemp("bare") / "aligned4.btbt"
+        write_records(path, ALIGNED4.mode, gen_records(spec), count=spec.records)
+        return str(path), load_trace(path)
+
+    def test_aligned4_list_equals_the_path(self, aligned4_file):
+        """The form `bench/layers.py` passes: a list with SimConfig(isa=...)."""
+        path, trace = aligned4_file
+        config = SimConfig(isa=ALIGNED4)
+        for name in MODEL_NAMES:
+            on_list, on_path = (run(build_model(name, budget_kb=14.5), t, config)
+                                for t in (trace.records, path))
+            assert on_list.to_dict() == on_path.to_dict(), name
+        listed = compare(MODEL_NAMES, trace.records, 14.5, config)
+        streamed = compare(MODEL_NAMES, path, 14.5, config)
+        assert ([(name, m.to_dict()) for name, m in listed]
+                == [(name, m.to_dict()) for name, m in streamed])
+        assert (offset_histogram(trace.records, ALIGNED4)
+                == offset_histogram(trace.records) == offset_histogram(path))
 
 
 def outcome_stream(model, records):
@@ -552,9 +590,10 @@ class TestMetrics:
 
 
 class TestAddressDomain:
-    """A record list's pcs and targets must lie in [0, 2**64), as a trace
-    file's u64 fields do: `sim` rejects any other with the record's index
-    before a model sees it, for a bare list and a TraceFile's alike."""
+    """A record list's pcs and targets must be addresses of its profile, as
+    a trace file's are: below 2**48 and aligned.  `sim` rejects any other
+    with the trace format's own message and the record's index before a
+    model sees it, for a bare list and a TraceFile's alike."""
 
     def test_a_negative_pc_raises_instead_of_hanging(self):
         # Its tag fold never returned, so the replay runs in a child.
@@ -575,22 +614,84 @@ class TestAddressDomain:
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines() == [
             "cannot fold a negative value: -1",
-            "record 1: pc -0x4 and target 0x2000 must both lie in [0, 2**64)"]
+            "record 1: pc -0x4 invalid for 48-bit space with 4-byte alignment"]
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_a_target_beyond_u64_is_rejected_with_its_index(self, name):
         records = [rec(0x1000, 0x2000)] * 3 + [(0x1000, 1 << 64, 0, 1, 0)]
-        message = "record 3: pc 0x1000 and target 0x1" + "0" * 16
-        with pytest.raises(ValueError, match=message):
+        message = ("^record 3: target 0x1" + "0" * 16
+                   + " invalid for 48-bit space with 4-byte alignment$")
+        with pytest.raises(btrace.TraceFormatError, match=message):
             run(build_model(name, budget_kb=14.5), records)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(btrace.TraceFormatError, match=message):
             compare([name], TraceFile(ALIGNED4, records), 14.5)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(btrace.TraceFormatError, match=message):
             offset_histogram(records)
 
-    def test_the_u64_bounds_themselves_replay(self):
-        top = (1 << 64) - 4
+    def test_the_48_bit_bounds_themselves_replay(self):
+        top = (1 << 48) - 4
         records = [rec(0, 0x2000), rec(top, top - 4), rec(0x1000, top)]
         for name in MODEL_NAMES:
             assert run(build_model(name, budget_kb=14.5), records,
                        SimConfig(warmup_records=0)).taken_branches == 3
+        for pc in (1 << 48, 0x1002):
+            with pytest.raises(btrace.TraceFormatError,
+                               match=f"^record 1: pc {pc:#x} invalid for "
+                                     "48-bit space with 4-byte alignment$"):
+                run(build_model("conv", budget_kb=14.5),
+                    [rec(0, 0x2000), rec(pc, 0x2000)])
+
+
+# One record for each per-field rule of the trace format, with the message
+# that rule gives.  Each is put past the first chunk of a list of good
+# records, so its index is counted across chunks.
+BROKEN_RECORDS = {
+    "unknown kind": ((0x1000, 0x2000, 9, 1, 0), "unknown kind code 9"),
+    "negative kind": ((0x1000, 0x2000, -1, 1, 0), "unknown kind code -1"),
+    "taken flag 2": ((0x1000, 0x2000, 0, 2, 0), "bad taken flag 2"),
+    "negative taken flag": ((0x1000, 0x2000, 0, -1, 0), "bad taken flag -1"),
+    "pc past 48 bits": ((1 << 48, 0x2000, 0, 1, 0), "pc 0x1000000000000 "
+                        "invalid for 48-bit space with 4-byte alignment"),
+    "unaligned pc": ((0x1001, 0x2000, 0, 1, 0), "pc 0x1001 invalid for "
+                     "48-bit space with 4-byte alignment"),
+    "target past 48 bits": ((0x1000, 1 << 50, 0, 1, 0), "target "
+                            "0x4000000000000 invalid for 48-bit space with "
+                            "4-byte alignment"),
+    "unaligned target": ((0x1000, 0x2002, 0, 1, 0), "target 0x2002 invalid "
+                         "for 48-bit space with 4-byte alignment"),
+    "always-taken kind not taken": (
+        (0x1000, 0x2000, BranchKind.CALL, False, 0),
+        "call branch at 0x1000 marked not-taken"),
+    "gap above 65535": ((0x1000, 0x2000, 0, 1, 70_000),
+                        "gap 70000 exceeds format limit"),
+    "negative gap": ((0x1000, 0x2000, 0, 1, -1), "negative gap -1"),
+}
+BROKEN_AT = CHUNK + 5
+
+
+class TestOneRecordRule:
+    """A record list is checked by the trace format's own rule: a record
+    that breaks one per-field rule fails `run`, `compare` and
+    `offset_histogram` with the message a trace file holding it gives."""
+
+    @pytest.mark.parametrize("case", BROKEN_RECORDS)
+    def test_every_entry_point_raises_the_format_message(self, case, tmp_path):
+        bad, message = BROKEN_RECORDS[case]
+        records = [rec(0x1000, 0x2000)] * BROKEN_AT + [bad] + [rec(0x40, 0x80)]
+        expected = f"record {BROKEN_AT}: {message}"
+        calls = [lambda: run(build_model("conv", budget_kb=14.5), records),
+                 lambda: compare(["conv", "btbx"], records, 14.5),
+                 lambda: compare(["rbtb"], TraceFile(ALIGNED4, records), 14.5),
+                 lambda: offset_histogram(records)]
+        try:  # a trace file can hold every field but those out of its range
+            raw = [(*r, 0) for r in records]
+            (tmp_path / "t.btbt").write_bytes(raw_trace(raw))
+            calls.append(lambda: offset_histogram(tmp_path / "t.btbt"))
+        except struct.error:
+            assert case in ("negative kind", "negative taken flag",
+                            "gap above 65535", "negative gap")
+        for call in calls:
+            with pytest.raises(btrace.TraceFormatError) as err:
+                call()
+            assert str(err.value) == expected
+            assert err.value.record_index == BROKEN_AT

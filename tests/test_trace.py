@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 from conftest import GOOD, RAW_HEADER, raw_trace
 from dealref import deal_reference
-from decoderef import read_binary_reference
+from decoderef import check_records_reference, read_binary_reference
 from btblab import cli
 from btblab import trace as btrace
-from btblab.core import CALL_KINDS, BranchKind, BranchRecord, new_record
+from btblab.core import (CALL_KINDS, BranchKind, BranchRecord, new_record,
+                         profile_for_mode)
 from btblab.trace import (RECORD_BYTES, GeneratorSpec, GeneratorSpecError,
                           TraceFormatError, gen_fields, gen_records, generate,
                           load_trace, open_fields, save_trace, trace_header,
@@ -203,6 +204,13 @@ FIELDS = st.tuples(ADDRESSES, ADDRESSES, st.integers(0, 7),
                    st.integers(0, 0xFFFF),
                    st.sampled_from([0, 0, 0, 0, 1, 2**32 - 1]))
 RECORDS = st.lists(st.one_of(st.just(GOOD), FIELDS), max_size=12)
+# A record list's fields, which need not fit the format's integer fields.
+LIST_FIELDS = st.tuples(ADDRESSES | st.sampled_from([-4, 1 << 64]),
+                        ADDRESSES | st.sampled_from([-4, 1 << 64]),
+                        st.integers(-1, 7),
+                        st.sampled_from([0, 1, 1, True, False, 2, -1]),
+                        st.integers(-1, 0x10000))
+RECORD_LISTS = st.lists(st.one_of(st.just(GOOD[:5]), LIST_FIELDS), max_size=12)
 
 
 class TestDecoderFuzz:
@@ -237,6 +245,25 @@ class TestDecoderFuzz:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(btrace, "_CHUNK_RECORDS", 3)
             agree(path)
+
+
+    @given(records=RECORD_LISTS, isa_mode=st.integers(0, 1))
+    @settings(max_examples=400, deadline=None)
+    def test_record_list_check_agrees_with_reference(self, records, isa_mode):
+        isa = profile_for_mode(isa_mode)
+        outcomes = []
+        # A tiny chunk makes these short lists span several chunks.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(btrace, "_CHUNK_RECORDS", 3)
+            for check in (
+                    lambda: check_records_reference(records, 1 << isa.align_shift),
+                    lambda: btrace.check_records(records, isa)):
+                try:
+                    check()
+                    outcomes.append(None)
+                except TraceFormatError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestDecoderReferenceImports:
